@@ -15,7 +15,7 @@ from fractions import Fraction
 from math import gcd, sqrt
 
 from .groups import FiniteAbelianGroup, characters, dual_group
-from .quadratic import QuadraticForm, mod1, subgroup_quadratic_table
+from .quadratic import QuadraticForm, _validate, mod1, polarization, subgroup_quadratic_table
 
 
 @dataclass(frozen=True)
@@ -59,25 +59,24 @@ def allowed_lines(
 
     ``q`` is either a QuadraticForm on the whole group (only when A' = A)
     or a value table on the subgroup elements as produced by
-    ``subgroup_quadratic_table``.
+    ``subgroup_quadratic_table``; a table is validated as a quadratic
+    refinement on the subgroup, and a bad one raises ValueError.
     """
     sub_elems = ambient.subgroup(subgroup_generators)
     if isinstance(q, QuadraticForm):
         if q.domain != ambient or set(sub_elems) != set(ambient.elements()):
             raise ValueError("a QuadraticForm on A works only when A' = A")
-        table = {e: q(e) for e in sub_elems}
+        table = q.table
     else:
         table = {tuple(k): mod1(v) for k, v in dict(q).items()}
         if set(table) != set(sub_elems):
             raise ValueError("q must be defined exactly on the subgroup")
-
-    def b(x, y) -> Fraction:
-        return (table[ambient.add(x, y)] - table[x] - table[y]) % 1
+        _validate(ambient, [tuple(g) for g in subgroup_generators], table)
 
     pairs = []
     for m in sub_elems:
         for chi in characters(ambient):
-            if all(chi.value(x) == (-b(m, x)) % 1 for x in sub_elems):
+            if all(chi.value(x) == -polarization(ambient, table, m, x) % 1 for x in sub_elems):
                 pairs.append((m, chi.exponents))
     lattice = LineLattice(ambient, tuple(sorted(pairs)))
     if len(lattice.pairs) != ambient.order:

@@ -9,13 +9,12 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from fractions import Fraction
 
 from . import anomaly, complexes, fusion, ising, pathintegral, tqft2d
 from .groups import FiniteAbelianGroup, named_group, parse_abelian
-from .limits import GuardExceeded
+from .limits import GuardExceeded, max_enum
 
 
 def fmt_fraction(x) -> str:
@@ -55,10 +54,7 @@ def _parse_subgroup(group: FiniteAbelianGroup, text: str):
     if text in ("0", "trivial"):
         return []
     if text in ("full", str(group)):
-        return [
-            tuple(1 if j == i else 0 for j in range(group.rank))
-            for i in range(group.rank)
-        ]
+        return group.unit_generators()
     gens = []
     for part in text.split(";"):
         gens.append(tuple(int(x) for x in part.split(",")))
@@ -378,26 +374,19 @@ def main(argv=None) -> int:
         "gauss": _run_gauss,
         "problem1": _run_problem1,
     }
-    saved_guard = os.environ.get("FINSYM_MAX_ENUM")
     try:
-        if args.max_enum is not None:
-            os.environ["FINSYM_MAX_ENUM"] = str(args.max_enum)
-        csv_rows = None
-        if args.command == "ising":
-            doc, csv_rows = _run_ising(args)
-        else:
-            doc = runners[args.command](args)
+        with max_enum(args.max_enum):
+            csv_rows = None
+            if args.command == "ising":
+                doc, csv_rows = _run_ising(args)
+            else:
+                doc = runners[args.command](args)
     except GuardExceeded as exc:
         print(f"guard exceeded: {exc}", file=sys.stderr)
         return 3
     except (ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    finally:
-        if saved_guard is None:
-            os.environ.pop("FINSYM_MAX_ENUM", None)
-        else:
-            os.environ["FINSYM_MAX_ENUM"] = saved_guard
 
     if args.format == "json":
         print(json.dumps(doc, sort_keys=True, indent=2))

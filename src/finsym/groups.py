@@ -85,6 +85,9 @@ class FiniteAbelianGroup:
     def zero(self):
         return (0,) * self.rank
 
+    def unit_generators(self) -> list[tuple]:
+        return [tuple(int(j == i) for j in range(self.rank)) for i in range(self.rank)]
+
     def elements(self):
         return product(*(range(n) for n in self.invariant_factors))
 

@@ -3,28 +3,41 @@
 Brute-force enumerations (cochain assignments, group tuples, spin
 configurations) are bounded so that a typo never launches an overnight
 computation.  The hard ceiling is 2**24 states; the environment variable
-FINSYM_MAX_ENUM or an explicit argument may lower it, never raise it.
+FINSYM_MAX_ENUM, which a ``max_enum`` block overrides, and an explicit
+argument may lower it, never raise it.
 """
 
 from __future__ import annotations
 
 import os
+from contextlib import contextmanager
+from contextvars import ContextVar
 
 HARD_CEILING = 2**24
+
+_max_enum: ContextVar[int | None] = ContextVar("finsym_max_enum", default=None)
 
 
 class GuardExceeded(RuntimeError):
     """An enumeration would exceed the configured state-count guard."""
 
 
+@contextmanager
+def max_enum(limit: int | None):
+    """Inside the block, ``limit`` replaces FINSYM_MAX_ENUM (None keeps it)."""
+    token = _max_enum.set(limit)
+    try:
+        yield
+    finally:
+        _max_enum.reset(token)
+
+
 def effective_limit(explicit: int | None = None) -> int:
-    limit = HARD_CEILING
-    env = os.environ.get("FINSYM_MAX_ENUM")
-    if env is not None:
-        limit = min(limit, int(env))
-    if explicit is not None:
-        limit = min(limit, int(explicit))
-    return limit
+    configured = _max_enum.get()
+    if configured is None:
+        configured = os.environ.get("FINSYM_MAX_ENUM")
+    bounds = (HARD_CEILING, configured, explicit)
+    return min(int(b) for b in bounds if b is not None)
 
 
 def check_enum(size: int, limit: int | None = None, what: str = "enumeration") -> None:

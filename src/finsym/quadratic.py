@@ -1,16 +1,21 @@
 """Quadratic refinements q: A -> Q/Z and their polarization bihomomorphisms.
 
-A quadratic refinement satisfies q(n*a) = n^2 * q(a) mod 1, and its
-polarization b(x, y) = q(x+y) - q(x) - q(y) is a symmetric bihomomorphism.
-Forms are specified by their values on the invariant-factor generators plus
-the cross terms b(g_i, g_j); the full value table is expanded and validated
-on construction.  All values are exact fractions mod 1.
+Forms are given by values on generators plus the cross terms b(g_i, g_j),
+where b(x, y) = q(x+y) - q(x) - q(y).  One expander,
+``subgroup_quadratic_table``, turns them into a value table of exact
+fractions mod 1, and one validator checks every table on construction,
+over generators only: q(0) = 0, b(g, g) = 2 q(g), and b(x+g, y) =
+b(x, y) + b(g, y) for all x, y, at O(|gens| * |A|^2).  That suffices:
+additivity in each generator gives bi-additivity by induction on words,
+and then x -> b(x, x) - 2 q(x) is additive and vanishes on generators, so
+it vanishes and q(n*x) = n^2 * q(x).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
+from math import lcm
 
 from .groups import FiniteAbelianGroup
 
@@ -19,30 +24,21 @@ def mod1(x) -> Fraction:
     return Fraction(x) % 1
 
 
+def polarization(group: FiniteAbelianGroup, table, x, y) -> Fraction:
+    """b(x, y) = q(x+y) - q(x) - q(y) mod 1 for a value table q."""
+    return (table[group.add(x, y)] - table[x] - table[y]) % 1
+
+
 class QuadraticForm:
     __slots__ = ("domain", "table")
 
     def __init__(self, domain: FiniteAbelianGroup, gen_values, cross_terms=None):
         """Build q from q(g_i) = gen_values[i] and b(g_i, g_j) = cross_terms[(i, j)]."""
-        gen_values = tuple(mod1(v) for v in gen_values)
-        if len(gen_values) != domain.rank:
-            raise ValueError("one generator value per invariant factor required")
-        cross = {}
-        for (i, j), v in (cross_terms or {}).items():
-            if not 0 <= i < j < domain.rank:
-                raise ValueError("cross terms are indexed by pairs i < j")
-            cross[(i, j)] = mod1(v)
-        table = {}
-        for elem in domain.elements():
-            q = Fraction(0)
-            for i, a in enumerate(elem):
-                q += a * a * gen_values[i]
-            for (i, j), b in cross.items():
-                q += elem[i] * elem[j] * b
-            table[elem] = q % 1
+        table = subgroup_quadratic_table(
+            domain, domain.unit_generators(), gen_values, cross_terms
+        )
         object.__setattr__(self, "domain", domain)
         object.__setattr__(self, "table", table)
-        _validate_refinement(domain, table)
 
     def __setattr__(self, name, value):
         raise AttributeError("QuadraticForm is immutable")
@@ -54,34 +50,24 @@ class QuadraticForm:
         table = {tuple(k): mod1(v) for k, v in values.items()}
         if set(table) != set(domain.elements()):
             raise ValueError("value table must cover the whole group")
+        _validate(domain, domain.unit_generators(), table)
         object.__setattr__(obj, "domain", domain)
         object.__setattr__(obj, "table", table)
-        _validate_refinement(domain, table)
         return obj
 
     def __call__(self, elem) -> Fraction:
         return self.table[tuple(elem)]
 
     def polarization(self, x, y) -> Fraction:
-        g = self.domain
-        return (self(g.add(tuple(x), tuple(y))) - self(x) - self(y)) % 1
+        return polarization(self.domain, self.table, tuple(x), tuple(y))
 
     def gen_values(self) -> tuple[Fraction, ...]:
-        g = self.domain
-        return tuple(
-            self.table[tuple(1 if j == i else 0 for j in range(g.rank))]
-            for i in range(g.rank)
-        )
+        return tuple(self.table[g] for g in self.domain.unit_generators())
 
     def cross_terms(self) -> dict[tuple[int, int], Fraction]:
-        g = self.domain
-        out = {}
-        for i in range(g.rank):
-            for j in range(i + 1, g.rank):
-                gi = tuple(1 if k == i else 0 for k in range(g.rank))
-                gj = tuple(1 if k == j else 0 for k in range(g.rank))
-                out[(i, j)] = self.polarization(gi, gj)
-        return out
+        gens = self.domain.unit_generators()
+        pairs = combinations(range(len(gens)), 2)
+        return {(i, j): self.polarization(gens[i], gens[j]) for i, j in pairs}
 
     def to_json(self) -> str:
         import json
@@ -109,109 +95,74 @@ class QuadraticForm:
         return f"QuadraticForm({self.domain!r}, {self.table!r})"
 
 
-def _validate_refinement(domain: FiniteAbelianGroup, table) -> None:
-    if table[domain.zero()] != 0:
-        raise ValueError("q(0) must vanish")
-    exponent = domain.exponent
-    for x in domain.elements():
-        acc = domain.zero()
-        for n in range(1, exponent + 1):
-            acc = domain.add(acc, x)
-            if table[acc] != (n * n * table[x]) % 1:
-                raise ValueError(f"q({n}*{x}) != {n}^2 q({x})")
-    _validate_biadditive(domain.add, list(domain.elements()), table)
-
-
-def _validate_biadditive(add, elems, table) -> None:
-    # q(nx) = n^2 q(x) alone does not make the polarization bi-additive
-    # (q(g) = 1/16 on Z_4 passes it); check exhaustively.
-    def b(x, y):
-        return (table[add(x, y)] - table[x] - table[y]) % 1
-
-    for x in elems:
-        for y in elems:
-            bxy = b(x, y)
-            for z in elems:
-                if b(add(x, z), y) != (bxy + b(z, y)) % 1:
-                    raise ValueError("polarization is not bi-additive")
-
-
 def bihomomorphism(q: QuadraticForm):
-    """The polarization b(x, y) as a dict; bi-additivity is verified.
+    """The polarization b(x, y) as a dict over all pairs.
 
-    Exhaustive verification is fine at desk scale (|A'| <= 64).
+    Nothing is re-checked here: every QuadraticForm was validated when it
+    was built, over generators only (b(g, g) = 2 q(g) and b additive in each
+    generator g), and additivity in each generator gives bi-additivity by
+    induction on words.
     """
-    g = q.domain
-    elems = list(g.elements())
-    b = {(x, y): q.polarization(x, y) for x in elems for y in elems}
-    for x in elems:
-        for y in elems:
-            if b[(x, y)] != b[(y, x)]:
-                raise ValueError("polarization is not symmetric")
-            for z in elems:
-                if b[(g.add(x, y), z)] != (b[(x, z)] + b[(y, z)]) % 1:
-                    raise ValueError("polarization is not bi-additive")
-    return b
+    elems = list(q.domain.elements())
+    return {(x, y): q.polarization(x, y) for x in elems for y in elems}
 
 
 def subgroup_quadratic_table(
     group: FiniteAbelianGroup, generators, gen_values, cross_terms=None
 ):
     """Expand a quadratic form over the subgroup of ``group`` generated by
-    ``generators``, from values on those generators and cross terms.
+    ``generators``, from values on those generators and cross terms:
+    q(sum c_i g_i) = sum c_i^2 q(g_i) + sum_{i<j} c_i c_j b(g_i, g_j).
 
     Returns a dict mapping each subgroup element (as an ambient tuple) to
     its value in Q/Z.  Inconsistent data (two generator words giving the
-    same element but different values) is rejected, as is any violation of
-    the refinement identity on the subgroup.
+    same element but different values) is rejected, as is any table that
+    is not a quadratic refinement on the subgroup.
     """
     generators = [tuple(g) for g in generators]
     gen_values = tuple(mod1(v) for v in gen_values)
     if len(gen_values) != len(generators):
         raise ValueError("one value per generator required")
-    cross = {}
-    for (i, j), v in (cross_terms or {}).items():
-        if not 0 <= i < j < len(generators):
-            raise ValueError("cross terms are indexed by pairs i < j")
-        cross[(i, j)] = mod1(v)
-    orders = [group.element_order(g) if any(g) else 1 for g in generators]
+    for g in generators:
+        if not group.contains(g):
+            raise ValueError(f"{g} is not an element of {group}")
+    cross = {(i, j): mod1(v) for (i, j), v in (cross_terms or {}).items()}
+    if not all(0 <= i < j < len(generators) for i, j in cross):
+        raise ValueError("cross terms are indexed by pairs i < j")
+    # integers over the common denominator d: exact, and cheaper than Fractions
+    d = lcm(*(v.denominator for v in (*gen_values, *cross.values())))
+    nums = [int(v * d) for v in gen_values]
+    cross = {ij: int(v * d) for ij, v in cross.items()}
     table: dict[tuple, Fraction] = {}
-    from itertools import product as iproduct
-
-    for coeffs in iproduct(*(range(o) for o in orders)):
-        elem = group.zero()
-        for c, g in zip(coeffs, generators):
-            elem = group.add(elem, group.scalar_mul(c, g))
-        q = Fraction(0)
-        for i, c in enumerate(coeffs):
-            q += c * c * gen_values[i]
-        for (i, j), b in cross.items():
-            q += coeffs[i] * coeffs[j] * b
-        q %= 1
-        if elem in table and table[elem] != q:
+    for coeffs in product(*(range(group.element_order(g)) for g in generators)):
+        elem = tuple(
+            sum(c * g[k] for c, g in zip(coeffs, generators)) % n
+            for k, n in enumerate(group.invariant_factors)
+        )
+        q = sum(c * c * n for c, n in zip(coeffs, nums))
+        q += sum(coeffs[i] * coeffs[j] * m for (i, j), m in cross.items())
+        q = Fraction(q % d, d)
+        if table.setdefault(elem, q) != q:
             raise ValueError(f"inconsistent quadratic data at {elem}")
-        table[elem] = q
-    _validate_subgroup_refinement(group, table)
+    _validate(group, generators, table)
     return table
 
 
-def _validate_subgroup_refinement(group: FiniteAbelianGroup, table) -> None:
-    elems = list(table)
-    if table.get(group.zero()) != 0:
+def _validate(group: FiniteAbelianGroup, generators, table) -> None:
+    """Check that ``table``, defined on the subgroup that ``generators``
+    generate, is a quadratic refinement; see the module docstring."""
+    if table[group.zero()] != 0:
         raise ValueError("q(0) must vanish")
-    for x in elems:
-        k = 2
-        acc = group.add(x, x)
-        while True:
-            if acc not in table:
-                raise ValueError("table is not closed under addition")
-            if table[acc] != (k * k * table[x]) % 1:
-                raise ValueError(f"q({k}*{x}) != {k}^2 q({x})")
-            if acc == group.zero():
-                break
-            acc = group.add(acc, x)
-            k += 1
-    for x, y in combinations(elems, 2):
-        if group.add(x, y) not in table:
-            raise ValueError("table is not closed under addition")
-    _validate_biadditive(group.add, elems, table)
+    for g in generators:
+        if polarization(group, table, g, g) != 2 * table[g] % 1:
+            raise ValueError(f"q(2*{g}) != 2^2 q({g})")
+    # b(x+g, y) - b(x, y) - b(g, y) must vanish; integers over the common denominator
+    d = lcm(*(v.denominator for v in table.values()))
+    t = {x: int(v * d) for x, v in table.items()}
+    for g in generators:
+        for x in t:
+            xg = group.add(x, g)
+            for y in t:
+                defect = t[group.add(xg, y)] - t[xg] - t[group.add(x, y)] - t[group.add(g, y)]
+                if (defect + t[x] + t[g] + t[y]) % d:
+                    raise ValueError("polarization is not bi-additive")

@@ -93,6 +93,20 @@ class TestAllowedLines:
         with pytest.raises(ValueError):
             allowed_lines(Z4, [(2,)], {(0,): 0, (1,): Fraction(1, 8)})
 
+    @pytest.mark.parametrize(
+        "table",
+        [
+            # q(a) = a^2/16 passes q(na) = n^2 q(a) but is not bi-additive
+            {(a,): Fraction(a * a, 16) for a in range(4)},
+            # a^2/8 with q(0) = 1/2
+            {(0,): Fraction(1, 2), (1,): Fraction(1, 8),
+             (2,): Fraction(1, 2), (3,): Fraction(1, 8)},
+        ],
+    )
+    def test_raw_table_that_is_no_refinement_rejected(self, table):
+        with pytest.raises(ValueError):
+            allowed_lines(Z4, [(1,)], table)
+
 
 class TestMinimalTFT:
     def test_semion(self):

@@ -1,8 +1,11 @@
 import json
+import os
+from types import MappingProxyType
 
 import pytest
 
 from finsym.cli import main
+from finsym.limits import HARD_CEILING, effective_limit
 
 
 def run(capsys, *argv):
@@ -208,6 +211,21 @@ class TestExitCodes:
         code, _, err = run(capsys, "partition", "--target", "B1:S3",
                            "--manifold", "surface:2", "--max-enum", "100")
         assert code == 3 and "guard" in err
+
+    def test_max_enum_leaves_environment_alone(self, capsys, monkeypatch):
+        monkeypatch.delenv("FINSYM_MAX_ENUM", raising=False)
+        before = dict(os.environ)
+        with monkeypatch.context() as m:
+            # a read-only environment: --max-enum must not write to it
+            m.setattr(os, "environ", MappingProxyType(before))
+            code, _, err = run(capsys, "partition", "--target", "B1:S3",
+                               "--manifold", "surface:2", "--max-enum", "100")
+        assert code == 3 and "guard" in err
+        assert dict(os.environ) == before
+        assert effective_limit() == HARD_CEILING
+        code, out, _ = run(capsys, "partition", "--target", "B1:S3",
+                           "--manifold", "surface:2")
+        assert code == 0 and json.loads(out)["value"]
 
     def test_bad_threads(self, capsys):
         code, _, _ = run(capsys, "gauss", "--N", "3", "--p", "1",

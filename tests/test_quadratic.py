@@ -1,4 +1,6 @@
 from fractions import Fraction
+from itertools import product
+from math import lcm
 
 import pytest
 
@@ -57,7 +59,7 @@ def test_cross_term_form_is_biadditive():
     g = FiniteAbelianGroup([2, 4])
     q = QuadraticForm(g, [Fraction(1, 4), Fraction(1, 8)],
                       cross_terms={(0, 1): Fraction(1, 2)})
-    b = bihomomorphism(q)  # raises if not symmetric bi-additive
+    b = bihomomorphism(q)
     assert b[((1, 0), (0, 1))] == Fraction(1, 2)
     # exhaustive symmetry
     for x in g.elements():
@@ -73,10 +75,11 @@ def test_invalid_cross_term_rejected():
 
 
 def test_polarization_biadditive_on_larger_group():
-    # exhaustive bi-additivity at |A| = 32
+    # the generator-level validator accepts it; the exhaustive oracle agrees
     g = FiniteAbelianGroup([4, 8])
     q = QuadraticForm(g, [Fraction(1, 8), Fraction(3, 16)],
                       cross_terms={(0, 1): Fraction(1, 4)})
+    assert exhaustive_verdict(g, q.table)
     b = bihomomorphism(q)
     assert b[((1, 0), (0, 1))] == Fraction(1, 4)
 
@@ -114,3 +117,92 @@ class TestSubgroupTables:
     def test_trivial_subgroup(self):
         table = subgroup_quadratic_table(Z4, [], [])
         assert table == {(0,): 0}
+
+
+def exhaustive_verdict(group, table) -> bool:
+    """The former O(|A|^3) check, kept as the oracle for the generator-level
+    validator: q(0) = 0, closure, q(kx) = k^2 q(x) for every x and k, and
+    b(x+z, y) = b(x, y) + b(z, y) for every triple.  Values are scaled to
+    integers mod d, the common denominator."""
+    add = group.add
+    d = lcm(*(v.denominator for v in table.values()))
+    t = {x: int(v * d) for x, v in table.items()}
+    if t.get(group.zero()) != 0:
+        return False
+    for x in t:
+        acc, k = x, 1
+        while True:
+            acc, k = add(acc, x), k + 1
+            if t.get(acc) != k * k * t[x] % d:
+                return False
+            if acc == group.zero():
+                break
+    if any(add(x, y) not in t for x in t for y in t):
+        return False
+    b = {(x, y): (t[add(x, y)] - t[x] - t[y]) % d for x in t for y in t}
+    return all(
+        b[add(x, z), y] == (b[x, y] + b[z, y]) % d for x in t for y in t for z in t
+    )
+
+
+def accepts(build) -> bool:
+    try:
+        build()
+    except ValueError:
+        return False
+    return True
+
+
+class TestValidatorMatchesExhaustiveOracle:
+    GRID = [Fraction(k, 16) for k in range(16)]
+
+    @staticmethod
+    def unit_expansion(group, gen_values, cross):
+        """q(x) = sum x_i^2 q(g_i) + sum x_i x_j b(g_i, g_j), in sixteenths."""
+        nums = [int(16 * v) for v in gen_values]
+        cross = {ij: int(16 * v) for ij, v in cross.items()}
+        return {
+            x: Fraction((sum(c * c * n for c, n in zip(x, nums))
+                         + sum(x[i] * x[j] * m for (i, j), m in cross.items())) % 16, 16)
+            for x in group.elements()
+        }
+
+    def check_grid(self, cases):
+        verdicts = set()
+        for group, table, build in cases:
+            verdict = exhaustive_verdict(group, table)
+            assert accepts(build) == verdict, table
+            verdicts.add(verdict)
+        assert verdicts == {True, False}
+
+    def test_quadratic_form_on_z4(self):
+        self.check_grid(
+            (Z4, self.unit_expansion(Z4, [v], {}), lambda v=v: QuadraticForm(Z4, [v]))
+            for v in self.GRID
+        )
+
+    def test_quadratic_form_on_z2_z4(self):
+        g = FiniteAbelianGroup([2, 4])
+        self.check_grid(
+            (g, self.unit_expansion(g, [v0, v1], {(0, 1): c}),
+             lambda v0=v0, v1=v1, c=c: QuadraticForm(g, [v0, v1], {(0, 1): c}))
+            for v0 in self.GRID for v1 in self.GRID for c in self.GRID
+        )
+
+    def test_from_values_on_z2_z2(self):
+        g = FiniteAbelianGroup([2, 2])
+        elems = list(g.elements())
+        quarters = [Fraction(k, 4) for k in range(4)]
+        tables = (dict(zip(elems, values)) for values in product(quarters, repeat=4))
+        self.check_grid(
+            (g, t, lambda t=t: QuadraticForm.from_values(g, t)) for t in tables
+        )
+
+    def test_subgroup_tables_in_z8(self):
+        z8 = FiniteAbelianGroup([8])
+        self.check_grid(
+            (z8,
+             {z8.scalar_mul(c, (a,)): c * c * v % 1 for c in range(z8.element_order((a,)))},
+             lambda a=a, v=v: subgroup_quadratic_table(z8, [(a,)], [v]))
+            for a in range(8) for v in self.GRID
+        )
