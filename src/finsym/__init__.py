@@ -13,8 +13,10 @@ Subpackages by theme:
   cli          the ``finsym`` command-line tool
 
 All algebraic quantities are exact (ints and fractions); floats appear only
-in Ising weights and Perron-Frobenius dimensions.  Everything is immutable
-after construction and safe for concurrent use.
+in Ising weights and Perron-Frobenius dimensions, and only those two load
+numpy: ``ising`` on import, ``fusion`` once it meets a non-invertible
+simple.  Everything is immutable after construction and safe for
+concurrent use.
 """
 
 __version__ = "0.1.0"

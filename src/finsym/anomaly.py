@@ -15,6 +15,7 @@ from fractions import Fraction
 from math import gcd, sqrt
 
 from .groups import FiniteAbelianGroup, characters, dual_group
+from .limits import check_enum
 from .quadratic import QuadraticForm, _validate, mod1, polarization, subgroup_quadratic_table
 
 
@@ -133,6 +134,7 @@ class AnyonTable:
 
 
 def minimal_tft_data(t: MinimalTFT) -> AnyonTable:
+    check_enum(t.n, what="anyon enumeration")
     spins = tuple(Fraction(t.p * k * k, 2 * t.n) % 1 for k in range(t.n))
     charges = tuple((t.p * k) % t.n for k in range(t.n))
     return AnyonTable(n=t.n, p=t.p, spins=spins, charges=charges)
@@ -238,6 +240,7 @@ def gauss_sum_direct(n: int, p: int) -> complex:
     """The same double sum accumulated numerically; oracle for gauss_sum."""
     if gcd(p, n) != 1:
         raise ValueError(f"p = {p} must be invertible mod N = {n}")
+    check_enum(n * n, what="Gauss-sum term enumeration")
     p_inv = pow(p, -1, n)
     total = 0j
     for b in range(n):

@@ -12,7 +12,9 @@ import json
 import sys
 from fractions import Fraction
 
-from . import anomaly, complexes, fusion, ising, pathintegral, tqft2d
+# Only stdlib, groups and limits at module level: each parser and runner
+# imports the one finsym module it calls, so a cold process of an exact
+# subcommand never loads numpy.
 from .groups import FiniteAbelianGroup, named_group, parse_abelian
 from .limits import GuardExceeded, max_enum
 
@@ -31,13 +33,17 @@ def parse_fraction(text: str) -> Fraction:
 
 
 def parse_manifold(text: str):
+    from . import complexes
+
     name, _, param = text.partition(":")
     if param:
         return complexes.preset(name, int(param))
     return complexes.preset(name)
 
 
-def parse_target(text: str) -> pathintegral.PiFiniteTarget:
+def parse_target(text: str):
+    from . import pathintegral
+
     head, _, group_name = text.partition(":")
     if not group_name:
         raise ValueError(f"target must look like B2:Z2, got {text!r}")
@@ -146,7 +152,7 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _matrix_doc(mat: tqft2d.BordismMatrix) -> dict:
+def _matrix_doc(mat) -> dict:
     return {
         "source_dim": mat.source.dim,
         "target_dim": mat.target.dim,
@@ -157,6 +163,8 @@ def _matrix_doc(mat: tqft2d.BordismMatrix) -> dict:
 
 
 def _run_cohomology(args) -> dict:
+    from . import complexes
+
     cx = parse_manifold(args.manifold)
     coeffs = parse_abelian(args.coefficients)
     h = complexes.cohomology(cx, coeffs, args.degree)
@@ -170,6 +178,8 @@ def _run_cohomology(args) -> dict:
 
 
 def _run_partition(args) -> dict:
+    from . import pathintegral
+
     target = parse_target(args.target)
     cx = parse_manifold(args.manifold)
     value = pathintegral.partition(target, cx)
@@ -178,6 +188,8 @@ def _run_partition(args) -> dict:
 
 
 def _run_bordism(args) -> dict:
+    from . import tqft2d
+
     group = parse_abelian(args.group)
     mat = tqft2d.bordism_matrix(tqft2d.bordism_preset(args.shape), group)
     doc = {"shape": args.shape, "group": str(group)}
@@ -186,6 +198,8 @@ def _run_bordism(args) -> dict:
 
 
 def _run_fusion(args) -> dict:
+    from . import fusion
+
     if args.ty is not None:
         ring = fusion.tambara_yamagami(named_group(args.ty))
         doc = {"ring": f"TY({args.ty})"}
@@ -213,6 +227,8 @@ def _run_fusion(args) -> dict:
 
 
 def _run_lines(args) -> dict:
+    from . import anomaly
+
     ambient = parse_abelian(args.ambient)
     gens = _parse_subgroup(ambient, args.sub)
     gen_values = [parse_fraction(v) for v in args.q.split(",") if v.strip()]
@@ -237,6 +253,8 @@ def _run_lines(args) -> dict:
 
 
 def _run_anyons(args) -> dict:
+    from . import anomaly
+
     table = anomaly.minimal_tft_data(anomaly.MinimalTFT(args.n, args.p))
     return {
         "N": args.n,
@@ -250,6 +268,8 @@ def _run_anyons(args) -> dict:
 
 
 def _run_anomaly(args) -> dict:
+    from . import anomaly
+
     doc = {}
     if args.ym is None and args.frac is None:
         raise ValueError("choose --ym-theta-pi and/or --fractional-instanton")
@@ -269,6 +289,8 @@ def _run_anomaly(args) -> dict:
 
 
 def _run_gauss(args) -> dict:
+    from . import anomaly
+
     exact = anomaly.gauss_sum(args.n, args.p)
     direct = anomaly.gauss_sum_direct(args.n, args.p)
     return {
@@ -285,6 +307,8 @@ def _sector_key(sector) -> str:
 
 
 def _run_ising(args):
+    from . import ising
+
     if args.sweep is not None:
         start, stop, count = float(args.sweep[0]), float(args.sweep[1]), int(args.sweep[2])
         if count < 2 or not (start > 0 and stop > start):
@@ -322,6 +346,8 @@ def _run_ising(args):
 
 
 def _run_problem1(args) -> dict:
+    from . import tqft2d
+
     report = tqft2d.solve_problem_one(parse_abelian(args.group))
     return {
         "group": report["group"],

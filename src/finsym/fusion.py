@@ -12,8 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .groups import FiniteGroup
 
 
@@ -73,8 +71,11 @@ class FusionRing:
     def rank(self) -> int:
         return len(self.labels)
 
-    def fusion_matrix(self, i: int) -> np.ndarray:
-        """Left multiplication by simple i: entry (k, j) = N_ij^k."""
+    def fusion_matrix(self, i: int):
+        """Left multiplication by simple i as a float numpy array: entry
+        (k, j) = N_ij^k."""
+        import numpy as np
+
         rank = self.rank
         return np.array(
             [[self.n_tensor[i][j][k] for j in range(rank)] for k in range(rank)],
@@ -203,27 +204,30 @@ def tambara_yamagami(group: FiniteGroup) -> FusionRing:
     return FusionRing(labels, group.identity, n, dual)
 
 
-def _is_permutation_matrix(mat: np.ndarray) -> bool:
-    return (
-        np.all((mat == 0) | (mat == 1))
-        and np.all(mat.sum(axis=0) == 1)
-        and np.all(mat.sum(axis=1) == 1)
-    )
+def _is_invertible(ring: FusionRing, i: int) -> bool:
+    """Exact test: left multiplication by simple i permutes the simples,
+    i.e. each i x j is a single simple and no two j give the same one."""
+    rows = ring.n_tensor[i]
+    if any(sum(row) != 1 for row in rows):
+        return False
+    return len({row.index(1) for row in rows}) == len(rows)
 
 
 def pf_dimensions(ring: FusionRing, tol: float = 1e-12, max_iter: int = 10**5):
     """Perron-Frobenius dimension of each simple object.
 
-    Permutation fusion matrices (invertible objects) give exactly 1;
-    otherwise power iteration on N_i + I, which is primitive on the
-    relevant block, to the requested tolerance.
+    Invertible simples (permutation fusion matrices) give exactly 1 without
+    touching numpy; otherwise power iteration on N_i + I, which is primitive
+    on the relevant block, to the requested tolerance.
     """
     dims = []
     for i in range(ring.rank):
-        mat = ring.fusion_matrix(i)
-        if _is_permutation_matrix(mat):
+        if _is_invertible(ring, i):
             dims.append(1.0)
             continue
+        import numpy as np
+
+        mat = ring.fusion_matrix(i)
         shifted = mat + np.eye(ring.rank)
         vec = np.ones(ring.rank) / np.sqrt(ring.rank)
         for _ in range(max_iter):
@@ -262,7 +266,7 @@ def fiber_functor_obstruction(ring: FusionRing, tol: float = 1e-9) -> Obstructio
         detail = f"d({ring.labels[i]}) = {d:.12f} is not an integer"
         square_row = ring.n_tensor[i][ring.dual[i]]
         supports_invertible = all(
-            square_row[k] == 0 or _is_permutation_matrix(ring.fusion_matrix(k))
+            square_row[k] == 0 or _is_invertible(ring, k)
             for k in range(ring.rank)
         )
         if supports_invertible:

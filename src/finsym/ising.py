@@ -27,7 +27,7 @@ test suite rather than asserted a priori.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import asinh, exp, log, sinh, sqrt
+from math import asinh, exp, expm1, log, sinh, sqrt
 
 import numpy as np
 
@@ -244,10 +244,20 @@ def gauged_partition(
 
 
 def kw_dual_beta(beta: float) -> float:
-    """The dual inverse temperature: sinh(2*beta) * sinh(2*dual) = 1."""
+    """The dual inverse temperature: sinh(2*beta) * sinh(2*dual) = 1.
+
+    Past 2*beta = 700, where sinh nears overflow, 1/sinh(2*beta) is taken
+    as 2*exp(-2*beta) / (1 - exp(-4*beta)); below, the direct form is kept
+    so that existing values do not move by an ulp.
+    """
     if not beta > 0:
         raise ValueError("beta must be positive")
-    return 0.5 * asinh(1.0 / sinh(2.0 * beta))
+    if 2.0 * beta <= 700.0:
+        return 0.5 * asinh(1.0 / sinh(2.0 * beta))
+    dual = 0.5 * asinh(2.0 * exp(-2.0 * beta) / -expm1(-4.0 * beta))
+    if dual == 0.0:
+        raise ValueError(f"the dual of beta = {beta} underflows to 0")
+    return dual
 
 
 def kw_ratio(lat: IsingLattice, method: str = "bruteforce") -> float:

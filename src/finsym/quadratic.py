@@ -144,6 +144,18 @@ def subgroup_quadratic_table(
         q = Fraction(q % d, d)
         if table.setdefault(elem, q) != q:
             raise ValueError(f"inconsistent quadratic data at {elem}")
+    # a zero generator only ever enters with coefficient 0, so its data is
+    # never expanded above: compare every given value with the table
+    for g, v in zip(generators, gen_values):
+        if table[g] != v:
+            raise ValueError(f"value {v} given for generator {g} "
+                             f"contradicts q({g}) = {table[g]}")
+    for (i, j), m in cross.items():
+        x, y = generators[i], generators[j]
+        b = polarization(group, table, x, y)
+        if b != Fraction(m, d):
+            raise ValueError(f"cross term {Fraction(m, d)} given for generators {x}, {y} "
+                             f"contradicts b = {b}")
     _validate(group, generators, table)
     return table
 

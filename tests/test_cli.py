@@ -1,9 +1,13 @@
 import json
 import os
+import subprocess
+import sys
+import time
 from types import MappingProxyType
 
 import pytest
 
+import finsym
 from finsym.cli import main
 from finsym.limits import HARD_CEILING, effective_limit
 
@@ -183,9 +187,6 @@ class TestDeterminism:
 
 class TestSubprocess:
     def test_installed_entry_point_matches_in_process(self, capsys):
-        import subprocess
-        import sys
-
         argv = ["anyons", "--N", "4", "--p", "3"]
         _, in_process, _ = run(capsys, *argv)
         completed = subprocess.run(
@@ -195,6 +196,46 @@ class TestSubprocess:
             check=True,
         )
         assert completed.stdout == in_process
+
+
+def numpy_loaded_after(*argvs) -> bool:
+    """Run ``cli.main`` on each argv in one fresh interpreter; report
+    whether numpy was imported by the end."""
+    code = (
+        "import sys\n"
+        "from finsym.cli import main\n"
+        f"for argv in {argvs!r}:\n"
+        "    assert main(list(argv)) == 0, argv\n"
+        "print('numpy' in sys.modules)\n"
+    )
+    src = os.path.dirname(os.path.dirname(finsym.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    completed = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                               text=True, check=True, env=env)
+    return {"True": True, "False": False}[completed.stdout.splitlines()[-1]]
+
+
+class TestLazyImports:
+    def test_exact_subcommands_never_load_numpy(self):
+        assert not numpy_loaded_after(
+            ("partition", "--target", "B2:Z2", "--manifold", "torus:3"),
+            ("cohomology", "--manifold", "rp:3", "--coefficients", "Z2", "--degree", "2"),
+            ("bordism", "--group", "Z2", "--shape", "pants"),
+            ("problem1", "--group", "Z2"),
+            ("lines", "--A", "Z2", "--Aprime", "full", "--q", "1/4"),
+            ("anyons", "--N", "4", "--p", "1"),
+            ("anomaly", "--ym-theta-pi", "5", "--fractional-instanton", "2", "1"),
+            ("gauss", "--N", "5", "--p", "2"),
+            ("fusion", "--group-ring", "D4"),
+        )
+
+    @pytest.mark.parametrize("argv", [
+        ("ising", "--L", "2", "--T", "2", "--beta", "0.3"),
+        ("fusion", "--ty", "Z2"),
+    ])
+    def test_float_subcommands_load_numpy(self, argv):
+        assert numpy_loaded_after(argv)
 
 
 class TestExitCodes:
@@ -226,6 +267,22 @@ class TestExitCodes:
         code, out, _ = run(capsys, "partition", "--target", "B1:S3",
                            "--manifold", "surface:2")
         assert code == 0 and json.loads(out)["value"]
+
+    @pytest.mark.parametrize("argv", [
+        ("gauss", "--N", "100000", "--p", "1"),
+        ("anyons", "--N", "30000000", "--p", "1"),
+    ])
+    def test_large_n_trips_the_default_guard(self, capsys, monkeypatch, argv):
+        monkeypatch.delenv("FINSYM_MAX_ENUM", raising=False)
+        start = time.perf_counter()
+        code, out, err = run(capsys, *argv)
+        assert time.perf_counter() - start < 1.0
+        assert code == 3 and "guard" in err and out == ""
+
+    def test_zero_generator_value_is_input_error(self, capsys):
+        code, out, err = run(capsys, "lines", "--A", "Z2xZ2", "--Aprime", "1,0;0,0",
+                             "--q", "1/4,1/4")
+        assert code == 2 and "contradicts" in err and out == ""
 
     def test_bad_threads(self, capsys):
         code, _, _ = run(capsys, "gauss", "--N", "3", "--p", "1",

@@ -1,10 +1,12 @@
 import math
 
+import numpy as np
 import pytest
 
 from finsym.fusion import (
     FusionRing,
     RingElement,
+    _is_invertible,
     fiber_functor_obstruction,
     group_ring,
     pf_dimensions,
@@ -12,7 +14,7 @@ from finsym.fusion import (
     square_root_obstruction,
     tambara_yamagami,
 )
-from finsym.groups import named_group
+from finsym.groups import named_group, preset_group_documents
 
 
 def simple(ring, label):
@@ -90,6 +92,36 @@ class TestRingValidation:
         ]
         with pytest.raises(ValueError):
             FusionRing(["1", "a", "b"], 0, n, [0, 1, 2])
+
+
+def float_permutation_test(ring, i) -> bool:
+    """The former float check on the fusion matrix, kept as the oracle for
+    the exact invertibility test."""
+    mat = ring.fusion_matrix(i)
+    return bool(
+        np.all((mat == 0) | (mat == 1))
+        and np.all(mat.sum(axis=0) == 1)
+        and np.all(mat.sum(axis=1) == 1)
+    )
+
+
+class TestInvertibility:
+    @pytest.mark.parametrize("name", sorted(preset_group_documents()))
+    def test_exact_check_matches_float_permutation_test(self, name):
+        group = named_group(name)
+        rings = [group_ring(group)]
+        if group.is_abelian():
+            rings.append(tambara_yamagami(group))
+        for ring in rings:
+            exact = [_is_invertible(ring, i) for i in range(ring.rank)]
+            assert exact == [float_permutation_test(ring, i) for i in range(ring.rank)]
+            assert exact == [label != "N" for label in ring.labels]
+
+    def test_fibonacci_object_is_not_invertible(self):
+        # t x t = 1 + t: the row of t x t sums to 2
+        ring = FusionRing(["1", "t"], 0, [[[1, 0], [0, 1]], [[0, 1], [1, 1]]], [0, 1])
+        assert [_is_invertible(ring, i) for i in range(2)] == [True, False]
+        assert [float_permutation_test(ring, i) for i in range(2)] == [True, False]
 
 
 class TestDimensions:

@@ -170,6 +170,17 @@ class TestKramersWannier:
         duals = [kw_dual_beta(b) for b in grid]
         assert all(x > y for x, y in zip(duals, duals[1:]))
 
+    def test_large_beta_does_not_overflow(self):
+        # sinh(2 beta) overflows past beta ~ 355; the dual is ~ exp(-2 beta)
+        dual = kw_dual_beta(360.0)
+        assert math.isfinite(dual) and dual > 0
+        assert dual == pytest.approx(math.exp(-720.0), rel=1e-9)
+        assert kw_dual_beta(349.0) > kw_dual_beta(351.0) > dual
+
+    def test_dual_underflow_is_value_error(self):
+        with pytest.raises(ValueError, match="underflows"):
+            kw_dual_beta(400.0)
+
     def test_gauged_1x1_closed_form(self):
         beta = 0.9
         lat = IsingLattice(1, 1, beta)

@@ -118,6 +118,19 @@ class TestSubgroupTables:
         table = subgroup_quadratic_table(Z4, [], [])
         assert table == {(0,): 0}
 
+    def test_zero_generator_data_must_match_the_table(self):
+        # the zero generator only enters its words with coefficient 0, so
+        # q(0) = 1/4 or b(g, 0) = 1/2 must be caught after the expansion
+        z2z2 = FiniteAbelianGroup([2, 2])
+        gens = [(1, 0), (0, 0)]
+        with pytest.raises(ValueError, match="contradicts q"):
+            subgroup_quadratic_table(z2z2, gens, [Fraction(1, 4), Fraction(1, 4)])
+        with pytest.raises(ValueError, match="contradicts b"):
+            subgroup_quadratic_table(z2z2, gens, [Fraction(1, 4), 0],
+                                     cross_terms={(0, 1): Fraction(1, 2)})
+        table = subgroup_quadratic_table(z2z2, gens, [Fraction(1, 4), 0])
+        assert table == {(0, 0): 0, (1, 0): Fraction(1, 4)}
+
 
 def exhaustive_verdict(group, table) -> bool:
     """The former O(|A|^3) check, kept as the oracle for the generator-level
@@ -199,10 +212,13 @@ class TestValidatorMatchesExhaustiveOracle:
         )
 
     def test_subgroup_tables_in_z8(self):
+        # words c = 1..ord(a), so the table keeps the value given for a even
+        # when a = 0 and a word of length ord(a) lands on 0
         z8 = FiniteAbelianGroup([8])
         self.check_grid(
             (z8,
-             {z8.scalar_mul(c, (a,)): c * c * v % 1 for c in range(z8.element_order((a,)))},
+             {z8.scalar_mul(c, (a,)): c * c * v % 1
+              for c in range(1, z8.element_order((a,)) + 1)},
              lambda a=a, v=v: subgroup_quadratic_table(z8, [(a,)], [v]))
             for a in range(8) for v in self.GRID
         )
