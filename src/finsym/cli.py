@@ -16,7 +16,7 @@ from fractions import Fraction
 # imports the one finsym module it calls, so a cold process of an exact
 # subcommand never loads numpy.
 from .groups import FiniteAbelianGroup, named_group, parse_abelian
-from .limits import GuardExceeded, max_enum
+from .limits import GuardExceeded, check_enum, max_enum
 
 
 def fmt_fraction(x) -> str:
@@ -313,6 +313,12 @@ def _run_ising(args):
         start, stop, count = float(args.sweep[0]), float(args.sweep[1]), int(args.sweep[2])
         if count < 2 or not (start > 0 and stop > start):
             raise ValueError("sweep needs 0 < start < stop and count >= 2")
+        # one guard unit per point (transfer) or per spin configuration
+        per_point = 1
+        if args.method == "bruteforce":
+            per_point = ising.enumeration_size(
+                ising.IsingLattice(args.length, args.time_steps, start))
+        check_enum(count * per_point, what="beta sweep")
         betas = [start + i * (stop - start) / (count - 1) for i in range(count)]
     else:
         if args.beta is None:
@@ -322,17 +328,21 @@ def _run_ising(args):
     for beta in betas:
         lat = ising.IsingLattice(args.length, args.time_steps, beta)
         row = {"beta": beta}
-        if args.sectors == "all":
-            for sector, z in ising.sector_partitions(lat, method=args.method).items():
-                row[f"Z{_sector_key(sector)}"] = z
+        if args.sectors == "all" or args.gauge:
+            zs = ising.sector_partitions(lat, method=args.method)
+            if args.sectors == "all":
+                for sector, z in zs.items():
+                    row[f"Z{_sector_key(sector)}"] = z
+            else:
+                row["Z00"] = zs[(0, 0)]
+            if args.gauge:
+                row["gauged"] = ising.gauge_sum(zs)
         else:
             row["Z00"] = (
                 ising.partition_bruteforce(lat)
                 if args.method == "bruteforce"
                 else ising.partition_transfer(lat)
             )
-        if args.gauge:
-            row["gauged"] = ising.gauged_partition(lat, method=args.method)
         rows.append(row)
     header = list(rows[0])
     csv_rows = [header] + [[fmt_float(r[k]) for k in header] for r in rows]

@@ -14,6 +14,12 @@ Conventions, fixed for golden values:
   * a background is a Z_2 twist per edge; the holonomy sector (h_x, h_t)
     twists the wrap-around edges.
 
+All four holonomy sectors come from shared work: brute force enumerates the
+spin configurations once (a twisted wrap edge is frustrated exactly when the
+untwisted one is not), and the transfer route takes one matrix power per
+spatial twist h_x, whose trace and anti-diagonal trace are the h_t = 0 and
+h_t = 1 sectors.  A transfer Z that overflows a float is a ValueError.
+
 Kramers-Wannier: sinh(2*beta) * sinh(2*beta_dual) = 1.  In the weight
 convention above the finite-torus duality reads
 
@@ -27,7 +33,7 @@ test suite rather than asserted a priori.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import asinh, exp, expm1, log, sinh, sqrt
+from math import asinh, exp, expm1, isfinite, log, sinh, sqrt
 
 import numpy as np
 
@@ -37,6 +43,8 @@ BETA_C = 0.5 * log(1.0 + sqrt(2.0))
 
 BRUTE_FORCE_MAX_SITES = 20
 TRANSFER_MAX_WIDTH = 12
+
+SECTORS = ((0, 0), (0, 1), (1, 0), (1, 1))
 
 
 @dataclass(frozen=True)
@@ -129,6 +137,36 @@ def weight(beta: float, s: int) -> float:
     raise ValueError("spin product must be +1 or -1")
 
 
+def enumeration_size(lat: IsingLattice) -> int:
+    """2^(L*T) spin configurations; ValueError past BRUTE_FORCE_MAX_SITES."""
+    if lat.sites > BRUTE_FORCE_MAX_SITES:
+        raise ValueError(f"brute force is limited to {BRUTE_FORCE_MAX_SITES} sites")
+    return 2**lat.sites
+
+
+def _spin_bits(lat: IsingLattice) -> list[np.ndarray]:
+    """Bit s of every configuration index, one uint8 array per site: one
+    enumeration of all 2^(L*T) spin configurations (guarded)."""
+    size = enumeration_size(lat)
+    check_enum(size, what="spin configuration enumeration")
+    bits = []
+    for s in range(lat.sites):
+        bit = np.zeros((size >> (s + 1), 2, 1 << s), dtype=np.uint8)
+        bit[:, 1] = 1  # index a * 2^(s+1) + b * 2^s + r has bit s = b
+        bits.append(bit.reshape(-1))
+    return bits
+
+
+def _frustrated(bits: list[np.ndarray], edge_list) -> np.ndarray:
+    """Per configuration, how many of the (i, j, flip) edges are frustrated:
+    edge (i, j) is frustrated when bit_i ^ bit_j ^ flip is 1."""
+    count = np.zeros(len(bits[0]), dtype=np.uint8)
+    for i, j, flip in edge_list:
+        frustrated = bits[i] ^ bits[j]
+        count += frustrated ^ 1 if flip else frustrated
+    return count
+
+
 def frustration_histogram(lat: IsingLattice, bg: Background | None = None) -> np.ndarray:
     """counts[k] = number of spin configurations with k frustrated edges.
 
@@ -138,24 +176,45 @@ def frustration_histogram(lat: IsingLattice, bg: Background | None = None) -> np
         bg = Background.trivial(lat)
     if bg.lattice != lat:
         raise ValueError("background belongs to a different lattice")
-    n = lat.sites
-    if n > BRUTE_FORCE_MAX_SITES:
-        raise ValueError(f"brute force is limited to {BRUTE_FORCE_MAX_SITES} sites")
-    check_enum(2**n, what="spin configuration enumeration")
-    configs = np.arange(2**n, dtype=np.int64)
-    spins = [(1 - 2 * ((configs >> s) & 1)).astype(np.int8) for s in range(n)]
-    frustrated = np.zeros(2**n, dtype=np.int64)
-    for (i, j), eps in zip(edges(lat), bg.twists):
-        prod = spins[i].astype(np.int16) * spins[j] * eps
-        frustrated += (1 - prod) // 2
-    return np.bincount(frustrated, minlength=2 * n + 1)
+    count = _frustrated(
+        _spin_bits(lat), [(i, j, eps < 0) for (i, j), eps in zip(edges(lat), bg.twists)]
+    )
+    return np.bincount(count, minlength=2 * lat.sites + 1)
+
+
+def sector_histograms(lat: IsingLattice) -> dict:
+    """The frustration histogram of every holonomy sector from one enumeration.
+
+    A twisted wrap edge is frustrated exactly when the untwisted one is not,
+    so with per-configuration counts over the bulk, spatial-wrap (T of them)
+    and temporal-wrap (L of them) edges, sector (h_x, h_t) counts
+    bulk + (T - wrap_x if h_x else wrap_x) + (L - wrap_t if h_t else wrap_t).
+    """
+    bits = _spin_bits(lat)
+    groups = ([], [], [])  # bulk, spatial wrap, temporal wrap
+    x_wraps = Background.from_holonomies(lat, 1, 0).twists
+    t_wraps = Background.from_holonomies(lat, 0, 1).twists
+    for (i, j), ex, et in zip(edges(lat), x_wraps, t_wraps):
+        groups[(ex < 0) + 2 * (et < 0)].append((i, j, False))
+    bulk, wrap_x, wrap_t = (_frustrated(bits, group) for group in groups)
+    length, steps = lat.length, lat.time_steps
+    return {
+        (h_x, h_t): np.bincount(
+            bulk + (steps - wrap_x if h_x else wrap_x) + (length - wrap_t if h_t else wrap_t),
+            minlength=2 * lat.sites + 1,
+        )
+        for h_x, h_t in SECTORS
+    }
+
+
+def _partition_from_histogram(hist: np.ndarray, beta: float) -> float:
+    ks = np.arange(len(hist), dtype=np.float64)
+    return float(np.sum(hist * np.exp(-2.0 * beta * ks)))
 
 
 def partition_bruteforce(lat: IsingLattice, bg: Background | None = None) -> float:
     """Z = sum over spins of prod over edges weight(beta, s_i s_j eps_e)."""
-    hist = frustration_histogram(lat, bg)
-    ks = np.arange(len(hist), dtype=np.float64)
-    return float(np.sum(hist * np.exp(-2.0 * lat.beta * ks)))
+    return _partition_from_histogram(frustration_histogram(lat, bg), lat.beta)
 
 
 def transfer_matrix(length: int, beta: float, spatial_twist: int = 0) -> np.ndarray:
@@ -166,62 +225,69 @@ def transfer_matrix(length: int, beta: float, spatial_twist: int = 0) -> np.ndar
     next row.  Contract: Z(L x T torus, holonomies (h_x, h_t)) equals
     trace(matrix_power(M_{h_x}, T) @ F^{h_t}) with F the global spin flip.
     All entries are positive, so Perron-Frobenius applies.
+
+    Built by table lookup: the entry is w[k] = exp(-2*beta*k) with k the
+    frustrated count popcount(next ^ cur) + horiz(cur), k <= 2L.
     """
     if not 1 <= length <= TRANSFER_MAX_WIDTH:
         raise ValueError(f"transfer width must be in 1..{TRANSFER_MAX_WIDTH}")
     if not beta > 0:
         raise ValueError("beta must be positive")
-    size = 2**length
-    rows = np.arange(size, dtype=np.int64)
-    spins = np.array(
-        [(1 - 2 * ((rows >> x) & 1)) for x in range(length)], dtype=np.int64
-    )  # shape (L, 2^L)
-    horiz = np.zeros(size, dtype=np.float64)
-    for x in range(length):
-        eps = -1 if (spatial_twist % 2 and x == length - 1) else 1
-        prod = spins[x] * spins[(x + 1) % length] * eps
-        horiz += (1 - prod) // 2
-    vert = np.zeros((size, size), dtype=np.float64)
-    for x in range(length):
-        prod = np.outer(spins[x], spins[x])  # (next, cur)
-        vert += (1 - prod) // 2
-    return np.exp(-2.0 * beta * (vert + horiz[np.newaxis, :]))
+    rows = np.arange(2**length)
+    bits = [(rows >> x) & 1 for x in range(length)]
+    ones = sum(bits)
+    horiz = sum(bits[x] ^ bits[x + 1] for x in range(length - 1)) + (
+        bits[-1] ^ bits[0] ^ spatial_twist % 2
+    )
+    w = np.exp(-2.0 * beta * np.arange(2 * length + 1))
+    return w[ones[rows[:, np.newaxis] ^ rows] + horiz]
 
 
-def flip_operator(length: int) -> np.ndarray:
-    size = 2**length
-    op = np.zeros((size, size))
-    for s in range(size):
-        op[(size - 1) - s, s] = 1.0
-    return op
+def _transfer_traces(lat: IsingLattice, h_x: int, flips=(0, 1)) -> list[float]:
+    """Z in the sectors (h_x, h_t), h_t in ``flips``, from one matrix power P.
+
+    The flip sector's trace(P @ F) is the anti-diagonal sum trace(P[:, ::-1]),
+    entry for entry the same diagonal.  A non-finite trace is a ValueError.
+    """
+    m = transfer_matrix(lat.length, lat.beta, spatial_twist=h_x)
+    with np.errstate(over="ignore", invalid="ignore"):
+        power = np.linalg.matrix_power(m, lat.time_steps)
+    zs = [float(np.trace(power[:, ::-1] if h_t % 2 else power)) for h_t in flips]
+    if not all(isfinite(z) for z in zs):
+        raise ValueError("Z overflows a float; use brute force or a shorter torus")
+    return zs
 
 
 def partition_transfer(lat: IsingLattice, sector=(0, 0)) -> float:
     """Z via the transfer matrix, in the holonomy sector (h_x, h_t)."""
     h_x, h_t = sector
-    m = transfer_matrix(lat.length, lat.beta, spatial_twist=h_x)
-    power = np.linalg.matrix_power(m, lat.time_steps)
-    if h_t % 2:
-        power = power @ flip_operator(lat.length)
-    return float(np.trace(power))
-
-
-SECTORS = ((0, 0), (0, 1), (1, 0), (1, 1))
+    return _transfer_traces(lat, h_x, (h_t,))[0]
 
 
 def sector_partitions(lat: IsingLattice, method: str = "bruteforce") -> dict:
-    """Z in all four holonomy sectors."""
-    out = {}
-    for h_x, h_t in SECTORS:
-        if method == "bruteforce":
-            out[(h_x, h_t)] = partition_bruteforce(
-                lat, Background.from_holonomies(lat, h_x, h_t)
-            )
-        elif method == "transfer":
-            out[(h_x, h_t)] = partition_transfer(lat, (h_x, h_t))
-        else:
-            raise ValueError(f"unknown method {method!r}")
-    return out
+    """Z in all four holonomy sectors: one spin enumeration (brute force) or
+    one transfer-matrix power per spatial twist (transfer)."""
+    if method == "bruteforce":
+        return {
+            sector: _partition_from_histogram(hist, lat.beta)
+            for sector, hist in sector_histograms(lat).items()
+        }
+    if method == "transfer":
+        out = {}
+        for h_x in (0, 1):
+            out[(h_x, 0)], out[(h_x, 1)] = _transfer_traces(lat, h_x)
+        return out
+    raise ValueError(f"unknown method {method!r}")
+
+
+def gauge_sum(zs: dict, dual_sector=(0, 0)) -> float:
+    """(1/2) * sum over the sectors of ``zs`` of (-1)^(h_x k_t + h_t k_x) Z[h]."""
+    k_x, k_t = dual_sector
+    total = 0.0
+    for (h_x, h_t), z in zs.items():
+        sign = -1.0 if (h_x * k_t + h_t * k_x) % 2 else 1.0
+        total += sign * z
+    return 0.5 * total
 
 
 def gauged_partition(
@@ -234,13 +300,7 @@ def gauged_partition(
     symplectic pairing sign (-1)^(h_x k_t + h_t k_x), i.e. a background for
     the dual symmetry.  Re-gauging over dual sectors returns the original Z.
     """
-    k_x, k_t = dual_sector
-    zs = sector_partitions(lat, method=method)
-    total = 0.0
-    for (h_x, h_t), z in zs.items():
-        sign = -1.0 if (h_x * k_t + h_t * k_x) % 2 else 1.0
-        total += sign * z
-    return 0.5 * total
+    return gauge_sum(sector_partitions(lat, method=method), dual_sector)
 
 
 def kw_dual_beta(beta: float) -> float:

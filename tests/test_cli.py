@@ -125,6 +125,26 @@ class TestSubcommands:
                     ((0, 0), (0, 1), (1, 0), (1, 1)))
         assert float(doc["gauged"]) == pytest.approx(0.5 * total, rel=1e-12)
 
+    @pytest.mark.parametrize("sectors", ["all", "trivial"])
+    @pytest.mark.parametrize("method", ["bruteforce", "transfer"])
+    def test_ising_gauge_reuses_the_sectors(self, capsys, monkeypatch, sectors, method):
+        from finsym import ising
+
+        lat = ising.IsingLattice(3, 2, 0.3)
+        expected = ising.gauged_partition(lat, method=method)
+        calls = []
+        original = ising.sector_partitions
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(ising, "sector_partitions", counted)
+        code, out, _ = run(capsys, "ising", "--L", "3", "--T", "2", "--beta", "0.3",
+                           "--sectors", sectors, "--gauge", "--method", method)
+        assert code == 0 and len(calls) == 1
+        assert json.loads(out)["gauged"] == format(expected, ".15g")
+
     def test_problem1(self, capsys):
         code, out, _ = run(capsys, "problem1", "--group", "Z2")
         assert code == 0
@@ -276,6 +296,20 @@ class TestExitCodes:
         monkeypatch.delenv("FINSYM_MAX_ENUM", raising=False)
         start = time.perf_counter()
         code, out, err = run(capsys, *argv)
+        assert time.perf_counter() - start < 1.0
+        assert code == 3 and "guard" in err and out == ""
+
+    def test_transfer_overflow_is_input_error(self, capsys):
+        code, out, err = run(capsys, "ising", "--L", "4", "--T", "300", "--beta", "0.05",
+                             "--method", "transfer")
+        assert code == 2 and "overflows a float" in err and out == ""
+
+    @pytest.mark.parametrize("method", ["bruteforce", "transfer"])
+    def test_sweep_count_trips_the_default_guard(self, capsys, monkeypatch, method):
+        monkeypatch.delenv("FINSYM_MAX_ENUM", raising=False)
+        start = time.perf_counter()
+        code, out, err = run(capsys, "ising", "--L", "2", "--T", "2",
+                             "--sweep", "0.1", "1.0", "100000000", "--method", method)
         assert time.perf_counter() - start < 1.0
         assert code == 3 and "guard" in err and out == ""
 

@@ -15,10 +15,12 @@ from finsym.ising import (
     kw_ratio,
     partition_bruteforce,
     partition_transfer,
+    sector_histograms,
     sector_partitions,
     transfer_matrix,
     weight,
 )
+from finsym.limits import GuardExceeded, max_enum
 
 BETAS = (0.1, 0.3, BETA_C, 1.0)
 
@@ -219,6 +221,103 @@ class TestKramersWannier:
         tm = sector_partitions(lat, method="transfer")
         for sector in SECTORS:
             assert bf[sector] == pytest.approx(tm[sector], rel=1e-12)
+
+
+def spin_product_histogram(lat, bg):
+    """Oracle: an edge is frustrated when s_i * s_j * eps_e = -1, summed over
+    +-1 spins of every configuration in int64."""
+    n = lat.sites
+    configs = np.arange(2**n, dtype=np.int64)
+    spins = [1 - 2 * ((configs >> s) & 1) for s in range(n)]
+    frustrated = np.zeros(2**n, dtype=np.int64)
+    for (i, j), eps in zip(edges(lat), bg.twists):
+        frustrated += (1 - spins[i] * spins[j] * eps) // 2
+    return np.bincount(frustrated, minlength=2 * n + 1)
+
+
+def outer_product_counts(length, spatial_twist):
+    """Oracle: frustrated-edge counts of the transfer matrix, [next, cur],
+    from one dense outer product of +-1 spins per column."""
+    rows = np.arange(2**length, dtype=np.int64)
+    spins = [1 - 2 * ((rows >> x) & 1) for x in range(length)]
+    horiz = np.zeros(2**length, dtype=np.float64)
+    for x in range(length):
+        eps = -1 if (spatial_twist % 2 and x == length - 1) else 1
+        horiz += (1 - spins[x] * spins[(x + 1) % length] * eps) // 2
+    vert = np.zeros((2**length, 2**length), dtype=np.float64)
+    for x in range(length):
+        vert += (1 - np.outer(spins[x], spins[x])) // 2
+    return vert + horiz[np.newaxis, :]
+
+
+SMALL_LATTICES = [(length, steps) for length in range(1, 17) for steps in range(1, 17)
+                  if length * steps <= 16]
+
+
+class TestOnePassSectors:
+    @pytest.mark.parametrize("shape", SMALL_LATTICES)
+    def test_histograms_match_spin_products(self, shape):
+        lat = IsingLattice(*shape, 1.0)
+        hists = sector_histograms(lat)
+        assert list(hists) == list(SECTORS)
+        rng = np.random.default_rng(shape[0] * 17 + shape[1])
+        arbitrary = Background(lat, tuple(int(t) for t in rng.choice((-1, 1), 2 * lat.sites)))
+        for sector in SECTORS:
+            bg = Background.from_holonomies(lat, *sector)
+            expected = spin_product_histogram(lat, bg)
+            assert np.array_equal(hists[sector], expected)
+            assert np.array_equal(frustration_histogram(lat, bg), expected)
+        gauge_moved = Background.from_holonomies(lat, 1, 1).flip_site(0, 0)
+        for bg in (arbitrary, gauge_moved):
+            assert np.array_equal(frustration_histogram(lat, bg),
+                                  spin_product_histogram(lat, bg))
+
+    @pytest.mark.parametrize("length", range(1, 11))
+    def test_transfer_matrix_matches_outer_products(self, length):
+        for twist in (0, 1):
+            counts = outer_product_counts(length, twist)
+            for beta in (0.05, 0.1, 0.3, BETA_C, 0.7, 1.3, 4.0):
+                assert np.array_equal(transfer_matrix(length, beta, twist),
+                                      np.exp(-2.0 * beta * counts))
+
+    @pytest.mark.parametrize("shape", [(1, 1), (1, 5), (2, 3), (3, 2), (4, 4), (5, 7)])
+    def test_transfer_sectors_equal_single_sector_calls(self, shape):
+        for beta in (0.2, BETA_C, 1.1):
+            lat = IsingLattice(*shape, beta)
+            zs = sector_partitions(lat, method="transfer")
+            assert list(zs) == list(SECTORS)
+            for sector in SECTORS:
+                assert zs[sector] == partition_transfer(lat, sector)
+
+    def test_bruteforce_sectors_equal_single_sector_calls(self):
+        lat = IsingLattice(3, 4, 0.37)
+        zs = sector_partitions(lat)
+        for sector in SECTORS:
+            assert zs[sector] == partition_bruteforce(
+                lat, Background.from_holonomies(lat, *sector))
+
+    def test_one_enumeration_is_guarded(self):
+        with max_enum(1000):
+            with pytest.raises(GuardExceeded):
+                sector_partitions(IsingLattice(4, 4, 0.4))
+
+    def test_unknown_method(self):
+        with pytest.raises(ValueError, match="unknown method"):
+            sector_partitions(IsingLattice(2, 2, 0.4), method="kaufman")
+
+
+class TestTransferOverflow:
+    @pytest.mark.parametrize("shape_beta", [(4, 300, 0.05), (2, 1100, 0.01)])
+    def test_overflow_is_value_error(self, shape_beta):
+        lat = IsingLattice(*shape_beta)
+        with pytest.raises(ValueError, match="overflows a float"):
+            partition_transfer(lat)
+        with pytest.raises(ValueError, match="overflows a float"):
+            sector_partitions(lat, method="transfer")
+
+    def test_long_finite_torus_still_returns(self):
+        z = partition_transfer(IsingLattice(4, 200, 0.05))
+        assert math.isfinite(z) and z > 0
 
 
 class TestValidation:
