@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .groups import FiniteGroup
+from .limits import check_enum
 
 
 class FusionRing:
@@ -21,8 +22,10 @@ class FusionRing:
     ``n_tensor[i][j][k]`` is the multiplicity of simple k inside i x j.
     Validated on construction: unit laws, associativity, and the duality
     pairing N_ij^1 = delta_{j, i*}.  Associativity is checked as
-    (i x j) x k = i x (j x k) on simples only, through ``multiply``: the
-    product is bilinear and the simples span the ring, so that suffices.
+    (i x j) x k = i x (j x k) on simples only, with sparse products over
+    the nonzero N_ij^k: the product is bilinear and the simples span the
+    ring, so that suffices.  The rank^3 triples are charged to the
+    enumeration guard.
     """
 
     __slots__ = ("labels", "unit", "n_tensor", "dual")
@@ -53,10 +56,26 @@ class FusionRing:
         object.__setattr__(self, "unit", int(unit))
         object.__setattr__(self, "n_tensor", n)
         object.__setattr__(self, "dual", dual)
+        check_enum(rank**3, what=f"fusion associativity check ({rank}^3 triples)")
+        # terms[i][j]: the nonzero (k, N_ij^k) of i x j.  Products of positive
+        # multiplicities never cancel, so sparse sums compare like dense ones.
+        terms = [
+            [tuple((k, x) for k, x in enumerate(row) if x) for row in plane]
+            for plane in n
+        ]
         for i in range(rank):
             for j in range(rank):
+                ij = terms[i][j]
                 for k in range(rank):
-                    if self.multiply(n[i][j], basis[k]) != self.multiply(basis[i], n[j][k]):
+                    left = {}
+                    for m, c in ij:
+                        for l, x in terms[m][k]:
+                            left[l] = left.get(l, 0) + c * x
+                    right = {}
+                    for m, c in terms[j][k]:
+                        for l, x in terms[i][m]:
+                            right[l] = right.get(l, 0) + c * x
+                    if left != right:
                         raise ValueError(
                             f"associativity fails at {labels[i]},{labels[j]},{labels[k]}"
                         )

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd
+from operator import mul
 
 
 class IntMatrix:
@@ -25,7 +26,7 @@ class IntMatrix:
     __slots__ = ("rows", "cols", "data")
 
     def __init__(self, data, rows: int | None = None, cols: int | None = None):
-        tup = tuple(tuple(int(x) for x in row) for row in data)
+        tup = tuple(tuple(map(int, row)) for row in data)
         r = len(tup) if rows is None else int(rows)
         if len(tup) not in (0, r):
             raise ValueError("row count does not match data")
@@ -102,7 +103,7 @@ class IntMatrix:
         """Matrix times column vector, as a tuple."""
         if len(vec) != self.cols:
             raise ValueError("vector length mismatch")
-        return tuple(sum(row[j] * vec[j] for j in range(self.cols)) for row in self.data)
+        return tuple(sum(map(mul, row, vec)) for row in self.data)
 
     def is_zero(self) -> bool:
         return all(x == 0 for row in self.data for x in row)
@@ -148,50 +149,83 @@ def smith_normal_form(m: IntMatrix):
 
 def smith_normal_form_full(m: IntMatrix) -> SmithForm:
     r, c = m.rows, m.cols
+    diag, a, (u, v, u_inv, v_inv) = _smith(m, track=True)
+    return SmithForm(
+        u=IntMatrix(u, rows=r, cols=r),
+        d=IntMatrix(a, rows=r, cols=c),
+        v=IntMatrix(v, rows=c, cols=c),
+        u_inv=IntMatrix(u_inv, rows=r, cols=r),
+        v_inv=IntMatrix(v_inv, rows=c, cols=c),
+        diagonal=diag,
+    )
+
+
+def invariant_factors(m: IntMatrix) -> tuple[int, ...]:
+    """The nonzero Smith diagonal d1 | d2 | ... of m, without transforms.
+
+    Same reduction as ``smith_normal_form_full``, with no U, V or inverses
+    carried along; enough wherever only orders are needed.
+    """
+    return _smith(m, track=False)[0]
+
+
+def _smith(m: IntMatrix, track: bool):
+    """Reduce a copy of m to Smith form: (diagonal, D rows, transforms).
+
+    ``transforms`` is (U, V, U^-1, V^-1) as row lists when ``track`` is set
+    and None otherwise; the pivot choices depend on D alone, so both modes
+    reach the same diagonal.
+    """
+    r, c = m.rows, m.cols
     a = [list(row) for row in m.data]
-    u = [[1 if i == j else 0 for j in range(r)] for i in range(r)]
-    u_inv = [[1 if i == j else 0 for j in range(r)] for i in range(r)]
-    v = [[1 if i == j else 0 for j in range(c)] for i in range(c)]
-    v_inv = [[1 if i == j else 0 for j in range(c)] for i in range(c)]
+    if track:
+        u = [[1 if i == j else 0 for j in range(r)] for i in range(r)]
+        u_inv = [[1 if i == j else 0 for j in range(r)] for i in range(r)]
+        v = [[1 if i == j else 0 for j in range(c)] for i in range(c)]
+        v_inv = [[1 if i == j else 0 for j in range(c)] for i in range(c)]
 
     # Row op a[i] += q*a[k] corresponds to U := E U, Uinv := Uinv E^-1.
     def row_add(i, k, q):
+        ai, ak = a[i], a[k]
         for j in range(c):
-            a[i][j] += q * a[k][j]
-        for j in range(r):
-            u[i][j] += q * u[k][j]
-        for s in range(r):
-            u_inv[s][k] -= q * u_inv[s][i]
+            ai[j] += q * ak[j]
+        if track:
+            for j in range(r):
+                u[i][j] += q * u[k][j]
+            for s in range(r):
+                u_inv[s][k] -= q * u_inv[s][i]
 
     def row_swap(i, k):
         a[i], a[k] = a[k], a[i]
-        u[i], u[k] = u[k], u[i]
-        for s in range(r):
-            u_inv[s][i], u_inv[s][k] = u_inv[s][k], u_inv[s][i]
+        if track:
+            u[i], u[k] = u[k], u[i]
+            for s in range(r):
+                u_inv[s][i], u_inv[s][k] = u_inv[s][k], u_inv[s][i]
 
     def row_negate(i):
-        for j in range(c):
-            a[i][j] = -a[i][j]
-        for j in range(r):
-            u[i][j] = -u[i][j]
-        for s in range(r):
-            u_inv[s][i] = -u_inv[s][i]
+        a[i] = [-x for x in a[i]]
+        if track:
+            u[i] = [-x for x in u[i]]
+            for s in range(r):
+                u_inv[s][i] = -u_inv[s][i]
 
     # Column op col_j += q*col_l corresponds to V := V E, Vinv := E^-1 Vinv.
     def col_add(j, l, q):
-        for i in range(r):
-            a[i][j] += q * a[i][l]
-        for i in range(c):
-            v[i][j] += q * v[i][l]
-        for t in range(c):
-            v_inv[l][t] -= q * v_inv[j][t]
+        for row in a:
+            row[j] += q * row[l]
+        if track:
+            for row in v:
+                row[j] += q * row[l]
+            for t in range(c):
+                v_inv[l][t] -= q * v_inv[j][t]
 
     def col_swap(j, l):
-        for i in range(r):
-            a[i][j], a[i][l] = a[i][l], a[i][j]
-        for i in range(c):
-            v[i][j], v[i][l] = v[i][l], v[i][j]
-        v_inv[j], v_inv[l] = v_inv[l], v_inv[j]
+        for row in a:
+            row[j], row[l] = row[l], row[j]
+        if track:
+            for row in v:
+                row[j], row[l] = row[l], row[j]
+            v_inv[j], v_inv[l] = v_inv[l], v_inv[j]
 
     def rounded_quotient(x, p):
         # Quotient with minimal-magnitude remainder: |x - q*p| <= |p|/2.
@@ -208,26 +242,34 @@ def smith_normal_form_full(m: IntMatrix) -> SmithForm:
             # Move the submatrix entry of least magnitude to the pivot; one
             # rounded reduction pass then either clears the pivot's row and
             # column or produces remainders at most half the pivot, so each
-            # sweep at least halves the working minimum (no blow-up).
+            # sweep at least halves the working minimum (no blow-up).  The
+            # first least entry in row-major order wins; a unit cannot be
+            # beaten, so the scan stops at the first one.
             best = None
+            least = 0
             for i in range(t, r):
+                row = a[i]
                 for j in range(t, c):
-                    if a[i][j] != 0 and (
-                        best is None or abs(a[i][j]) < abs(a[best[0]][best[1]])
-                    ):
-                        best = (i, j)
+                    x = row[j]
+                    if x and (best is None or abs(x) < least):
+                        best, least = (i, j), abs(x)
+                        if least == 1:
+                            break
+                if least == 1:
+                    break
             if best is None:
                 break
             if best[0] != t:
                 row_swap(t, best[0])
             if best[1] != t:
                 col_swap(t, best[1])
+            pivot = a[t][t]
             for i in range(t + 1, r):
                 if a[i][t]:
-                    row_add(i, t, -rounded_quotient(a[i][t], a[t][t]))
+                    row_add(i, t, -rounded_quotient(a[i][t], pivot))
             for j in range(t + 1, c):
                 if a[t][j]:
-                    col_add(j, t, -rounded_quotient(a[t][j], a[t][t]))
+                    col_add(j, t, -rounded_quotient(a[t][j], pivot))
             if any(a[i][t] for i in range(t + 1, r)) or any(
                 a[t][j] for j in range(t + 1, c)
             ):
@@ -236,7 +278,7 @@ def smith_normal_form_full(m: IntMatrix) -> SmithForm:
             bad = None
             for i in range(t + 1, r):
                 for j in range(t + 1, c):
-                    if a[i][j] % a[t][t] != 0:
+                    if a[i][j] % pivot != 0:
                         bad = i
                         break
                 if bad is not None:
@@ -251,14 +293,7 @@ def smith_normal_form_full(m: IntMatrix) -> SmithForm:
         t += 1
 
     diag = tuple(a[i][i] for i in range(min(r, c)) if a[i][i] != 0)
-    return SmithForm(
-        u=IntMatrix(u, rows=r, cols=r),
-        d=IntMatrix(a, rows=r, cols=c),
-        v=IntMatrix(v, rows=c, cols=c),
-        u_inv=IntMatrix(u_inv, rows=r, cols=r),
-        v_inv=IntMatrix(v_inv, rows=c, cols=c),
-        diagonal=diag,
-    )
+    return diag, a, ((u, v, u_inv, v_inv) if track else None)
 
 
 def minor_gcd(m: IntMatrix, k: int) -> int:

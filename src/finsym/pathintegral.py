@@ -3,7 +3,10 @@
 For the target B^nA on a closed M the mapping space has homotopy groups
 pi_q = H^{n-q}(M; A), so its homotopy cardinality is the alternating
 product prod_q |H^{n-q}(M; A)|^{(-1)^q}.  That product is adopted as the
-partition function for every n; an independent cochain-groupoid oracle
+partition function for every n.  Only orders enter, so they come from the
+integer invariant factors of the boundary matrices (universal coefficients),
+each matrix reduced once per call; no cohomology representatives or Smith
+transforms are built.  An independent cochain-groupoid oracle
 (#Z^n weighted by the gauge tower |C^{n-1}|, |C^{n-2}|, ...) validates it
 at desk scale.  Nonabelian gauge groups are supported on surfaces only,
 where the partition function is a normalized count of relation-satisfying
@@ -17,7 +20,7 @@ from fractions import Fraction
 from itertools import product as iproduct
 
 from . import complexes
-from .complexes import ChainComplex, cohomology, count_cocycles, is_closed
+from .complexes import ChainComplex, cohomology_order, count_cocycles, is_closed
 from .groups import FiniteAbelianGroup, FiniteGroup
 from .limits import check_enum
 
@@ -53,19 +56,21 @@ def em_partition(
     """Partition function of the B^nA theory on a closed complex.
 
     Returns prod_{q=0}^{n} |H^{n-q}(m; A)|^{(-1)^q} as an exact rational;
-    for n = 2 this is #H^2 * #H^0 / #H^1.
+    for n = 2 this is #H^2 * #H^0 / #H^1.  Each boundary matrix is reduced
+    once, for the closedness check and every degree alike.
     """
     _require_zero_weight(weight)
     if n < 1:
         raise ValueError("n must be >= 1")
     if dim is not None and dim != m.top_dim:
         raise ValueError(f"complex has dimension {m.top_dim}, not {dim}")
-    if not is_closed(m):
+    table: dict = {}
+    if not is_closed(m, table):
         raise ValueError("em_partition requires a closed complex")
     value = Fraction(1)
     for q in range(n + 1):
         deg = n - q
-        order = cohomology(m, coeffs, deg).order if deg <= m.top_dim else 1
+        order = cohomology_order(m, coeffs, deg, table) if deg <= m.top_dim else 1
         value *= Fraction(order) if q % 2 == 0 else Fraction(1, order)
     return value
 
@@ -95,7 +100,7 @@ def em_state_space_dim(m: ChainComplex, coeffs: FiniteAbelianGroup, n: int) -> i
     space, |H^n(m; A)|."""
     if n > m.top_dim:
         return 1
-    return cohomology(m, coeffs, n).order
+    return cohomology_order(m, coeffs, n)
 
 
 def em_category_simple_count(m: ChainComplex, coeffs: FiniteAbelianGroup) -> int:
@@ -103,7 +108,8 @@ def em_category_simple_count(m: ChainComplex, coeffs: FiniteAbelianGroup) -> int
     B^2A theory: |H^2(m; A)| * |H^1(m; A)|."""
     if m.top_dim != 3:
         raise ValueError("category-level counting needs a 3-complex")
-    return cohomology(m, coeffs, 2).order * cohomology(m, coeffs, 1).order
+    table: dict = {}
+    return cohomology_order(m, coeffs, 2, table) * cohomology_order(m, coeffs, 1, table)
 
 
 def surface_gauge_count(group: FiniteGroup, genus: int, limit=None) -> Fraction:

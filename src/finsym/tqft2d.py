@@ -31,7 +31,7 @@ from .complexes import (
     glue_complexes,
     product,
     product_cell_index,
-    relative_cohomology,
+    relative_cohomology_order,
 )
 from .groups import FiniteAbelianGroup
 
@@ -319,8 +319,9 @@ def _in_boundary_subcomplex(b: Bordism) -> SubcomplexMap:
 
 def normalization_constant(b: Bordism, group: FiniteAbelianGroup) -> Fraction:
     """c(W) = 1 / |H^0(W, in-boundary; A)|."""
-    rel = relative_cohomology(b.w, _in_boundary_subcomplex(b), group, 0)
-    return Fraction(1, rel.order)
+    return Fraction(
+        1, relative_cohomology_order(b.w, _in_boundary_subcomplex(b), group, 0)
+    )
 
 
 def bordism_matrix(b: Bordism, group: FiniteAbelianGroup) -> BordismMatrix:
@@ -330,12 +331,9 @@ def bordism_matrix(b: Bordism, group: FiniteAbelianGroup) -> BordismMatrix:
     in_edges = [m.cell_maps[1][0] for m in b.in_circles]
     out_edges = [m.cell_maps[1][0] for m in b.out_circles]
 
-    counts: dict[tuple[int, int], int] = {}
     # Work factor by factor; counts multiply across the product decomposition.
     per_factor = []
-    for n in group.invariant_factors:
-        h1 = cohomology(b.w, FiniteAbelianGroup([n]), 1)
-        factor = h1.factors[0]
+    for factor in cohomology(b.w, group, 1).factors:
         tally: dict[tuple, int] = {}
         for coords in factor.all_coords():
             rep = factor.representative(coords)

@@ -299,6 +299,15 @@ class TestExitCodes:
         assert time.perf_counter() - start < 1.0
         assert code == 3 and "guard" in err and out == ""
 
+    def test_large_group_ring_validates_quickly(self, capsys, monkeypatch):
+        monkeypatch.delenv("FINSYM_MAX_ENUM", raising=False)
+        start = time.perf_counter()
+        code, out, _ = run(capsys, "fusion", "--group-ring", "Z60")
+        assert time.perf_counter() - start < 1.0
+        doc = json.loads(out)
+        assert code == 0 and doc["dims"] == ["1"] * 60
+        assert doc["fiber_functor"]["verdict"] == "possible"
+
     def test_transfer_overflow_is_input_error(self, capsys):
         code, out, err = run(capsys, "ising", "--L", "4", "--T", "300", "--beta", "0.05",
                              "--method", "transfer")

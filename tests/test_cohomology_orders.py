@@ -1,0 +1,129 @@
+"""Cohomology orders from integer invariant factors, against their oracles.
+
+``cohomology_order`` must equal the full Smith-form route's order and the
+brute-force count #Z^q / #B^q; ``relative_cohomology_order`` must equal
+``relative_cohomology``'s order on every bordism.  Call counters pin the
+shared work: the order path makes no full Smith form at all, ``cohomology``
+reduces delta^q once for every coefficient factor, and a bordism matrix
+asks for H^1 once.
+"""
+
+from fractions import Fraction
+
+import pytest
+
+from finsym import complexes, tqft2d
+from finsym.complexes import (
+    circle,
+    cohomology,
+    cohomology_order,
+    count_coboundaries,
+    count_cocycles,
+    disk,
+    empty_subcomplex,
+    interval,
+    klein_bottle,
+    pants,
+    product,
+    real_projective_space,
+    relative_cohomology,
+    relative_cohomology_order,
+    sphere,
+    surface,
+    torus,
+)
+from finsym.groups import parse_abelian
+from finsym.pathintegral import em_partition
+
+COEFFS = [parse_abelian(a) for a in ("Z2", "Z6", "Z2xZ4", "Z2xZ4xZ8")]
+PRESETS = (
+    [circle(), interval(), klein_bottle(), disk()[0], pants()[0]]
+    + [sphere(n) for n in range(1, 6)]
+    + [torus(n) for n in range(1, 6)]
+    + [surface(g) for g in range(5)]
+    + [real_projective_space(n) for n in range(1, 5)]
+)
+PRODUCTS = [
+    product(circle(), interval()),
+    product(real_projective_space(2), circle()),
+    product(klein_bottle(), circle()),
+    product(real_projective_space(2), real_projective_space(2)),
+    product(surface(2), interval()),
+    product(real_projective_space(3), klein_bottle()),
+]
+# Brute-force counts only where the cochain enumeration stays this small.
+BRUTE_STATES = 4096
+
+
+@pytest.mark.parametrize("coeffs", COEFFS, ids=str)
+@pytest.mark.parametrize("cx", PRESETS + PRODUCTS, ids=repr)
+def test_order_matches_full_route_and_counts(cx, coeffs):
+    table = {}
+    for q in range(cx.top_dim + 1):
+        order = cohomology_order(cx, coeffs, q)
+        assert order == cohomology(cx, coeffs, q).order
+        assert cohomology_order(cx, coeffs, q, table) == order
+        if sum(n ** cx.n_cells(q) for n in coeffs.invariant_factors) <= BRUTE_STATES:
+            assert order * count_coboundaries(cx, coeffs, q) == count_cocycles(cx, coeffs, q)
+
+
+def test_order_rejects_degree_out_of_range():
+    with pytest.raises(ValueError, match="out of range"):
+        cohomology_order(torus(2), COEFFS[0], 3)
+
+
+SHAPES = ["cylinder", "pants", "copants", "cap", "cup", "torus", "sphere"]
+BORDISMS = [tqft2d.bordism_preset(shape) for shape in SHAPES] + [
+    tqft2d.glue(tqft2d.bordism_preset(a), tqft2d.bordism_preset(b))
+    for a, b in [("pants", "copants"), ("cylinder", "cylinder"), ("cap", "cup"),
+                 ("cap", "copants"), ("pants", "cup"), ("copants", "pants")]
+]
+
+
+@pytest.mark.parametrize("coeffs", COEFFS, ids=str)
+@pytest.mark.parametrize("b", BORDISMS, ids=lambda b: repr(b.w))
+def test_relative_order_matches_relative_cohomology(b, coeffs):
+    subs = [empty_subcomplex(b.w), tqft2d._in_boundary_subcomplex(b)]
+    subs += list(b.in_circles + b.out_circles)
+    for sub in subs:
+        for q in range(b.w.top_dim + 1):
+            assert relative_cohomology_order(b.w, sub, coeffs, q) == (
+                relative_cohomology(b.w, sub, coeffs, q).order
+            )
+
+
+def _count_calls(monkeypatch, module, name):
+    calls = []
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_em_partition_makes_no_full_smith_form(monkeypatch):
+    full = _count_calls(monkeypatch, complexes, "smith_normal_form_full")
+    reduced = _count_calls(monkeypatch, complexes, "invariant_factors")
+    cx = torus(3)
+    assert em_partition(cx, parse_abelian("Z2xZ4xZ8"), 2) == Fraction(64)
+    assert full == []
+    # d_0 .. d_{top+1}, each once, for the closedness check and all degrees
+    assert len(reduced) == cx.top_dim + 2
+
+
+def test_cohomology_reduces_the_coboundary_once(monkeypatch):
+    full = _count_calls(monkeypatch, complexes, "smith_normal_form_full")
+    h = cohomology(torus(3), parse_abelian("Z2xZ4xZ8"), 1)
+    assert h.order == 64**3
+    assert len(full) == 1 + 3  # delta^1 once, one relation matrix per factor
+
+
+def test_bordism_matrix_asks_for_h1_once(monkeypatch):
+    calls = _count_calls(monkeypatch, tqft2d, "cohomology")
+    group = parse_abelian("Z2xZ4")
+    mat = tqft2d.bordism_matrix(tqft2d.pants_bordism(), group)
+    assert len(calls) == 1
+    assert mat.target.dim == 8 and mat.source.dim == 64

@@ -15,6 +15,7 @@ from finsym.fusion import (
     tambara_yamagami,
 )
 from finsym.groups import named_group, preset_group_documents
+from finsym.limits import GuardExceeded, max_enum
 
 
 def simple(ring, label):
@@ -82,6 +83,24 @@ class TestRingValidation:
         ]
         with pytest.raises(ValueError, match="associativity"):
             FusionRing(["1", "a", "b"], 0, n, [0, 1, 2])
+
+    def test_first_failing_triple_is_named(self):
+        # x*x = 1 + 2y, x*y = y*x = x, y*y = 1 + y: (x*x)*y = 2 + 3y but
+        # x*(x*y) = 1 + 2y; (x, x, y) is the first failing triple in i, j, k order
+        n = [
+            [[1, 0, 0], [0, 1, 0], [0, 0, 1]],
+            [[0, 1, 0], [1, 0, 2], [0, 1, 0]],
+            [[0, 0, 1], [0, 1, 0], [1, 0, 1]],
+        ]
+        with pytest.raises(ValueError, match="^associativity fails at x,x,y$"):
+            FusionRing(["1", "x", "y"], 0, n, [0, 1, 2])
+
+    def test_associativity_check_is_guarded(self):
+        z6 = named_group("Z6")
+        with max_enum(6**3 - 1), pytest.raises(GuardExceeded, match="6\\^3"):
+            group_ring(z6)
+        with max_enum(6**3):
+            assert group_ring(z6).rank == 6
 
     def test_broken_duality_rejected(self):
         # Z3 fusion with the identity involution: N_(g,g)^1 = 1 fails

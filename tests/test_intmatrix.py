@@ -3,7 +3,13 @@ from math import prod
 
 import pytest
 
-from finsym.intmatrix import IntMatrix, minor_gcd, smith_normal_form, smith_normal_form_full
+from finsym.intmatrix import (
+    IntMatrix,
+    invariant_factors,
+    minor_gcd,
+    smith_normal_form,
+    smith_normal_form_full,
+)
 
 
 def diag_entries(d):
@@ -90,8 +96,37 @@ def test_invariant_factors_match_minor_gcds(seed):
     n = rng.choice((2, 3))
     m = IntMatrix([[rng.randint(-6, 6) for _ in range(n)] for _ in range(n)])
     diag = smith_normal_form_full(m).diagonal
+    assert invariant_factors(m) == diag
     for k in range(1, len(diag) + 1):
         assert prod(diag[:k]) == minor_gcd(m, k)
+    assert minor_gcd(m, len(diag) + 1) == 0  # past the rank every minor vanishes
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_invariant_factors_equal_full_diagonal(seed):
+    # every shape up to 12x12 (empty ones too), sparse to dense, small to large entries
+    rng = random.Random(9000 + seed)
+    rows, cols = rng.randint(0, 12), rng.randint(0, 12)
+    span = rng.choice((1, 3, 50))
+    density = rng.random()
+    data = [
+        [rng.randint(-span, span) if rng.random() < density else 0 for _ in range(cols)]
+        for _ in range(rows)
+    ]
+    m = IntMatrix(data, rows=rows, cols=cols)
+    assert invariant_factors(m) == smith_normal_form_full(m).diagonal
+
+
+@pytest.mark.parametrize("shape", [(0, 0), (0, 4), (4, 0), (3, 5), (5, 3), (12, 12)])
+def test_invariant_factors_of_empty_and_zero_shapes(shape):
+    assert invariant_factors(IntMatrix.zeros(*shape)) == ()
+    assert smith_normal_form_full(IntMatrix.zeros(*shape)).diagonal == ()
+
+
+def test_invariant_factors_of_negative_entries():
+    m = IntMatrix([[-2, 0, 0], [0, -3, 0], [0, 0, -12]])
+    assert invariant_factors(m) == smith_normal_form_full(m).diagonal == (1, 6, 12)
+    assert invariant_factors(-IntMatrix.identity(4)) == (1, 1, 1, 1)
 
 
 def test_matrix_validation():

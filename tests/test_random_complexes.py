@@ -15,6 +15,7 @@ import pytest
 from finsym.complexes import (
     ChainComplex,
     cohomology,
+    cohomology_order,
     count_coboundaries,
     count_cocycles,
     enumerate_cocycles,
@@ -74,6 +75,27 @@ def test_snf_matches_enumeration_on_random_complexes(seed):
             z = count_cocycles(cx, coeffs, q)
             b = count_coboundaries(cx, coeffs, q)
             assert h.order * b == z
+
+
+ORDER_COEFFS = [
+    FiniteAbelianGroup([2]),
+    FiniteAbelianGroup([6]),
+    FiniteAbelianGroup([2, 4]),
+    FiniteAbelianGroup([2, 4, 8]),
+]
+
+
+@pytest.mark.parametrize("seed", range(25))
+def test_invariant_factor_orders_on_random_complexes(seed):
+    rng = random.Random(31_000 + seed)
+    cx = random_two_stage_complex(rng)
+    for coeffs in ORDER_COEFFS:
+        for q in range(cx.top_dim + 1):
+            order = cohomology_order(cx, coeffs, q)
+            assert order == cohomology(cx, coeffs, q).order, (cx.cells, str(coeffs), q)
+            if sum(n ** cx.n_cells(q) for n in coeffs.invariant_factors) <= 5000:
+                z = count_cocycles(cx, coeffs, q)
+                assert order * count_coboundaries(cx, coeffs, q) == z
 
 
 @pytest.mark.parametrize("seed", range(10))

@@ -1,0 +1,85 @@
+"""Property tests for the Smith normal form.
+
+Hypothesis draws integer matrices of every small shape, including empty
+and zero ones; runs are derandomized and keep no example database, so the
+suite stays deterministic.  sympy's Smith form is an optional independent
+cross-check of the invariant factors.
+"""
+
+import random
+import tempfile
+from pathlib import Path
+
+import pytest
+
+pytest.importorskip("hypothesis")
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.configuration import set_hypothesis_home_dir
+
+from finsym.intmatrix import IntMatrix, invariant_factors, minor_gcd, smith_normal_form_full
+
+# Hypothesis's pytest plugin caches the literals of local modules under its
+# home directory while collecting, database or not; keep that out of the
+# checkout.
+set_hypothesis_home_dir(Path(tempfile.gettempdir()) / "finsym-hypothesis")
+
+DETERMINISTIC = settings(derandomize=True, database=None, deadline=None, max_examples=100)
+
+
+@st.composite
+def matrices(draw, max_side=6, span=30):
+    rows = draw(st.integers(0, max_side))
+    cols = draw(st.integers(0, max_side))
+    entry = st.integers(-span, span)
+    data = draw(st.lists(st.lists(entry, min_size=cols, max_size=cols),
+                         min_size=rows, max_size=rows))
+    return IntMatrix(data, rows=rows, cols=cols)
+
+
+@DETERMINISTIC
+@given(matrices())
+def test_transforms_diagonalize_and_invert(m):
+    full = smith_normal_form_full(m)
+    assert full.u * m * full.v == full.d
+    assert full.u * full.u_inv == IntMatrix.identity(m.rows)
+    assert full.v * full.v_inv == IntMatrix.identity(m.cols)
+    r = len(full.diagonal)
+    for i in range(m.rows):
+        for j in range(m.cols):
+            expected = full.diagonal[i] if i == j and i < r else 0
+            assert full.d[i, j] == expected
+
+
+@DETERMINISTIC
+@given(matrices())
+def test_divisibility_chain_and_untracked_agreement(m):
+    diag = smith_normal_form_full(m).diagonal
+    assert all(d > 0 for d in diag)
+    assert all(b % a == 0 for a, b in zip(diag, diag[1:]))
+    assert invariant_factors(m) == diag
+
+
+@DETERMINISTIC
+@given(matrices(max_side=3, span=9))
+def test_invariant_factors_are_minor_gcd_ratios(m):
+    diag = invariant_factors(m)
+    running = 1
+    for k, d in enumerate(diag, start=1):
+        running *= d
+        assert minor_gcd(m, k) == running
+    assert minor_gcd(m, len(diag) + 1) == 0
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_invariant_factors_match_sympy(seed):
+    sympy = pytest.importorskip("sympy")
+    from sympy.matrices.normalforms import smith_normal_form
+
+    rng = random.Random(4400 + seed)
+    rows, cols = rng.randint(1, 7), rng.randint(1, 7)
+    data = [[rng.randint(-12, 12) if rng.random() < 0.7 else 0 for _ in range(cols)]
+            for _ in range(rows)]
+    snf = smith_normal_form(sympy.Matrix(data), domain=sympy.ZZ)
+    theirs = tuple(abs(int(snf[i, i])) for i in range(min(rows, cols)) if snf[i, i] != 0)
+    assert invariant_factors(IntMatrix(data)) == theirs
