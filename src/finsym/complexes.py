@@ -299,54 +299,51 @@ def preset(name: str, *params: int) -> ChainComplex:
     return builder(*params)
 
 
+def _block_offsets(a: ChainComplex, b: ChainComplex, k: int) -> list[int]:
+    """Start of each deg-x block among the degree-k cells of a x b; the last
+    entry is the number of degree-k cells."""
+    out = [0]
+    for i in range(k + 1):
+        out.append(out[-1] + a.n_cells(i) * b.n_cells(k - i))
+    return out
+
+
+def _nonzero_entries(m: IntMatrix) -> list[tuple[int, int, int]]:
+    return [(i, j, v) for i, row in enumerate(m.data) for j, v in enumerate(row) if v]
+
+
 def product(a: ChainComplex, b: ChainComplex) -> ChainComplex:
     """Tensor-product complex with Koszul signs.
 
     Degree-k cells are pairs (x, y) with deg x + deg y = k, grouped in
     blocks of increasing deg x, each block ordered by (x index, y index).
+    d(x, y) = (dx, y) + (-1)^{deg x} (x, dy), built from the nonzero entries
+    of the factors' boundaries.
     """
     top = a.top_dim + b.top_dim
-    cells = [
-        sum(a.n_cells(i) * b.n_cells(k - i) for i in range(k + 1))
-        for k in range(top + 1)
-    ]
-
-    def offsets(k):
-        out = {}
-        pos = 0
-        for i in range(k + 1):
-            out[i] = pos
-            pos += a.n_cells(i) * b.n_cells(k - i)
-        return out
-
+    offsets = [_block_offsets(a, b, k) for k in range(top + 1)]
+    cells = [off[-1] for off in offsets]
+    da = [()] + [_nonzero_entries(m) for m in a.boundaries]
+    db = [()] + [_nonzero_entries(m) for m in b.boundaries]
     bnds = []
     for k in range(1, top + 1):
-        off_k = offsets(k)
-        off_km1 = offsets(k - 1)
         rows = [[0] * cells[k] for _ in range(cells[k - 1])]
-        for i in range(k + 1):
+        for i in range(max(0, k - b.top_dim), min(k, a.top_dim) + 1):
             j = k - i
-            na, nb = a.n_cells(i), b.n_cells(j)
-            if na == 0 or nb == 0:
-                continue
-            da = a.boundary(i)
-            db = b.boundary(j)
-            for ai in range(na):
-                for bi in range(nb):
-                    col = off_k[i] + ai * nb + bi
-                    if i >= 1:
-                        for ar in range(a.n_cells(i - 1)):
-                            coeff = da[ar, ai]
-                            if coeff:
-                                row = off_km1[i - 1] + ar * nb + bi
-                                rows[row][col] += coeff
-                    if j >= 1:
-                        sign = -1 if i % 2 else 1
-                        for br in range(b.n_cells(j - 1)):
-                            coeff = db[br, bi]
-                            if coeff:
-                                row = off_km1[i] + ai * b.n_cells(j - 1) + br
-                                rows[row][col] += sign * coeff
+            nb = b.n_cells(j)
+            col0 = offsets[k][i]
+            if i >= 1:
+                row0 = offsets[k - 1][i - 1]
+                for ar, ai, coeff in da[i]:
+                    for bi in range(nb):
+                        rows[row0 + ar * nb + bi][col0 + ai * nb + bi] += coeff
+            if j >= 1:
+                sign = -1 if i % 2 else 1
+                row0 = offsets[k - 1][i]
+                nb_row = b.n_cells(j - 1)
+                for br, bi, coeff in db[j]:
+                    for ai in range(a.n_cells(i)):
+                        rows[row0 + ai * nb_row + br][col0 + ai * nb + bi] += sign * coeff
         bnds.append(IntMatrix(rows, rows=cells[k - 1], cols=cells[k]))
     return ChainComplex(cells, bnds)
 
@@ -354,27 +351,12 @@ def product(a: ChainComplex, b: ChainComplex) -> ChainComplex:
 def product_cell_index(a: ChainComplex, b: ChainComplex, k: int, i: int,
                        a_idx: int, b_idx: int) -> int:
     """Index of the cell (a_idx in degree i) x (b_idx in degree k-i)."""
-    pos = 0
-    for ii in range(i):
-        pos += a.n_cells(ii) * b.n_cells(k - ii)
-    return pos + a_idx * b.n_cells(k - i) + b_idx
+    return _block_offsets(a, b, k)[i] + a_idx * b.n_cells(k - i) + b_idx
 
 
 def disjoint_union(a: ChainComplex, b: ChainComplex) -> ChainComplex:
-    top = max(a.top_dim, b.top_dim)
-    cells = [a.n_cells(k) + b.n_cells(k) for k in range(top + 1)]
-    bnds = []
-    for k in range(1, top + 1):
-        da, db = a.boundary(k), b.boundary(k)
-        rows = [[0] * cells[k] for _ in range(cells[k - 1])]
-        for i in range(da.rows):
-            for j in range(da.cols):
-                rows[i][j] = da[i, j]
-        for i in range(db.rows):
-            for j in range(db.cols):
-                rows[a.n_cells(k - 1) + i][a.n_cells(k) + j] = db[i, j]
-        bnds.append(IntMatrix(rows, rows=cells[k - 1], cols=cells[k]))
-    return ChainComplex(cells, bnds)
+    """a then b, cell by cell: the glue of a and b along nothing."""
+    return glue_complexes(a, b, {})[0]
 
 
 def glue_complexes(a: ChainComplex, b: ChainComplex, identifications):
@@ -416,16 +398,11 @@ def glue_complexes(a: ChainComplex, b: ChainComplex, identifications):
     bnds = []
     for k in range(1, top + 1):
         rows = [[0] * cells[k] for _ in range(cells[k - 1])]
-        da, db = a.boundary(k), b.boundary(k)
-        for i in range(da.rows):
-            for j in range(da.cols):
-                rows[i][j] += da[i, j]
-        for j in range(b.n_cells(k)):
-            if j in ident[k]:
-                continue
-            for i in range(b.n_cells(k - 1)):
-                if db[i, j]:
-                    rows[b_map[k - 1][i]][b_map[k][j]] += db[i, j]
+        for i, j, v in _nonzero_entries(a.boundary(k)):
+            rows[i][j] += v
+        for i, j, v in _nonzero_entries(b.boundary(k)):
+            if j not in ident[k]:
+                rows[b_map[k - 1][i]][b_map[k][j]] += v
         bnds.append(IntMatrix(rows, rows=cells[k - 1], cols=cells[k]))
     return ChainComplex(cells, bnds), tuple(b_map)
 
@@ -770,22 +747,9 @@ def _cyclic_cocycles(cx: ChainComplex, n: int, q: int, limit=None):
 def _cyclic_coboundary_group(cx: ChainComplex, n: int, q: int):
     """The subgroup of coboundaries in degree q mod n, by additive closure
     of the columns of delta^{q-1} (no enumeration of C^{q-1} needed)."""
-    c = cx.n_cells(q)
     delta_in = cx.coboundary(q - 1)
-    gens = [
-        tuple(delta_in[i, j] % n for i in range(c)) for j in range(delta_in.cols)
-    ]
-    zero = (0,) * c
-    seen = {zero}
-    frontier = [zero]
-    while frontier:
-        x = frontier.pop()
-        for g in gens:
-            y = tuple((a + b) % n for a, b in zip(x, g))
-            if y not in seen:
-                seen.add(y)
-                frontier.append(y)
-    return seen
+    gens = [tuple(v % n for v in delta_in.column(j)) for j in range(delta_in.cols)]
+    return FiniteAbelianGroup([n] * cx.n_cells(q)).subgroup(gens)
 
 
 def count_cocycles(cx: ChainComplex, coeffs: FiniteAbelianGroup, q: int, limit=None) -> int:

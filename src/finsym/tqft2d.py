@@ -5,7 +5,9 @@ with matrix entries
 
     c(W) * #{ a in H^1(W; A) : a restricts to the given classes }
 
-with the normalization c(W) = 1 / |H^0(W, in-boundary; A)|.  The naive
+with the normalization c(W) = 1 / |H^0(W, in-boundary; A)|.  Restriction to
+the boundary circles, r: H^1(W; A) -> A^{out} x A^{in}, is a homomorphism,
+so that count is |ker r| * [label in im r], read off im r.  The naive
 alternating-product constant applied to closed W breaks the trace identity
 Z(M x S^1) = Tr Z(M x I) (it would give 8 instead of 2 for the torus with
 A = Z_2); the relative-H^0 normalization is the one validated by the
@@ -34,6 +36,7 @@ from .complexes import (
     relative_cohomology_order,
 )
 from .groups import FiniteAbelianGroup
+from .limits import check_enum
 
 
 @dataclass(frozen=True)
@@ -66,6 +69,7 @@ class StateSpace:
     def __init__(self, group: FiniteAbelianGroup, circles: int):
         if circles < 0:
             raise ValueError("circle count must be >= 0")
+        check_enum(group.order**circles, what="state space basis")
         basis = [()]
         for _ in range(circles):
             basis = [b + (a,) for b in basis for a in group.elements()]
@@ -83,12 +87,7 @@ class StateSpace:
 
     def boundary_complex(self) -> ChainComplex:
         """The disjoint union of standard circles this space lives on."""
-        if self.circles == 0:
-            return ChainComplex((0,), ())
-        cx = complexes.circle()
-        for _ in range(self.circles - 1):
-            cx = disjoint_union(cx, complexes.circle())
-        return cx
+        return _circles(self.circles)
 
     def index(self, label) -> int:
         return self._index[tuple(tuple(a) for a in label)]
@@ -250,30 +249,23 @@ def bordism_preset(shape: str) -> Bordism:
     return _SHAPES[shape]()
 
 
+def _circle_at(cx: ChainComplex, m: SubcomplexMap, cell_map=None) -> SubcomplexMap:
+    """Boundary circle ``m`` carried into ``cx`` by ``cell_map`` (None keeps
+    its cell indices)."""
+    v, e = m.cell_maps[0][0], m.cell_maps[1][0]
+    if cell_map is not None:
+        v, e = cell_map[0][v], cell_map[1][e]
+    return SubcomplexMap(complexes.circle(), cx, ((v,), (e,)))
+
+
 def bordism_union(a: Bordism, b: Bordism) -> Bordism:
     """Disjoint union of two bordisms; circle lists concatenate in order."""
-    cx = disjoint_union(a.w, b.w)
-    c = complexes.circle()
-
-    def shifted(m: SubcomplexMap, offsets) -> SubcomplexMap:
-        return SubcomplexMap(
-            c,
-            cx,
-            (
-                (m.cell_maps[0][0] + offsets[0],),
-                (m.cell_maps[1][0] + offsets[1],),
-            ),
-        )
-
-    zero = (0, 0)
-    off = (a.w.n_cells(0), a.w.n_cells(1))
-    ins = tuple(shifted(m, zero) for m in a.in_circles) + tuple(
-        shifted(m, off) for m in b.in_circles
-    )
-    outs = tuple(shifted(m, zero) for m in a.out_circles) + tuple(
-        shifted(m, off) for m in b.out_circles
-    )
-    return Bordism(cx, ins, outs)
+    cx, b_map = glue_complexes(a.w, b.w, {})
+    ins = [_circle_at(cx, m) for m in a.in_circles]
+    ins += [_circle_at(cx, m, b_map) for m in b.in_circles]
+    outs = [_circle_at(cx, m) for m in a.out_circles]
+    outs += [_circle_at(cx, m, b_map) for m in b.out_circles]
+    return Bordism(cx, tuple(ins), tuple(outs))
 
 
 def glue(first: Bordism, second: Bordism) -> Bordism:
@@ -286,17 +278,8 @@ def glue(first: Bordism, second: Bordism) -> Bordism:
         ident[0][in_map.cell_maps[0][0]] = out_map.cell_maps[0][0]
         ident[1][in_map.cell_maps[1][0]] = out_map.cell_maps[1][0]
     glued, b_map = glue_complexes(first.w, second.w, ident)
-    c = complexes.circle()
-    ins = tuple(
-        SubcomplexMap(c, glued, ((m.cell_maps[0][0],), (m.cell_maps[1][0],)))
-        for m in first.in_circles
-    )
-    outs = tuple(
-        SubcomplexMap(
-            c, glued, ((b_map[0][m.cell_maps[0][0]],), (b_map[1][m.cell_maps[1][0]],))
-        )
-        for m in second.out_circles
-    )
+    ins = tuple(_circle_at(glued, m) for m in first.in_circles)
+    outs = tuple(_circle_at(glued, m, b_map) for m in second.out_circles)
     return Bordism(glued, ins, outs)
 
 
@@ -305,16 +288,19 @@ def glue(first: Bordism, second: Bordism) -> Bordism:
 # ---------------------------------------------------------------------------
 
 
+def _circles(r: int) -> ChainComplex:
+    """The disjoint union of r standard circles (the empty complex if r = 0)."""
+    cx = ChainComplex((0,), ())
+    for _ in range(r):
+        cx = disjoint_union(cx, complexes.circle())
+    return cx
+
+
 def _in_boundary_subcomplex(b: Bordism) -> SubcomplexMap:
-    """All in-circles merged into one SubcomplexMap (empty sub if none)."""
-    if not b.in_circles:
-        return complexes.empty_subcomplex(b.w)
-    src = complexes.circle()
-    for _ in b.in_circles[1:]:
-        src = disjoint_union(src, complexes.circle())
+    """All in-circles merged into one SubcomplexMap."""
     deg0 = tuple(m.cell_maps[0][0] for m in b.in_circles)
     deg1 = tuple(m.cell_maps[1][0] for m in b.in_circles)
-    return SubcomplexMap(src, b.w, (deg0, deg1))
+    return SubcomplexMap(_circles(len(b.in_circles)), b.w, (deg0, deg1))
 
 
 def normalization_constant(b: Bordism, group: FiniteAbelianGroup) -> Fraction:
@@ -325,41 +311,41 @@ def normalization_constant(b: Bordism, group: FiniteAbelianGroup) -> Fraction:
 
 
 def bordism_matrix(b: Bordism, group: FiniteAbelianGroup) -> BordismMatrix:
-    """Entry (A_out, A_in) = c(W) * #{classes restricting as prescribed}."""
+    """Entry (A_out, A_in) = c(W) * #{classes restricting as prescribed}.
+
+    Restriction r to the boundary edges (out circles, then in circles) is a
+    homomorphism, so the count is |ker r| * [label in im r] with |ker r| =
+    |H^1| / |im r|, taken per cyclic factor of A.  Restricting generator
+    representatives is well defined because a coboundary vanishes on the
+    one-vertex boundary loops.
+    """
     source = StateSpace(group, len(b.in_circles))
     target = StateSpace(group, len(b.out_circles))
-    in_edges = [m.cell_maps[1][0] for m in b.in_circles]
-    out_edges = [m.cell_maps[1][0] for m in b.out_circles]
+    check_enum(source.dim * target.dim, what="bordism matrix entries")
+    edges = [m.cell_maps[1][0] for m in b.out_circles + b.in_circles]
 
-    # Work factor by factor; counts multiply across the product decomposition.
-    per_factor = []
+    images = []
+    kernel = 1
     for factor in cohomology(b.w, group, 1).factors:
-        tally: dict[tuple, int] = {}
-        for coords in factor.all_coords():
-            rep = factor.representative(coords)
-            key = (
-                tuple(rep[e] for e in out_edges),
-                tuple(rep[e] for e in in_edges),
-            )
-            tally[key] = tally.get(key, 0) + 1
-        per_factor.append(tally)
+        gens = [tuple(rep[e] for e in edges) for rep in factor.reps]
+        image = set(FiniteAbelianGroup([factor.n] * len(edges)).subgroup(gens))
+        images.append(image)
+        kernel *= factor.order // len(image)
 
-    c_w = normalization_constant(b, group)
+    def per_factor(label):
+        return [tuple(a[k] for a in label) for k in range(len(images))]
+
+    value = normalization_constant(b, group) * kernel
+    zero = Fraction(0)
+    in_labels = [per_factor(label) for label in source.basis]
     rows = []
     for out_label in target.basis:
-        row = []
-        for in_label in source.basis:
-            count = 1
-            for k, tally in enumerate(per_factor):
-                key = (
-                    tuple(a[k] for a in out_label),
-                    tuple(a[k] for a in in_label),
-                )
-                count *= tally.get(key, 0)
-                if count == 0:
-                    break
-            row.append(c_w * count)
-        rows.append(tuple(row))
+        out = per_factor(out_label)
+        rows.append(tuple(
+            value if all(o + i in image for o, i, image in zip(out, ins, images))
+            else zero
+            for ins in in_labels
+        ))
     return BordismMatrix(source, target, tuple(rows))
 
 

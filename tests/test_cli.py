@@ -1,8 +1,10 @@
 import json
 import os
+import shlex
 import subprocess
 import sys
 import time
+from pathlib import Path
 from types import MappingProxyType
 
 import pytest
@@ -308,6 +310,20 @@ class TestExitCodes:
         assert code == 0 and doc["dims"] == ["1"] * 60
         assert doc["fiber_functor"]["verdict"] == "possible"
 
+    def test_closed_bordism_over_a_large_group_is_quick(self, capsys, monkeypatch):
+        monkeypatch.delenv("FINSYM_MAX_ENUM", raising=False)
+        start = time.perf_counter()
+        code, out, _ = run(capsys, "bordism", "--group", "Z1000", "--shape", "torus")
+        assert time.perf_counter() - start < 1.0
+        assert code == 0 and json.loads(out)["matrix"] == [["1000/1"]]
+
+    def test_bordism_entry_count_trips_the_default_guard(self, capsys, monkeypatch):
+        monkeypatch.delenv("FINSYM_MAX_ENUM", raising=False)
+        start = time.perf_counter()
+        code, out, err = run(capsys, "bordism", "--group", "Z400", "--shape", "pants")
+        assert time.perf_counter() - start < 1.0
+        assert code == 3 and "bordism matrix entries" in err and out == ""
+
     def test_transfer_overflow_is_input_error(self, capsys):
         code, out, err = run(capsys, "ising", "--L", "4", "--T", "300", "--beta", "0.05",
                              "--method", "transfer")
@@ -331,3 +347,27 @@ class TestExitCodes:
         code, _, _ = run(capsys, "gauss", "--N", "3", "--p", "1",
                          "--threads", "0")
         assert code == 2
+
+
+def _readme_cli_examples():
+    """(argv, expected subset or None) for each line of the README CLI block."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    examples = []
+    for line in block.splitlines():
+        command, _, comment = line.partition("#")
+        argv = shlex.split(command)
+        assert argv[0] == "finsym"
+        comment = comment.strip()
+        examples.append((argv[1:], json.loads(comment) if comment.startswith("{") else None))
+    return examples
+
+
+@pytest.mark.parametrize("argv,expected", _readme_cli_examples(),
+                         ids=lambda v: " ".join(v) if isinstance(v, list) else "")
+def test_readme_cli_examples(capsys, argv, expected):
+    code, out, err = run(capsys, *argv)
+    assert code == 0, err
+    if expected is not None:
+        doc = json.loads(out)
+        assert {k: doc.get(k) for k in expected} == expected

@@ -2,12 +2,15 @@ from fractions import Fraction
 
 import pytest
 
-from finsym.complexes import disjoint_union, torus
-from finsym.groups import FiniteAbelianGroup
+from finsym.complexes import cohomology, disjoint_union, torus
+from finsym.groups import FiniteAbelianGroup, parse_abelian
+from finsym.limits import GuardExceeded, max_enum
 from finsym.pathintegral import surface_gauge_count
 from finsym.groups import abelian_cayley
 from finsym.tqft2d import (
+    _SHAPES,
     Bordism,
+    BordismMatrix,
     StateSpace,
     bordism_matrix,
     bordism_preset,
@@ -235,3 +238,87 @@ class TestValidation:
     def test_glue_count_mismatch(self):
         with pytest.raises(ValueError):
             glue(cap(), pants_bordism())
+
+
+def tally_matrix(b: Bordism, group: FiniteAbelianGroup) -> BordismMatrix:
+    """Oracle: tally the boundary values of every class of H^1(W; A), one
+    cyclic factor at a time, and count the classes behind each entry."""
+    source = StateSpace(group, len(b.in_circles))
+    target = StateSpace(group, len(b.out_circles))
+    in_edges = [m.cell_maps[1][0] for m in b.in_circles]
+    out_edges = [m.cell_maps[1][0] for m in b.out_circles]
+    per_factor = []
+    for factor in cohomology(b.w, group, 1).factors:
+        tally = {}
+        for coords in factor.all_coords():
+            rep = factor.representative(coords)
+            key = (tuple(rep[e] for e in out_edges), tuple(rep[e] for e in in_edges))
+            tally[key] = tally.get(key, 0) + 1
+        per_factor.append(tally)
+    c_w = normalization_constant(b, group)
+    rows = []
+    for out_label in target.basis:
+        row = []
+        for in_label in source.basis:
+            count = 1
+            for k, tally in enumerate(per_factor):
+                key = (tuple(a[k] for a in out_label), tuple(a[k] for a in in_label))
+                count *= tally.get(key, 0)
+                if count == 0:
+                    break
+            row.append(c_w * count)
+        rows.append(tuple(row))
+    return BordismMatrix(source, target, tuple(rows))
+
+
+ORACLE_COEFFS = [parse_abelian(a)
+                 for a in ("Z2", "Z3", "Z4", "Z6", "Z2xZ2", "Z2xZ4", "Z2xZ4xZ8")]
+# The tally enumerates H^1 and is slow per entry; it runs where |H^1| and
+# the entry count both stay this small.
+ORACLE_SIZE = 4096
+# The glue pairs of the bench's cohomology workload.
+GLUE_PAIRS = [
+    ("pants", "copants"), ("pants", "cylinder"), ("cylinder", "copants"),
+    ("cylinder", "cylinder"), ("cap", "cylinder"), ("cylinder", "cup"),
+    ("cap", "cup"), ("pants", "cup"), ("cap", "copants"),
+]
+ORACLE_BORDISMS = (
+    [(shape, build) for shape, build in _SHAPES.items()]
+    + [(f"{f}.{s}", lambda f=f, s=s: glue(bordism_preset(f), bordism_preset(s)))
+       for f, s in GLUE_PAIRS]
+    + [("cylinder+pants", lambda: bordism_union(cylinder(), pants_bordism()))]
+)
+
+
+class TestRestrictionImage:
+    @pytest.mark.parametrize("build", [b for _, b in ORACLE_BORDISMS],
+                             ids=[name for name, _ in ORACLE_BORDISMS])
+    def test_matches_the_class_tally(self, build):
+        b = build()
+        checked = 0
+        for group in ORACLE_COEFFS:
+            entries = group.order ** (len(b.in_circles) + len(b.out_circles))
+            if max(cohomology(b.w, group, 1).order, entries) > ORACLE_SIZE:
+                continue
+            assert bordism_matrix(b, group) == tally_matrix(b, group), str(group)
+            checked += 1
+        assert checked >= 4
+
+    def test_three_factor_pants_matches_the_class_tally(self):
+        # |H^1| = 4096 and 64^3 entries: the largest case the tally covers
+        group = parse_abelian("Z2xZ4xZ8")
+        assert bordism_matrix(pants_bordism(), group) == tally_matrix(pants_bordism(), group)
+
+    def test_state_space_basis_is_guarded(self):
+        with max_enum(15):
+            assert StateSpace(Z2, 3).dim == 8
+            with pytest.raises(GuardExceeded, match="state space basis"):
+                StateSpace(Z4, 2)
+
+    def test_entry_count_is_guarded(self):
+        # pants over Z2: bases of 4 and 2 labels fit, its 8 entries do not
+        with max_enum(7):
+            with pytest.raises(GuardExceeded, match="bordism matrix entries"):
+                bordism_matrix(pants_bordism(), Z2)
+        with max_enum(8):
+            assert bordism_matrix(pants_bordism(), Z2).target.dim == 2
