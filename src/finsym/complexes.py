@@ -1,14 +1,14 @@
 """Finite cell complexes and exact cohomology with finite abelian coefficients.
 
 A ChainComplex stores integer boundary matrices of a finite CW complex.
-Cohomology with coefficients in A = Z_{n1} x ... x Z_{nk} is computed one
-cyclic factor at a time: for each n, H^q(C; Z_n) = ker(delta^q mod n) /
-im(delta^{q-1} mod n) is extracted from Smith normal forms over Z, together
-with generator representatives, exact class coordinates for arbitrary
-cocycles, and induced restriction maps.  The full Smith form of delta^q is
-computed once per call and shared by every cyclic factor.  Where only the
-order |H^q| is needed, it follows from the invariant factors of delta^q and
-delta^{q-1} alone (``cohomology_order``).  A brute-force cochain enumerator
+Cohomology with coefficients in A = Z_{n1} x ... x Z_{nk} comes from two
+full Smith normal forms over Z per call, of delta^q and of delta^{q-1} in
+delta^q's coordinates, shared by every cyclic factor.  By the universal
+coefficient theorem each H^q(C; Z_n) is a product of Z_gcd(d, n) over their
+invariant factors d and a free Z_n part; generator representatives, exact
+class coordinates and induced restriction maps come from the same
+transforms.  Where only |H^q| is needed, the same formula runs on invariant
+factors alone (``cohomology_order``).  A brute-force cochain enumerator
 doubles as the independent oracle for all of this.
 
 Cell structures for the preset manifolds are the minimal standard ones
@@ -23,7 +23,7 @@ from itertools import product as iproduct
 from math import gcd, prod
 
 from .groups import FiniteAbelianGroup
-from .intmatrix import IntMatrix, SmithForm, invariant_factors, smith_normal_form_full
+from .intmatrix import IntMatrix, invariant_factors, smith_normal_form_full
 from .limits import check_enum
 
 
@@ -416,10 +416,12 @@ def glue_complexes(a: ChainComplex, b: ChainComplex, identifications):
 class _CyclicFactor:
     """H^q(C; Z_n) with generator representatives and class coordinates.
 
-    Derived from Smith normal forms: cocycle lifts form the lattice
-    K = V diag(m) Z^c with m_i = n/gcd(d_i, n); coboundaries plus n Z^c map
-    to a relation matrix R in K-coordinates, whose Smith form gives the
-    cyclic decomposition.  ``coordinates`` is a group homomorphism from
+    ``_coords`` is diag(I_r, U_W) V^-1, shared by every n: V is the column
+    transform of delta^q's Smith form (rank r), U_W the row transform of the
+    Smith form of W (see ``_cohomology_group``).
+    Coordinate i of a cocycle is divisible by ``_steps[i]`` (n / gcd(d_i, n)
+    on the r pivot rows, 1 elsewhere); its class coordinate is the quotient
+    modulo the order, so ``coordinates`` is a group homomorphism from
     cocycles (mod n) onto prod Z_{orders}.
     """
 
@@ -427,10 +429,8 @@ class _CyclicFactor:
     ncells: int
     orders: tuple[int, ...]
     reps: tuple[tuple[int, ...], ...]
-    _v: IntMatrix
-    _v_inv: IntMatrix
-    _m: tuple[int, ...]
-    _u_r: IntMatrix
+    _coords: IntMatrix
+    _steps: tuple[int, ...]
     _kept: tuple[int, ...]
 
     @property
@@ -441,14 +441,10 @@ class _CyclicFactor:
         x = tuple(int(v) % self.n for v in cochain)
         if len(x) != self.ncells:
             raise ValueError("cochain length mismatch")
-        y = self._v_inv.apply_vector(x)
-        yk = []
-        for yi, mi in zip(y, self._m):
-            if yi % mi != 0:
-                raise ValueError("not a cocycle mod n")
-            yk.append(yi // mi)
-        z = self._u_r.apply_vector(tuple(yk))
-        return tuple(z[i] % f for i, f in zip(self._kept, self.orders))
+        y = self._coords.apply_vector(x)
+        if any(yi % s for yi, s in zip(y, self._steps)):
+            raise ValueError("not a cocycle mod n")
+        return tuple(y[i] // self._steps[i] % f for i, f in zip(self._kept, self.orders))
 
     def representative(self, coords) -> tuple[int, ...]:
         if len(coords) != len(self.orders):
@@ -461,58 +457,6 @@ class _CyclicFactor:
 
     def all_coords(self):
         return iproduct(*(range(f) for f in self.orders))
-
-
-def _cyclic_cohomology(snf: SmithForm, images, n: int) -> _CyclicFactor:
-    """H^q(C; Z_n) from the Smith form of delta^q and the columns of
-    delta^{q-1} in its V-coordinates (``images``, shared by all n)."""
-    c = snf.v.rows
-    diag = [snf.d[i, i] if i < min(snf.d.rows, snf.d.cols) else 0 for i in range(c)]
-    m = tuple(n // gcd(d, n) if d else 1 for d in diag)
-    # Relations: columns of delta_in and the n*e_j, in K-coordinates.
-    rel_cols = []
-    for y in images:
-        col = []
-        for yi, mi in zip(y, m):
-            if yi % mi != 0:
-                raise ValueError("coboundary is not a cocycle; broken complex")
-            col.append(yi // mi)
-        rel_cols.append(col)
-    for j in range(c):
-        y = tuple(n * snf.v_inv[i, j] for i in range(c))
-        rel_cols.append([yi // mi for yi, mi in zip(y, m)])
-    r_matrix = IntMatrix(
-        [[rel_cols[j][i] for j in range(len(rel_cols))] for i in range(c)],
-        rows=c,
-        cols=len(rel_cols),
-    )
-    snf_r = smith_normal_form_full(r_matrix)
-    factors = [snf_r.d[i, i] for i in range(c)]
-    if any(f == 0 for f in factors):
-        raise AssertionError("quotient must be finite (n*e_j relations present)")
-    kept = tuple(i for i, f in enumerate(factors) if f > 1)
-    orders = tuple(factors[i] for i in kept)
-    reps = []
-    for i in kept:
-        w = [0] * c
-        for s in range(c):
-            coeff = snf_r.u_inv[s, i] * m[s]
-            if coeff:
-                vcol = snf.v.column(s)
-                for t in range(c):
-                    w[t] += vcol[t] * coeff
-        reps.append(tuple(v % n for v in w))
-    return _CyclicFactor(
-        n=n,
-        ncells=c,
-        orders=orders,
-        reps=tuple(reps),
-        _v=snf.v,
-        _v_inv=snf.v_inv,
-        _m=m,
-        _u_r=snf_r.u,
-        _kept=kept,
-    )
 
 
 @dataclass(frozen=True)
@@ -531,7 +475,7 @@ class CohomologyGroup:
 
     @property
     def order(self) -> int:
-        return prod(f.order for f in self.factors) if self.factors else 1
+        return prod(f.order for f in self.factors)
 
     def classes(self):
         return iproduct(*(f.all_coords() for f in self.factors))
@@ -566,22 +510,56 @@ class CohomologyGroup:
         return out
 
 
+def _cyclic_orders(c: int, out_factors, in_factors, n: int) -> list[int]:
+    """Orders of the c coordinates of H^q(C; Z_n) (universal coefficients).
+
+    gcd(d_i, n) over the r invariant factors d_i of delta^q, then gcd(e_j, n)
+    over the s factors e_j of delta^{q-1}, then n on the c - r - s free ones.
+    """
+    free = c - len(out_factors) - len(in_factors)
+    return [gcd(d, n) for d in out_factors] + [gcd(e, n) for e in in_factors] + [n] * free
+
+
+def _block_diag(r: int, u: IntMatrix) -> IntMatrix:
+    """diag(I_r, u)."""
+    c = r + u.rows
+    top = IntMatrix.identity(c).data[:r]
+    return IntMatrix(top + tuple((0,) * r + row for row in u.data), rows=c, cols=c)
+
+
 def _cohomology_group(q, coeffs, delta_out, delta_in) -> CohomologyGroup:
-    """One full Smith form of delta^q, shared by every cyclic factor of A."""
+    """Two full Smith forms, shared by every cyclic factor of A.
+
+    The first is U delta^q V = D, of rank r.  d o d = 0 puts the columns of
+    delta^{q-1} in V-coordinates on the c - r nonpivot rows; the second
+    Smith form is of that block W, which has delta^{q-1}'s invariant
+    factors.  Each factor Z_n then needs only gcds (``_cyclic_orders``).
+    """
     if delta_in.rows != delta_out.cols:
         raise ValueError("cochain rank mismatch between coboundaries")
+    c = delta_out.cols
     snf = smith_normal_form_full(delta_out)
-    images = [snf.v_inv.apply_vector(delta_in.column(j)) for j in range(delta_in.cols)]
-    factors = tuple(
-        _cyclic_cohomology(snf, images, n) for n in coeffs.invariant_factors
-    )
-    orders = [o for f in factors for o in f.orders]
+    r = snf.rank
+    images = snf.v_inv * delta_in
+    if any(any(row) for row in images.data[:r]):
+        raise ValueError("coboundary is not a cocycle; broken complex")
+    w = smith_normal_form_full(IntMatrix(images.data[r:], rows=c - r, cols=images.cols))
+    to_coords = _block_diag(r, w.u) * snf.v_inv
+    lifts = snf.v * _block_diag(r, w.u_inv)
+    factors = []
+    for n in coeffs.invariant_factors:
+        orders = _cyclic_orders(c, snf.diagonal, w.diagonal, n)
+        steps = tuple(n // o if i < r else 1 for i, o in enumerate(orders))
+        kept = tuple(i for i, o in enumerate(orders) if o > 1)
+        reps = tuple(tuple(steps[i] * v % n for v in lifts.column(i)) for i in kept)
+        kept_orders = tuple(orders[i] for i in kept)
+        factors.append(_CyclicFactor(n, c, kept_orders, reps, to_coords, steps, kept))
     return CohomologyGroup(
         degree=q,
         coefficients=coeffs,
-        group=FiniteAbelianGroup.from_cyclic_orders(orders),
-        factors=factors,
-        ncells=delta_out.cols,
+        group=FiniteAbelianGroup.from_cyclic_orders(o for f in factors for o in f.orders),
+        factors=tuple(factors),
+        ncells=c,
     )
 
 
@@ -591,23 +569,19 @@ def _check_degree(cx: ChainComplex, q: int) -> None:
 
 
 def cohomology(cx: ChainComplex, coeffs: FiniteAbelianGroup, q: int) -> CohomologyGroup:
-    """H^q(cx; coeffs), exactly, via Smith normal form per cyclic factor."""
+    """H^q(cx; coeffs), exactly, from two Smith forms shared by every cyclic
+    factor of the coefficients."""
     _check_degree(cx, q)
     return _cohomology_group(q, coeffs, cx.coboundary(q), cx.coboundary(q - 1))
 
 
 def _order(ncells: int, out_factors, in_factors, coeffs: FiniteAbelianGroup) -> int:
-    """|H^q(C; A)| from the invariant factors of delta^q and delta^{q-1}.
-
-    Per cyclic factor Z_n of A: #Z^q = n^(c - rank) * prod gcd(d_i, n) over
-    the factors d_i of delta^q, and #B^q = prod n / gcd(d'_i, n) over the
-    factors d'_i of delta^{q-1} (universal coefficients).
-    """
-    total = 1
-    for n in coeffs.invariant_factors:
-        cocycles = n ** (ncells - len(out_factors)) * prod(gcd(d, n) for d in out_factors)
-        total *= cocycles // prod(n // gcd(d, n) for d in in_factors)
-    return total
+    """|H^q(C; A)| from the invariant factors of delta^q and delta^{q-1}:
+    the product of ``_cyclic_orders`` over the cyclic factors Z_n of A."""
+    return prod(
+        prod(_cyclic_orders(ncells, out_factors, in_factors, n))
+        for n in coeffs.invariant_factors
+    )
 
 
 def _boundary_factors(cx: ChainComplex, k: int, table: dict) -> tuple[int, ...]:

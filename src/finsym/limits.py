@@ -2,14 +2,12 @@
 
 Brute-force enumerations (cochain assignments, group tuples, spin
 configurations) are bounded so that a typo never launches an overnight
-computation.  The hard ceiling is 2**24 states; the environment variable
-FINSYM_MAX_ENUM, which a ``max_enum`` block overrides, and an explicit
-argument may lower it, never raise it.
+computation.  The hard ceiling is 2**24 states; a ``max_enum`` block (the
+CLI's ``--max-enum``) and an explicit argument may lower it, never raise it.
 """
 
 from __future__ import annotations
 
-import os
 from contextlib import contextmanager
 from contextvars import ContextVar
 
@@ -24,7 +22,7 @@ class GuardExceeded(RuntimeError):
 
 @contextmanager
 def max_enum(limit: int | None):
-    """Inside the block, ``limit`` replaces FINSYM_MAX_ENUM (None keeps it)."""
+    """Inside the block, ``limit`` lowers the guard (None: the ceiling alone)."""
     token = _max_enum.set(limit)
     try:
         yield
@@ -33,10 +31,7 @@ def max_enum(limit: int | None):
 
 
 def effective_limit(explicit: int | None = None) -> int:
-    configured = _max_enum.get()
-    if configured is None:
-        configured = os.environ.get("FINSYM_MAX_ENUM")
-    bounds = (HARD_CEILING, configured, explicit)
+    bounds = (HARD_CEILING, _max_enum.get(), explicit)
     return min(int(b) for b in bounds if b is not None)
 
 

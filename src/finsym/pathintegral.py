@@ -39,31 +39,15 @@ class PiFiniteTarget:
             raise ValueError("nonabelian targets only exist in degree 1")
 
 
-def _require_zero_weight(weight) -> None:
-    # Hook for Dijkgraaf-Witten cocycle weights; only the zero weight is
-    # implemented, anything else is rejected rather than silently ignored.
-    if weight is not None:
-        raise ValueError("nonzero topological weights are not supported")
-
-
-def em_partition(
-    m: ChainComplex,
-    coeffs: FiniteAbelianGroup,
-    n: int,
-    dim: int | None = None,
-    weight=None,
-) -> Fraction:
+def em_partition(m: ChainComplex, coeffs: FiniteAbelianGroup, n: int) -> Fraction:
     """Partition function of the B^nA theory on a closed complex.
 
     Returns prod_{q=0}^{n} |H^{n-q}(m; A)|^{(-1)^q} as an exact rational;
     for n = 2 this is #H^2 * #H^0 / #H^1.  Each boundary matrix is reduced
     once, for the closedness check and every degree alike.
     """
-    _require_zero_weight(weight)
     if n < 1:
         raise ValueError("n must be >= 1")
-    if dim is not None and dim != m.top_dim:
-        raise ValueError(f"complex has dimension {m.top_dim}, not {dim}")
     table: dict = {}
     if not is_closed(m, table):
         raise ValueError("em_partition requires a closed complex")
@@ -132,14 +116,13 @@ def surface_gauge_count(group: FiniteGroup, genus: int, limit=None) -> Fraction:
     return Fraction(count, group.order)
 
 
-def partition(target: PiFiniteTarget, m: ChainComplex, weight=None) -> Fraction:
+def partition(target: PiFiniteTarget, m: ChainComplex) -> Fraction:
     """Dispatch on the target kind.
 
     Abelian targets work on any closed preset; a nonabelian BG is only
     supported on the standard closed surface complexes, where the bundle
     count has the one-relator form used by surface_gauge_count.
     """
-    _require_zero_weight(weight)
     if isinstance(target.group, FiniteAbelianGroup):
         return em_partition(m, target.group, target.degree)
     genus = _genus_of_surface_complex(m)

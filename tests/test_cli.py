@@ -276,7 +276,6 @@ class TestExitCodes:
         assert code == 3 and "guard" in err
 
     def test_max_enum_leaves_environment_alone(self, capsys, monkeypatch):
-        monkeypatch.delenv("FINSYM_MAX_ENUM", raising=False)
         before = dict(os.environ)
         with monkeypatch.context() as m:
             # a read-only environment: --max-enum must not write to it
@@ -294,15 +293,13 @@ class TestExitCodes:
         ("gauss", "--N", "100000", "--p", "1"),
         ("anyons", "--N", "30000000", "--p", "1"),
     ])
-    def test_large_n_trips_the_default_guard(self, capsys, monkeypatch, argv):
-        monkeypatch.delenv("FINSYM_MAX_ENUM", raising=False)
+    def test_large_n_trips_the_default_guard(self, capsys, argv):
         start = time.perf_counter()
         code, out, err = run(capsys, *argv)
         assert time.perf_counter() - start < 1.0
         assert code == 3 and "guard" in err and out == ""
 
-    def test_large_group_ring_validates_quickly(self, capsys, monkeypatch):
-        monkeypatch.delenv("FINSYM_MAX_ENUM", raising=False)
+    def test_large_group_ring_validates_quickly(self, capsys):
         start = time.perf_counter()
         code, out, _ = run(capsys, "fusion", "--group-ring", "Z60")
         assert time.perf_counter() - start < 1.0
@@ -310,15 +307,13 @@ class TestExitCodes:
         assert code == 0 and doc["dims"] == ["1"] * 60
         assert doc["fiber_functor"]["verdict"] == "possible"
 
-    def test_closed_bordism_over_a_large_group_is_quick(self, capsys, monkeypatch):
-        monkeypatch.delenv("FINSYM_MAX_ENUM", raising=False)
+    def test_closed_bordism_over_a_large_group_is_quick(self, capsys):
         start = time.perf_counter()
         code, out, _ = run(capsys, "bordism", "--group", "Z1000", "--shape", "torus")
         assert time.perf_counter() - start < 1.0
         assert code == 0 and json.loads(out)["matrix"] == [["1000/1"]]
 
-    def test_bordism_entry_count_trips_the_default_guard(self, capsys, monkeypatch):
-        monkeypatch.delenv("FINSYM_MAX_ENUM", raising=False)
+    def test_bordism_entry_count_trips_the_default_guard(self, capsys):
         start = time.perf_counter()
         code, out, err = run(capsys, "bordism", "--group", "Z400", "--shape", "pants")
         assert time.perf_counter() - start < 1.0
@@ -330,8 +325,7 @@ class TestExitCodes:
         assert code == 2 and "overflows a float" in err and out == ""
 
     @pytest.mark.parametrize("method", ["bruteforce", "transfer"])
-    def test_sweep_count_trips_the_default_guard(self, capsys, monkeypatch, method):
-        monkeypatch.delenv("FINSYM_MAX_ENUM", raising=False)
+    def test_sweep_count_trips_the_default_guard(self, capsys, method):
         start = time.perf_counter()
         code, out, err = run(capsys, "ising", "--L", "2", "--T", "2",
                              "--sweep", "0.1", "1.0", "100000000", "--method", method)

@@ -1,14 +1,16 @@
 """Cohomology orders from integer invariant factors, against their oracles.
 
 ``cohomology_order`` must equal the full Smith-form route's order and the
-brute-force count #Z^q / #B^q; ``relative_cohomology_order`` must equal
+brute-force count #Z^q / #B^q, and the group type must match brute-force
+k-torsion counts; ``relative_cohomology_order`` must equal
 ``relative_cohomology``'s order on every bordism.  Call counters pin the
 shared work: the order path makes no full Smith form at all, ``cohomology``
-reduces delta^q once for every coefficient factor, and a bordism matrix
-asks for H^1 once.
+makes two (delta^q and delta^{q-1} in its coordinates) for every
+coefficient factor together, and a bordism matrix asks for H^1 once.
 """
 
 from fractions import Fraction
+from math import gcd, prod
 
 import pytest
 
@@ -67,6 +69,34 @@ def test_order_matches_full_route_and_counts(cx, coeffs):
             assert order * count_coboundaries(cx, coeffs, q) == count_cocycles(cx, coeffs, q)
 
 
+def _torsion_counts(cx, n, q, ks):
+    """|H^q(cx; Z_n)[k]| = #{z in Z^q : k z in B^q} / #B^q for each k, by
+    brute force."""
+    coboundaries = set(complexes._cyclic_coboundary_group(cx, n, q))
+    cocycles = complexes._cyclic_cocycles(cx, n, q)
+    hits = [sum(tuple(k * v % n for v in z) in coboundaries for z in cocycles) for k in ks]
+    assert all(h % len(coboundaries) == 0 for h in hits)
+    return [h // len(coboundaries) for h in hits]
+
+
+@pytest.mark.parametrize("coeffs", [parse_abelian(a) for a in
+                                    ("Z2", "Z4", "Z6", "Z2xZ4", "Z2xZ4xZ8")], ids=str)
+@pytest.mark.parametrize("cx", PRESETS + PRODUCTS, ids=repr)
+def test_group_type_matches_torsion_counts(cx, coeffs):
+    """The k-torsion orders for every k dividing the exponent fix the group
+    type; the brute-force ones must match those of ``cohomology(...).group``."""
+    exponent = max(coeffs.invariant_factors)
+    ks = [k for k in range(1, exponent + 1) if exponent % k == 0]
+    for q in range(cx.top_dim + 1):
+        if sum(n ** cx.n_cells(q) for n in coeffs.invariant_factors) > BRUTE_STATES:
+            continue
+        group = cohomology(cx, coeffs, q).group
+        brute = [1] * len(ks)
+        for n in coeffs.invariant_factors:
+            brute = [b * t for b, t in zip(brute, _torsion_counts(cx, n, q, ks))]
+        assert brute == [prod(gcd(k, o) for o in group.invariant_factors) for k in ks], q
+
+
 def test_order_rejects_degree_out_of_range():
     with pytest.raises(ValueError, match="out of range"):
         cohomology_order(torus(2), COEFFS[0], 3)
@@ -116,9 +146,14 @@ def test_em_partition_makes_no_full_smith_form(monkeypatch):
 
 def test_cohomology_reduces_the_coboundary_once(monkeypatch):
     full = _count_calls(monkeypatch, complexes, "smith_normal_form_full")
-    h = cohomology(torus(3), parse_abelian("Z2xZ4xZ8"), 1)
-    assert h.order == 64**3
-    assert len(full) == 1 + 3  # delta^1 once, one relation matrix per factor
+    for coeffs, order in [("Z2", 2**3), ("Z2xZ4xZ8", 64**3)]:
+        full.clear()
+        assert cohomology(torus(3), parse_abelian(coeffs), 1).order == order
+        assert len(full) == 2  # delta^1 and the block W, whatever the factor count
+    b = tqft2d.pants_bordism()
+    full.clear()
+    relative_cohomology(b.w, b.in_circles[0], parse_abelian("Z2xZ4xZ8"), 1)
+    assert len(full) == 2
 
 
 def test_bordism_matrix_asks_for_h1_once(monkeypatch):

@@ -48,14 +48,6 @@ class TestEmPartition:
         with pytest.raises(ValueError):
             em_partition(pants()[0], Z2, 2)
 
-    def test_dim_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            em_partition(torus(2), Z2, 2, dim=3)
-
-    def test_weight_hook_rejects_nonzero(self):
-        with pytest.raises(ValueError):
-            em_partition(torus(2), Z2, 2, weight="lambda")
-
     def test_multiplicative_on_disjoint_union(self):
         m = torus(2)
         mm = disjoint_union(m, m)
