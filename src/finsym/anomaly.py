@@ -63,7 +63,7 @@ def allowed_lines(
     ``subgroup_quadratic_table``; a table is validated as a quadratic
     refinement on the subgroup, and a bad one raises ValueError.
     """
-    sub_elems = ambient.subgroup(subgroup_generators)
+    sub_elems = _line_subgroup(ambient, subgroup_generators)
     if isinstance(q, QuadraticForm):
         if q.domain != ambient or set(sub_elems) != set(ambient.elements()):
             raise ValueError("a QuadraticForm on A works only when A' = A")
@@ -73,7 +73,31 @@ def allowed_lines(
         if set(table) != set(sub_elems):
             raise ValueError("q must be defined exactly on the subgroup")
         _validate(ambient, [tuple(g) for g in subgroup_generators], table)
+    return _select_lines(ambient, sub_elems, table)
 
+
+def allowed_lines_from_generator_values(
+    ambient: FiniteAbelianGroup,
+    subgroup_generators,
+    gen_values,
+    cross_terms=None,
+) -> LineLattice:
+    """Expand q over the subgroup, then select lines; the expansion has
+    validated the table, so it is not validated again."""
+    sub_elems = _line_subgroup(ambient, subgroup_generators)
+    table = subgroup_quadratic_table(ambient, subgroup_generators, gen_values, cross_terms)
+    return _select_lines(ambient, sub_elems, table)
+
+
+def _line_subgroup(ambient: FiniteAbelianGroup, subgroup_generators) -> tuple:
+    """The elements of A', once the |A'|^2 |A| selection loop is charged."""
+    sub_elems = ambient.subgroup(subgroup_generators)
+    check_enum(len(sub_elems) ** 2 * ambient.order, what="line selection (|A'|^2 |A|)")
+    return sub_elems
+
+
+def _select_lines(ambient: FiniteAbelianGroup, sub_elems, table) -> LineLattice:
+    """The selection rule of ``allowed_lines`` on a validated value table."""
     pairs = []
     for m in sub_elems:
         for chi in characters(ambient):
@@ -85,19 +109,6 @@ def allowed_lines(
     if not lattice.is_closed_under_addition():
         raise AssertionError("line lattice must be closed under addition")
     return lattice
-
-
-def allowed_lines_from_generator_values(
-    ambient: FiniteAbelianGroup,
-    subgroup_generators,
-    gen_values,
-    cross_terms=None,
-) -> LineLattice:
-    """Convenience wrapper: expand q over the subgroup, then select lines."""
-    table = subgroup_quadratic_table(
-        ambient, subgroup_generators, gen_values, cross_terms
-    )
-    return allowed_lines(ambient, subgroup_generators, table)
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,9 @@
 """Finite cell complexes and exact cohomology with finite abelian coefficients.
 
-A ChainComplex stores integer boundary matrices of a finite CW complex.
+A ChainComplex stores each boundary map of a finite CW complex as sparse
+integer columns, the few nonzero entries of each cell's boundary, so that
+building, gluing and checking complexes costs their nonzero entries.  A
+dense matrix is made in one place only, the coboundary an SNF reduces.
 Cohomology with coefficients in A = Z_{n1} x ... x Z_{nk} comes from two
 full Smith normal forms over Z per call, of delta^q and of delta^{q-1} in
 delta^q's coordinates, shared by every cyclic factor.  By the universal
@@ -12,7 +15,7 @@ factors alone (``cohomology_order``).  A brute-force cochain enumerator
 doubles as the independent oracle for all of this.
 
 Cell structures for the preset manifolds are the minimal standard ones
-(one-vertex surfaces, standard RP^n); their boundary matrices are spelled
+(one-vertex surfaces, standard RP^n); their boundary columns are spelled
 out below so golden tests are deterministic.
 """
 
@@ -27,36 +30,73 @@ from .intmatrix import IntMatrix, invariant_factors, smith_normal_form_full
 from .limits import check_enum
 
 
+def _column(entries, rows: int) -> tuple[tuple[int, int], ...]:
+    """Canonical sparse column: (row, coeff) pairs with rows in range and
+    sorted, duplicates summed and zeros dropped."""
+    if not entries:
+        return ()
+    acc = {}
+    for i, v in entries:
+        if not 0 <= i < rows:
+            raise ValueError(f"boundary row {i} out of range 0..{rows - 1}")
+        acc[i] = acc.get(i, 0) + int(v)
+    return tuple((i, acc[i]) for i in sorted(acc) if acc[i])
+
+
+def _coboundary_matrix(columns, kept) -> IntMatrix:
+    """Dense coboundary whose row j is the sparse boundary column
+    ``columns[j]`` restricted to the cells ``kept``, in that order.
+
+    This is the one place a complex becomes an IntMatrix.
+    """
+    position = {i: p for p, i in enumerate(kept)}
+    rows = []
+    for col in columns:
+        row = [0] * len(position)
+        for i, v in col:
+            if i in position:
+                row[position[i]] = v
+        rows.append(row)
+    return IntMatrix(rows, rows=len(rows), cols=len(position))
+
+
 class ChainComplex:
     """Cellular chain complex: cells_per_dim and boundaries d_k: C_k -> C_{k-1}.
 
-    ``boundaries[k-1]`` is the matrix of d_k (rows indexed by (k-1)-cells,
-    columns by k-cells), for k = 1..top_dim.  d o d = 0 is checked exactly.
+    ``boundaries[k-1][j]`` is the boundary of the j-th k-cell, the canonical
+    nonzero entries (row, coeff) of column j of d_k, for k = 1..top_dim.
+    Each degree may be given as such columns (in any order, with duplicates
+    or zeros) or as an IntMatrix; either is stored as canonical columns.
+    d o d = 0 is checked exactly, over the nonzero entries.
     """
 
-    __slots__ = ("cells", "boundaries", "labels")
+    __slots__ = ("cells", "boundaries")
 
-    def __init__(self, cells, boundaries, labels=None):
+    def __init__(self, cells, boundaries):
         cells = tuple(int(c) for c in cells)
         if not cells or any(c < 0 for c in cells):
             raise ValueError("cells_per_dim must be nonempty and nonnegative")
-        bnds = tuple(boundaries)
-        if len(bnds) != len(cells) - 1:
+        given = tuple(boundaries)
+        if len(given) != len(cells) - 1:
             raise ValueError("need one boundary matrix per dimension 1..top_dim")
-        for k, b in enumerate(bnds, start=1):
-            if (b.rows, b.cols) != (cells[k - 1], cells[k]):
-                raise ValueError(f"boundary {k} has shape {(b.rows, b.cols)}, "
-                                 f"expected {(cells[k - 1], cells[k])}")
+        bnds = []
+        for k, b in enumerate(given, start=1):
+            if isinstance(b, IntMatrix):
+                if (b.rows, b.cols) != (cells[k - 1], cells[k]):
+                    raise ValueError(f"boundary {k} has shape {(b.rows, b.cols)}, "
+                                     f"expected {(cells[k - 1], cells[k])}")
+                b = [[(i, row[j]) for i, row in enumerate(b.data)] for j in range(b.cols)]
+            b = tuple(_column(col, cells[k - 1]) for col in b)
+            if len(b) != cells[k]:
+                raise ValueError(f"boundary {k} has {len(b)} columns, expected {cells[k]}")
+            bnds.append(b)
         for k in range(2, len(cells)):
-            if not (bnds[k - 2] * bnds[k - 1]).is_zero():
-                raise ValueError(f"d_{k-1} o d_{k} != 0")
-        if labels is not None:
-            labels = tuple(tuple(l) for l in labels)
-            if tuple(len(l) for l in labels) != cells:
-                raise ValueError("labels do not match cell counts")
+            lower = bnds[k - 2]
+            for col in bnds[k - 1]:
+                if _column(((h, v * w) for i, v in col for h, w in lower[i]), cells[k - 2]):
+                    raise ValueError(f"d_{k-1} o d_{k} != 0")
         object.__setattr__(self, "cells", cells)
-        object.__setattr__(self, "boundaries", bnds)
-        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "boundaries", tuple(bnds))
 
     def __setattr__(self, name, value):
         raise AttributeError("ChainComplex is immutable")
@@ -66,19 +106,21 @@ class ChainComplex:
         return len(self.cells) - 1
 
     def n_cells(self, k: int) -> int:
-        if 0 <= k <= self.top_dim:
-            return self.cells[k]
-        return 0
+        return self.cells[k] if 0 <= k < len(self.cells) else 0
+
+    def columns(self, k: int) -> tuple:
+        """Sparse columns of d_k, one per k-cell (all empty outside 1..top_dim)."""
+        if 1 <= k <= self.top_dim:
+            return self.boundaries[k - 1]
+        return ((),) * self.n_cells(k)
 
     def boundary(self, k: int) -> IntMatrix:
         """d_k: C_k -> C_{k-1} (zero-shaped outside 1..top_dim)."""
-        if 1 <= k <= self.top_dim:
-            return self.boundaries[k - 1]
-        return IntMatrix.zeros(self.n_cells(k - 1), self.n_cells(k))
+        return self.coboundary(k - 1).transpose()
 
     def coboundary(self, q: int) -> IntMatrix:
         """delta^q: C^q -> C^{q+1}, the transpose of d_{q+1}."""
-        return self.boundary(q + 1).transpose()
+        return _coboundary_matrix(self.columns(q + 1), range(self.n_cells(q)))
 
     def euler_characteristic(self) -> int:
         return sum((-1) ** k * c for k, c in enumerate(self.cells))
@@ -94,12 +136,8 @@ class ChainComplex:
     def to_json(self) -> str:
         import json
 
-        return json.dumps(
-            {
-                "cells": list(self.cells),
-                "boundaries": [[list(r) for r in b.data] for b in self.boundaries],
-            }
-        )
+        bnds = [[list(r) for r in self.boundary(k).data] for k in range(1, len(self.cells))]
+        return json.dumps({"cells": list(self.cells), "boundaries": bnds})
 
     @classmethod
     def from_json(cls, text: str) -> "ChainComplex":
@@ -118,7 +156,7 @@ class SubcomplexMap:
     """Inclusion of a subcomplex, as per-degree injective cell-index maps.
 
     ``cell_maps[k][i]`` is the target index of the i-th source k-cell.  The
-    inclusion must literally commute with the boundary matrices, which in
+    inclusion must literally commute with the boundaries, which in
     particular forces the image to be closed under taking boundaries.
     """
 
@@ -136,15 +174,11 @@ class SubcomplexMap:
                 raise ValueError(f"degree {k} map goes out of range")
             maps.append(m)
         for k in range(1, source.top_dim + 1):
-            src_b = source.boundary(k)
-            tgt_b = target.boundary(k)
-            for j in range(source.n_cells(k)):
-                image_col = [0] * target.n_cells(k - 1)
-                for i in range(source.n_cells(k - 1)):
-                    image_col[maps[k - 1][i]] += src_b[i, j]
-                for i in range(target.n_cells(k - 1)):
-                    if image_col[i] != tgt_b[i, maps[k][j]]:
-                        raise ValueError("inclusion does not commute with boundaries")
+            tgt = target.columns(k)
+            for j, col in enumerate(source.columns(k)):
+                # injective maps keep a canonical column's rows distinct
+                if tuple(sorted((maps[k - 1][i], v) for i, v in col)) != tgt[maps[k][j]]:
+                    raise ValueError("inclusion does not commute with boundaries")
         object.__setattr__(self, "source", source)
         object.__setattr__(self, "target", target)
         object.__setattr__(self, "cell_maps", tuple(maps))
@@ -163,8 +197,7 @@ class SubcomplexMap:
 
 
 def empty_subcomplex(target: ChainComplex) -> SubcomplexMap:
-    point_free = ChainComplex((0,), ())
-    return SubcomplexMap(point_free, target, ((),))
+    return SubcomplexMap(ChainComplex((0,), ()), target, ((),))
 
 
 # ---------------------------------------------------------------------------
@@ -183,13 +216,11 @@ def empty_subcomplex(target: ChainComplex) -> SubcomplexMap:
 
 
 def circle() -> ChainComplex:
-    return ChainComplex((1, 1), (IntMatrix.zeros(1, 1),), labels=(("v",), ("e",)))
+    return ChainComplex((1, 1), ([()],))
 
 
 def interval() -> ChainComplex:
-    return ChainComplex(
-        (2, 1), (IntMatrix([[-1], [1]]),), labels=(("v0", "v1"), ("u",))
-    )
+    return ChainComplex((2, 1), ([((0, -1), (1, 1))],))
 
 
 def sphere(n: int) -> ChainComplex:
@@ -198,8 +229,7 @@ def sphere(n: int) -> ChainComplex:
     if n == 1:
         return circle()
     cells = [1] + [0] * (n - 1) + [1]
-    bnds = [IntMatrix.zeros(cells[k], cells[k + 1]) for k in range(n)]
-    return ChainComplex(cells, bnds)
+    return ChainComplex(cells, [[()] * c for c in cells[1:]])
 
 
 def torus(n: int) -> ChainComplex:
@@ -218,35 +248,22 @@ def surface(g: int) -> ChainComplex:
         return sphere(2)
     # One vertex, 2g loops, one 2-cell along the product of commutators,
     # which abelianizes to zero.
-    return ChainComplex(
-        (1, 2 * g, 1),
-        (IntMatrix.zeros(1, 2 * g), IntMatrix.zeros(2 * g, 1)),
-    )
+    return ChainComplex((1, 2 * g, 1), ([()] * (2 * g), [()]))
 
 
 def real_projective_space(n: int) -> ChainComplex:
     if not 1 <= n <= 4:
         raise ValueError("rp(n) supports 1 <= n <= 4")
-    cells = [1] * (n + 1)
-    bnds = [IntMatrix([[1 + (-1) ** k]]) for k in range(1, n + 1)]
-    return ChainComplex(cells, bnds)
+    return ChainComplex([1] * (n + 1), [[((0, 1 + (-1) ** k),)] for k in range(1, n + 1)])
 
 
 def klein_bottle() -> ChainComplex:
-    return ChainComplex(
-        (1, 2, 1),
-        (IntMatrix.zeros(1, 2), IntMatrix([[2], [0]])),
-        labels=(("v",), ("a", "b"), ("f",)),
-    )
+    return ChainComplex((1, 2, 1), ([(), ()], [((0, 2),)]))
 
 
 def disk() -> tuple[ChainComplex, SubcomplexMap]:
     """The 2-disk and the inclusion of its boundary circle."""
-    cx = ChainComplex(
-        (1, 1, 1),
-        (IntMatrix.zeros(1, 1), IntMatrix([[1]])),
-        labels=(("v",), ("e",), ("f",)),
-    )
+    cx = ChainComplex((1, 1, 1), ([()], [((0, 1),)]))
     return cx, SubcomplexMap(circle(), cx, ((0,), (0,)))
 
 
@@ -256,20 +273,8 @@ def pants() -> tuple[ChainComplex, tuple[SubcomplexMap, SubcomplexMap, Subcomple
     Returns (complex, (cuff1, cuff2, waist)).  H^1 is A x A, restricting to
     (x, y) on the cuffs and x + y on the waist.
     """
-    cx = ChainComplex(
-        (3, 5, 1),
-        (
-            IntMatrix(
-                [
-                    [0, 0, 0, -1, 0],
-                    [0, 0, 0, 0, -1],
-                    [0, 0, 0, 1, 1],
-                ]
-            ),
-            IntMatrix([[1], [1], [-1], [0], [0]]),
-        ),
-        labels=(("v1", "v2", "v3"), ("e1", "e2", "e3", "a", "b"), ("f",)),
-    )
+    d1 = [(), (), (), ((0, -1), (2, 1)), ((1, -1), (2, 1))]
+    cx = ChainComplex((3, 5, 1), (d1, [((0, 1), (1, 1), (2, -1))]))
     cuff1 = SubcomplexMap(circle(), cx, ((0,), (0,)))
     cuff2 = SubcomplexMap(circle(), cx, ((1,), (1,)))
     waist = SubcomplexMap(circle(), cx, ((2,), (2,)))
@@ -308,44 +313,31 @@ def _block_offsets(a: ChainComplex, b: ChainComplex, k: int) -> list[int]:
     return out
 
 
-def _nonzero_entries(m: IntMatrix) -> list[tuple[int, int, int]]:
-    return [(i, j, v) for i, row in enumerate(m.data) for j, v in enumerate(row) if v]
-
-
 def product(a: ChainComplex, b: ChainComplex) -> ChainComplex:
     """Tensor-product complex with Koszul signs.
 
     Degree-k cells are pairs (x, y) with deg x + deg y = k, grouped in
     blocks of increasing deg x, each block ordered by (x index, y index).
-    d(x, y) = (dx, y) + (-1)^{deg x} (x, dy), built from the nonzero entries
-    of the factors' boundaries.
+    d(x, y) = (dx, y) + (-1)^{deg x} (x, dy), one sparse column per pair.
     """
     top = a.top_dim + b.top_dim
     offsets = [_block_offsets(a, b, k) for k in range(top + 1)]
-    cells = [off[-1] for off in offsets]
-    da = [()] + [_nonzero_entries(m) for m in a.boundaries]
-    db = [()] + [_nonzero_entries(m) for m in b.boundaries]
     bnds = []
     for k in range(1, top + 1):
-        rows = [[0] * cells[k] for _ in range(cells[k - 1])]
+        cols = []
         for i in range(max(0, k - b.top_dim), min(k, a.top_dim) + 1):
             j = k - i
-            nb = b.n_cells(j)
-            col0 = offsets[k][i]
-            if i >= 1:
-                row0 = offsets[k - 1][i - 1]
-                for ar, ai, coeff in da[i]:
-                    for bi in range(nb):
-                        rows[row0 + ar * nb + bi][col0 + ai * nb + bi] += coeff
-            if j >= 1:
-                sign = -1 if i % 2 else 1
-                row0 = offsets[k - 1][i]
-                nb_row = b.n_cells(j - 1)
-                for br, bi, coeff in db[j]:
-                    for ai in range(a.n_cells(i)):
-                        rows[row0 + ai * nb_row + br][col0 + ai * nb + bi] += sign * coeff
-        bnds.append(IntMatrix(rows, rows=cells[k - 1], cols=cells[k]))
-    return ChainComplex(cells, bnds)
+            nb, nb_row = b.n_cells(j), b.n_cells(j - 1)
+            # (dx, y) rows sit in block i - 1, (x, dy) rows in block i; a
+            # degree-0 x has an empty boundary, so block -1 is never read
+            row_a, row_b = offsets[k - 1][i - 1], offsets[k - 1][i]
+            sign = -1 if i % 2 else 1
+            for ai, a_col in enumerate(a.columns(i)):
+                for bi, b_col in enumerate(b.columns(j)):
+                    cols.append([(row_a + ar * nb + bi, v) for ar, v in a_col]
+                                + [(row_b + ai * nb_row + br, sign * v) for br, v in b_col])
+        bnds.append(cols)
+    return ChainComplex([off[-1] for off in offsets], bnds)
 
 
 def product_cell_index(a: ChainComplex, b: ChainComplex, k: int, i: int,
@@ -368,42 +360,28 @@ def glue_complexes(a: ChainComplex, b: ChainComplex, identifications):
     where b_index_map[k][old_b_index] = index in the glued complex.
     """
     top = max(a.top_dim, b.top_dim)
+    if any(not (0 <= j < b.n_cells(k) and 0 <= i < a.n_cells(k))
+           for k, pairs in identifications.items() for j, i in pairs.items()):
+        raise ValueError("identifications must map b-cells to a-cells of the same degree")
     ident = {k: dict(identifications.get(k, {})) for k in range(top + 1)}
     b_map = []
     cells = []
     for k in range(top + 1):
-        new_idx = {}
-        pos = a.n_cells(k)
-        for j in range(b.n_cells(k)):
-            if j in ident[k]:
-                new_idx[j] = ident[k][j]
-            else:
-                new_idx[j] = pos
-                pos += 1
+        fresh = [j for j in range(b.n_cells(k)) if j not in ident[k]]
+        new_idx = {j: a.n_cells(k) + p for p, j in enumerate(fresh)} | ident[k]
         b_map.append(tuple(new_idx[j] for j in range(b.n_cells(k))))
-        cells.append(pos)
-    for k in range(1, top + 1):
-        db = b.boundary(k)
-        da = a.boundary(k)
-        for j in ident[k]:
-            mapped = [0] * a.n_cells(k - 1)
-            for i in range(b.n_cells(k - 1)):
-                if db[i, j]:
-                    if i not in ident[k - 1]:
-                        raise ValueError("identified cells are not a subcomplex")
-                    mapped[ident[k - 1][i]] += db[i, j]
-            for i in range(a.n_cells(k - 1)):
-                if mapped[i] != da[i, ident[k][j]]:
-                    raise ValueError("identification breaks boundary matching")
+        cells.append(a.n_cells(k) + len(fresh))
     bnds = []
     for k in range(1, top + 1):
-        rows = [[0] * cells[k] for _ in range(cells[k - 1])]
-        for i, j, v in _nonzero_entries(a.boundary(k)):
-            rows[i][j] += v
-        for i, j, v in _nonzero_entries(b.boundary(k)):
-            if j not in ident[k]:
-                rows[b_map[k - 1][i]][b_map[k][j]] += v
-        bnds.append(IntMatrix(rows, rows=cells[k - 1], cols=cells[k]))
+        b_cols, a_cols = b.columns(k), a.columns(k)
+        for j, target in ident[k].items():
+            if any(i not in ident[k - 1] for i, _ in b_cols[j]):
+                raise ValueError("identified cells are not a subcomplex")
+            mapped = _column(((ident[k - 1][i], v) for i, v in b_cols[j]), cells[k - 1])
+            if mapped != a_cols[target]:
+                raise ValueError("identification breaks boundary matching")
+        bnds.append(list(a_cols) + [[(b_map[k - 1][i], v) for i, v in col]
+                                    for j, col in enumerate(b_cols) if j not in ident[k]])
     return ChainComplex(cells, bnds), tuple(b_map)
 
 
@@ -520,13 +498,6 @@ def _cyclic_orders(c: int, out_factors, in_factors, n: int) -> list[int]:
     return [gcd(d, n) for d in out_factors] + [gcd(e, n) for e in in_factors] + [n] * free
 
 
-def _block_diag(r: int, u: IntMatrix) -> IntMatrix:
-    """diag(I_r, u)."""
-    c = r + u.rows
-    top = IntMatrix.identity(c).data[:r]
-    return IntMatrix(top + tuple((0,) * r + row for row in u.data), rows=c, cols=c)
-
-
 def _cohomology_group(q, coeffs, delta_out, delta_in) -> CohomologyGroup:
     """Two full Smith forms, shared by every cyclic factor of A.
 
@@ -544,8 +515,13 @@ def _cohomology_group(q, coeffs, delta_out, delta_in) -> CohomologyGroup:
     if any(any(row) for row in images.data[:r]):
         raise ValueError("coboundary is not a cocycle; broken complex")
     w = smith_normal_form_full(IntMatrix(images.data[r:], rows=c - r, cols=images.cols))
-    to_coords = _block_diag(r, w.u) * snf.v_inv
-    lifts = snf.v * _block_diag(r, w.u_inv)
+    # diag(I_r, U_W) V^-1 and V diag(I_r, U_W^-1): only the c - r nonpivot
+    # rows of V^-1 and columns of V change
+    v_inv, v = snf.v_inv.data, snf.v.data
+    to_coords = IntMatrix(v_inv[:r] + (w.u * IntMatrix(v_inv[r:], rows=c - r, cols=c)).data,
+                          rows=c, cols=c)
+    tails = IntMatrix([row[r:] for row in v], rows=c, cols=c - r) * w.u_inv
+    lifts = IntMatrix([row[:r] + t for row, t in zip(v, tails.data)], rows=c, cols=c)
     factors = []
     for n in coeffs.invariant_factors:
         orders = _cyclic_orders(c, snf.diagonal, w.diagonal, n)
@@ -585,9 +561,9 @@ def _order(ncells: int, out_factors, in_factors, coeffs: FiniteAbelianGroup) -> 
 
 
 def _boundary_factors(cx: ChainComplex, k: int, table: dict) -> tuple[int, ...]:
-    """Invariant factors of d_k (equally of delta^{k-1}), reduced once per table."""
+    """Invariant factors of d_k, read off delta^{k-1}, reduced once per table."""
     if k not in table:
-        table[k] = invariant_factors(cx.boundary(k))
+        table[k] = invariant_factors(cx.coboundary(k - 1))
     return table[k]
 
 
@@ -621,17 +597,11 @@ def _relative_coboundaries(w: ChainComplex, sub: SubcomplexMap, q: int):
         excluded = set(sub.image_cells(k))
         return [i for i in range(w.n_cells(k)) if i not in excluded]
 
-    def restrict(matrix, rows_keep, cols_keep):
-        return IntMatrix(
-            [[matrix[i, j] for j in cols_keep] for i in rows_keep],
-            rows=len(rows_keep),
-            cols=len(cols_keep),
-        )
+    def coboundary(k):
+        columns = w.columns(k + 1)
+        return _coboundary_matrix([columns[j] for j in kept(k + 1)], kept(k))
 
-    kq = kept(q)
-    delta_out = restrict(w.coboundary(q), kept(q + 1), kq)
-    delta_in = restrict(w.coboundary(q - 1), kq, kept(q - 1))
-    return delta_out, delta_in
+    return coboundary(q), coboundary(q - 1)
 
 
 def relative_cohomology(

@@ -15,9 +15,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations, product
-from math import lcm
+from math import lcm, prod
 
 from .groups import FiniteAbelianGroup
+from .limits import check_enum
 
 
 def mod1(x) -> Fraction:
@@ -133,8 +134,10 @@ def subgroup_quadratic_table(
     d = lcm(*(v.denominator for v in (*gen_values, *cross.values())))
     nums = [int(v * d) for v in gen_values]
     cross = {ij: int(v * d) for ij, v in cross.items()}
+    orders = [group.element_order(g) for g in generators]
+    check_enum(prod(orders), what="quadratic table expansion")
     table: dict[tuple, Fraction] = {}
-    for coeffs in product(*(range(group.element_order(g)) for g in generators)):
+    for coeffs in product(*(range(n) for n in orders)):
         elem = tuple(
             sum(c * g[k] for c, g in zip(coeffs, generators)) % n
             for k, n in enumerate(group.invariant_factors)
@@ -163,6 +166,7 @@ def subgroup_quadratic_table(
 def _validate(group: FiniteAbelianGroup, generators, table) -> None:
     """Check that ``table``, defined on the subgroup that ``generators``
     generate, is a quadratic refinement; see the module docstring."""
+    check_enum(len(generators) * len(table) ** 2, what="quadratic refinement check")
     if table[group.zero()] != 0:
         raise ValueError("q(0) must vanish")
     for g in generators:

@@ -112,7 +112,7 @@ class BordismMatrix:
             raise ValueError("row count mismatch")
         if any(len(r) != self.source.dim for r in self.entries):
             raise ValueError("column count mismatch")
-        if any(x < 0 for row in self.entries for x in row):
+        if any(x.numerator < 0 for row in self.entries for x in row):
             raise ValueError("bordism matrices have nonnegative entries")
 
     def __getitem__(self, key):
@@ -290,10 +290,7 @@ def glue(first: Bordism, second: Bordism) -> Bordism:
 
 def _circles(r: int) -> ChainComplex:
     """The disjoint union of r standard circles (the empty complex if r = 0)."""
-    cx = ChainComplex((0,), ())
-    for _ in range(r):
-        cx = disjoint_union(cx, complexes.circle())
-    return cx
+    return ChainComplex((r, r), ([()] * r,)) if r else ChainComplex((0,), ())
 
 
 def _in_boundary_subcomplex(b: Bordism) -> SubcomplexMap:

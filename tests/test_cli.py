@@ -319,6 +319,29 @@ class TestExitCodes:
         assert time.perf_counter() - start < 1.0
         assert code == 3 and "bordism matrix entries" in err and out == ""
 
+    def test_line_selection_trips_the_default_guard(self, capsys):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "lines", "--A", "Z32xZ32", "--Aprime", "full",
+                             "--q", "0,0")
+        assert time.perf_counter() - start < 1.0
+        assert code == 3 and "line selection" in err and out == ""
+
+    def test_line_selection_at_the_guard_ceiling_runs(self, capsys):
+        # |A'|^2 |A| = 2^24 exactly; q = 0 dresses no flux with a charge
+        code, out, _ = run(capsys, "lines", "--A", "Z16xZ16", "--Aprime", "full",
+                           "--q", "0,0")
+        pairs = [[[a, b], [0, 0]] for a in range(16) for b in range(16)]
+        expected = {"A": "Z16xZ16", "Aprime_generators": [[1, 0], [0, 1]],
+                    "pairs": pairs, "count": 256}
+        assert code == 0 and out == json.dumps(expected, sort_keys=True, indent=2) + "\n"
+
+    @pytest.mark.parametrize("limit,expected", [(4096, 0), (4095, 3)])
+    def test_line_selection_charge_is_exact(self, capsys, limit, expected):
+        # Z4xZ4 with A' = A: 16^2 * 16 = 4096 selection steps
+        code, _, _ = run(capsys, "lines", "--A", "Z4xZ4", "--Aprime", "full",
+                         "--q", "0,0", "--max-enum", str(limit))
+        assert code == expected
+
     def test_transfer_overflow_is_input_error(self, capsys):
         code, out, err = run(capsys, "ising", "--L", "4", "--T", "300", "--beta", "0.05",
                              "--method", "transfer")

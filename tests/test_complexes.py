@@ -388,6 +388,6 @@ class TestGlue:
             # identify the disk's face without identifying its boundary edge
             glue_complexes(cx, cx, {2: {0: 0}})
 
-    def test_json_round_trip(self):
-        cx = torus(2)
+    @pytest.mark.parametrize("cx", [torus(2), product(klein_bottle(), interval())])
+    def test_json_round_trip(self, cx):
         assert ChainComplex.from_json(cx.to_json()) == cx

@@ -5,6 +5,7 @@ from math import lcm
 import pytest
 
 from finsym.groups import FiniteAbelianGroup
+from finsym.limits import GuardExceeded, max_enum
 from finsym.quadratic import QuadraticForm, bihomomorphism, subgroup_quadratic_table
 
 Z2 = FiniteAbelianGroup([2])
@@ -222,3 +223,17 @@ class TestValidatorMatchesExhaustiveOracle:
              lambda a=a, v=v: subgroup_quadratic_table(z8, [(a,)], [v]))
             for a in range(8) for v in self.GRID
         )
+
+
+def test_refinement_check_is_charged_per_generator_and_pair():
+    z16 = FiniteAbelianGroup([16])
+    with max_enum(256):
+        QuadraticForm(z16, [Fraction(1, 32)])
+    with max_enum(255), pytest.raises(GuardExceeded, match="quadratic refinement check"):
+        QuadraticForm(z16, [Fraction(1, 32)])
+
+
+def test_redundant_generators_charge_the_expansion():
+    # 40 copies of one Z2 generator: 2^40 words for a two-element table
+    with pytest.raises(GuardExceeded, match="quadratic table expansion"):
+        subgroup_quadratic_table(Z2, [(1,)] * 40, [0] * 40)

@@ -239,6 +239,17 @@ class TestValidation:
         with pytest.raises(ValueError):
             glue(cap(), pants_bordism())
 
+    @pytest.mark.parametrize("entry", [Fraction(-1, 3), -1])
+    def test_negative_entry_rejected(self, entry):
+        space = StateSpace(Z2, 0)
+        with pytest.raises(ValueError, match="nonnegative"):
+            BordismMatrix(space, space, ((entry,),))
+
+    @pytest.mark.parametrize("entry", [Fraction(0), Fraction(1, 3), 2])
+    def test_nonnegative_entry_accepted(self, entry):
+        space = StateSpace(Z2, 0)
+        assert BordismMatrix(space, space, ((entry,),)).scalar() == entry
+
 
 def tally_matrix(b: Bordism, group: FiniteAbelianGroup) -> BordismMatrix:
     """Oracle: tally the boundary values of every class of H^1(W; A), one
