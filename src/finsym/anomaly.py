@@ -35,14 +35,18 @@ class LineLattice:
         return (tuple(m), tuple(e)) in set(self.pairs)
 
     def is_closed_under_addition(self) -> bool:
-        seen = set(self.pairs)
-        dual = dual_group(self.ambient)
-        for m1, e1 in self.pairs:
-            for m2, e2 in self.pairs:
-                pair = (self.ambient.add(m1, m2), dual.add(e1, e2))
-                if pair not in seen:
+        """Empty, or holding 0 and each coset by which their span grows."""
+        a, dual, members = self.ambient, dual_group(self.ambient), set(self.pairs)
+        grown = {(a.zero(), dual.zero())}
+        for m, e in self.pairs:
+            cosets, shift = [], (m, e)
+            while shift not in grown:
+                cosets.append({(a.add(x, shift[0]), dual.add(y, shift[1])) for x, y in grown})
+                if not cosets[-1] <= members:
                     return False
-        return True
+                shift = (a.add(shift[0], m), dual.add(shift[1], e))
+            grown.update(*cosets)
+        return not members or grown <= members
 
 
 def allowed_lines(
@@ -55,8 +59,8 @@ def allowed_lines(
     For each m in the subgroup A', the electric label is forced on A' to be
     the inverse of e'(m) = b(m, -), where b is the polarization of q; the
     Wilson directions transverse to A' remain free.  In additive notation
-    the constraint is e|_{A'} = -b(m, -); each m therefore carries |A|/|A'|
-    characters and the lattice has exactly |A| elements.
+    the constraint is e|_{A'} = -b(m, -), homomorphisms matched on the
+    generators of A'; each m carries |A|/|A'| characters, |A| in all.
 
     ``q`` is either a QuadraticForm on the whole group (only when A' = A)
     or a value table on the subgroup elements as produced by
@@ -73,7 +77,7 @@ def allowed_lines(
         if set(table) != set(sub_elems):
             raise ValueError("q must be defined exactly on the subgroup")
         _validate(ambient, [tuple(g) for g in subgroup_generators], table)
-    return _select_lines(ambient, sub_elems, table)
+    return _select_lines(ambient, subgroup_generators, sub_elems, table)
 
 
 def allowed_lines_from_generator_values(
@@ -86,7 +90,7 @@ def allowed_lines_from_generator_values(
     validated the table, so it is not validated again."""
     sub_elems = _line_subgroup(ambient, subgroup_generators)
     table = subgroup_quadratic_table(ambient, subgroup_generators, gen_values, cross_terms)
-    return _select_lines(ambient, sub_elems, table)
+    return _select_lines(ambient, subgroup_generators, sub_elems, table)
 
 
 def _line_subgroup(ambient: FiniteAbelianGroup, subgroup_generators) -> tuple:
@@ -96,13 +100,15 @@ def _line_subgroup(ambient: FiniteAbelianGroup, subgroup_generators) -> tuple:
     return sub_elems
 
 
-def _select_lines(ambient: FiniteAbelianGroup, sub_elems, table) -> LineLattice:
-    """The selection rule of ``allowed_lines`` on a validated value table."""
+def _select_lines(ambient: FiniteAbelianGroup, generators, sub_elems, table) -> LineLattice:
+    """The rule of ``allowed_lines``: characters bucketed by values on gens."""
+    buckets = {}
+    for chi in characters(ambient):
+        buckets.setdefault(tuple(chi.value(g) for g in generators), []).append(chi.exponents)
     pairs = []
     for m in sub_elems:
-        for chi in characters(ambient):
-            if all(chi.value(x) == -polarization(ambient, table, m, x) % 1 for x in sub_elems):
-                pairs.append((m, chi.exponents))
+        key = tuple(-polarization(ambient, table, m, tuple(g)) % 1 for g in generators)
+        pairs.extend((m, e) for e in buckets.get(key, ()))
     lattice = LineLattice(ambient, tuple(sorted(pairs)))
     if len(lattice.pairs) != ambient.order:
         raise AssertionError("selection rule must produce exactly |A| lines")

@@ -16,6 +16,11 @@ from .groups import FiniteGroup
 from .limits import check_enum
 
 
+def _charged_rank(rank: int) -> int:
+    check_enum(rank**3, what=f"fusion associativity check ({rank}^3 triples)")
+    return rank
+
+
 class FusionRing:
     """Unital based ring with nonnegative structure constants.
 
@@ -56,7 +61,7 @@ class FusionRing:
         object.__setattr__(self, "unit", int(unit))
         object.__setattr__(self, "n_tensor", n)
         object.__setattr__(self, "dual", dual)
-        check_enum(rank**3, what=f"fusion associativity check ({rank}^3 triples)")
+        _charged_rank(rank)
         # terms[i][j]: the nonzero (k, N_ij^k) of i x j.  Products of positive
         # multiplicities never cancel, so sparse sums compare like dense ones.
         terms = [
@@ -191,7 +196,7 @@ def _element_label(group: FiniteGroup, i: int) -> str:
 def group_ring(group: FiniteGroup) -> FusionRing:
     """One simple per group element; fusion is the Cayley table, duals are
     inverses."""
-    rank = group.order
+    rank = _charged_rank(group.order)
     n = [
         [
             [1 if group.mul(i, j) == k else 0 for k in range(rank)]
@@ -208,7 +213,7 @@ def tambara_yamagami(group: FiniteGroup) -> FusionRing:
     N x L_g = L_g x N = N and N x N = sum_g L_g.  Needs abelian G."""
     if not group.is_abelian():
         raise ValueError("Tambara-Yamagami requires an abelian group")
-    rank = group.order + 1
+    rank = _charged_rank(group.order + 1)
     dual_idx = group.order
     n = [[[0] * rank for _ in range(rank)] for _ in range(rank)]
     for i in range(group.order):

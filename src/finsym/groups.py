@@ -4,8 +4,8 @@ Abelian groups are kept in invariant-factor form; elements are tuples of
 residues, one per factor.  Characters evaluate into Q/Z: the value is the
 exact fraction t of a full turn, i.e. the root of unity exp(2*pi*i*t).
 General finite groups are multiplication tables validated on construction
-(Latin square, two-sided identity, inverses, associativity); desk scale is
-|G| <= 24 so the cubic associativity check is cheap.
+(rows are permutations, two-sided identity, associativity by Light's test
+over a generating set).
 """
 
 from __future__ import annotations
@@ -15,6 +15,8 @@ from collections import defaultdict
 from fractions import Fraction
 from itertools import product, zip_longest
 from math import prod
+
+from .limits import check_enum
 
 
 def _factorint(n: int) -> dict[int, int]:
@@ -222,8 +224,10 @@ def characters(group: FiniteAbelianGroup):
 class FiniteGroup:
     """A finite group given by its Cayley table.
 
-    ``cayley[i][j]`` is the index of the product of elements i and j.  The
-    table is fully validated on construction.
+    ``cayley[i][j]`` is the index of the product of elements i and j.  Rows
+    must be permutations and the identity a two-sided unit.  The a with
+    (x a) y = x (a y) for all x, y are closed under products, so Light's test
+    (Clifford-Preston 1961, section 1.2) checks them on greedy generators.
     """
 
     __slots__ = ("order", "cayley", "identity", "inverses")
@@ -231,36 +235,35 @@ class FiniteGroup:
     def __init__(self, cayley, identity: int = 0):
         table = tuple(tuple(int(x) for x in row) for row in cayley)
         n = len(table)
-        idx = set(range(n))
         for row in table:
-            if len(row) != n or set(row) != idx:
+            if len(row) != n or set(row) != set(range(n)):
                 raise ValueError("Cayley table rows must be permutations")
-        for j in range(n):
-            if {table[i][j] for i in range(n)} != idx:
-                raise ValueError("Cayley table columns must be permutations")
         e = int(identity)
         if not 0 <= e < n:
             raise ValueError("identity index out of range")
         for i in range(n):
             if table[e][i] != i or table[i][e] != i:
                 raise ValueError("identity is not a two-sided unit")
-        inv = [None] * n
-        for i in range(n):
-            for j in range(n):
-                if table[i][j] == e and table[j][i] == e:
-                    inv[i] = j
-                    break
-            if inv[i] is None:
-                raise ValueError(f"element {i} has no two-sided inverse")
-        for i in range(n):
-            for j in range(n):
-                for k in range(n):
-                    if table[table[i][j]][k] != table[i][table[j][k]]:
-                        raise ValueError(f"associativity fails at ({i},{j},{k})")
+        gens, reached = [], {e}
+        for g in range(n):
+            if g not in reached:
+                gens.append(g)
+                stack = [table[x][g] for x in reached]
+                while stack:
+                    y = stack.pop()
+                    if y not in reached:
+                        reached.add(y)
+                        stack.extend(table[y][a] for a in gens)
+        check_enum(n * n * len(gens), what=f"associativity check ({n}^2 x {len(gens)} gens)")
+        for a in gens:
+            for x, row in enumerate(table):
+                for y, ay in enumerate(table[a]):
+                    if table[row[a]][y] != row[ay]:
+                        raise ValueError(f"associativity fails at ({x},{a},{y})")
         object.__setattr__(self, "order", n)
         object.__setattr__(self, "cayley", table)
         object.__setattr__(self, "identity", e)
-        object.__setattr__(self, "inverses", tuple(inv))
+        object.__setattr__(self, "inverses", tuple(row.index(e) for row in table))
 
     def __setattr__(self, name, value):
         raise AttributeError("FiniteGroup is immutable")
@@ -352,6 +355,7 @@ def direct_product(a: FiniteGroup, b: FiniteGroup) -> FiniteGroup:
 
 def abelian_cayley(group: FiniteAbelianGroup) -> FiniteGroup:
     """The Cayley-table avatar of an abelian group (lexicographic indexing)."""
+    check_enum(group.order**2, what="Cayley table (|A|^2 entries)")
     elems = list(group.elements())
     index = {e: i for i, e in enumerate(elems)}
     table = [[index[group.add(x, y)] for y in elems] for x in elems]

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 from math import gcd, sqrt
 
@@ -5,6 +6,7 @@ import pytest
 
 from finsym.anomaly import (
     ChiralAngle,
+    LineLattice,
     MinimalTFT,
     allowed_lines,
     allowed_lines_from_generator_values,
@@ -17,13 +19,14 @@ from finsym.anomaly import (
     minimal_tft_data,
     ym_theta_pi_anomaly,
 )
-from finsym.groups import FiniteAbelianGroup
-from finsym.quadratic import QuadraticForm
+from finsym.groups import FiniteAbelianGroup, characters
+from finsym.quadratic import QuadraticForm, polarization, subgroup_quadratic_table
 
 Z2 = FiniteAbelianGroup([2])
 Z4 = FiniteAbelianGroup([4])
 Z2Z2 = FiniteAbelianGroup([2, 2])
 Z2Z4 = FiniteAbelianGroup([2, 4])
+Z4Z4 = FiniteAbelianGroup([4, 4])
 
 
 class TestAllowedLines:
@@ -106,6 +109,134 @@ class TestAllowedLines:
     def test_raw_table_that_is_no_refinement_rejected(self, table):
         with pytest.raises(ValueError):
             allowed_lines(Z4, [(1,)], table)
+
+
+def _scan_lines(ambient, sub_elems, table):
+    """The former selection: every (m, chi) pair, tested at every x in A'."""
+    return tuple(sorted(
+        (m, chi.exponents)
+        for m in sub_elems
+        for chi in characters(ambient)
+        if all(chi.value(x) == -polarization(ambient, table, m, x) % 1 for x in sub_elems)
+    ))
+
+
+# (A, generators of A'): trivial, full, proper, zero and redundant generators
+SELECTION_CASES = [
+    (Z2, []),
+    (Z2, [(1,)]),
+    (Z2, [(0,)]),
+    (Z4, [(2,)]),
+    (Z4, [(1,)]),
+    (Z4, [(2,), (1,)]),
+    (Z2Z2, [(1, 0)]),
+    (Z2Z2, [(1, 1)]),
+    (Z2Z2, [(1, 0), (0, 1)]),
+    (Z2Z2, [(1, 0), (0, 1), (1, 1)]),
+    (Z2Z4, [(0, 2)]),
+    (Z2Z4, [(1, 2)]),
+    (Z2Z4, [(1, 0), (0, 1)]),
+    (Z2Z4, [(1, 1), (0, 0)]),
+    (Z2Z4, [(0, 1), (0, 2)]),
+    (Z4Z4, [(2, 0), (0, 2)]),
+    (Z4Z4, [(1, 1)]),
+    (Z4Z4, [(1, 0), (0, 1)]),
+    (Z4Z4, [(1, 0), (1, 1), (0, 0)]),
+]
+
+
+def _random_data(ambient, gens, rng):
+    d = 2 * ambient.exponent
+    values = [Fraction(rng.randrange(d), d) for _ in gens]
+    cross = {(i, j): Fraction(rng.randrange(d), d)
+             for i in range(len(gens)) for j in range(i + 1, len(gens)) if rng.random() < 0.5}
+    return values, cross
+
+
+def _refinements(ambient, gens, rng, tries=24):
+    """Valid (values, cross terms, table) for q on A': random data that
+    happens to refine, and restrictions of random forms on A, which are
+    consistent on redundant and zero generators too."""
+    found = []
+    pairs = [(i, j) for i in range(len(gens)) for j in range(i + 1, len(gens))]
+    for _ in range(tries):
+        candidates = [_random_data(ambient, gens, rng)]
+        try:
+            q = QuadraticForm(ambient, *_random_data(ambient, ambient.unit_generators(), rng))
+        except ValueError:
+            pass
+        else:
+            candidates.append(([q(g) for g in gens],
+                               {(i, j): q.polarization(gens[i], gens[j]) for i, j in pairs}))
+        for values, cross in candidates:
+            try:
+                table = subgroup_quadratic_table(ambient, gens, values, cross)
+            except ValueError:
+                continue
+            found.append((values, cross, table))
+    return found
+
+
+class TestSelectionOracle:
+    @pytest.mark.parametrize("ambient,gens", SELECTION_CASES)
+    def test_generator_buckets_match_the_full_scan(self, ambient, gens):
+        rng = random.Random(f"{ambient}{gens}")
+        sub_elems = ambient.subgroup(gens)
+        found = _refinements(ambient, gens, rng)
+        assert found
+        for values, cross, table in found:
+            expected = _scan_lines(ambient, sub_elems, table)
+            lattice = allowed_lines_from_generator_values(ambient, gens, values, cross)
+            assert lattice.pairs == expected
+            assert allowed_lines(ambient, gens, table).pairs == expected
+
+
+def _pairwise_closed(lattice):
+    """The former closure check: every sum of two pairs is a pair."""
+    seen = set(lattice.pairs)
+    a = lattice.ambient
+    return all((a.add(m1, m2), a.add(e1, e2)) in seen
+               for m1, e1 in lattice.pairs for m2, e2 in lattice.pairs)
+
+
+def _span(ambient, gens):
+    """The subgroup of A x A^dual generated by ``gens``, by plain closure."""
+    zero = (ambient.zero(), ambient.zero())
+    seen, frontier = {zero}, [zero]
+    while frontier:
+        m, e = frontier.pop()
+        for gm, ge in gens:
+            p = (ambient.add(m, gm), ambient.add(e, ge))
+            if p not in seen:
+                seen.add(p)
+                frontier.append(p)
+    return seen
+
+
+class TestClosureOracle:
+    @pytest.mark.parametrize("ambient", [Z2, Z4, Z2Z2, Z2Z4])
+    def test_coset_growth_matches_pairwise_closure(self, ambient):
+        rng = random.Random(str(ambient))
+        universe = [(m, e) for m in ambient.elements() for e in ambient.elements()]
+        subsets = [set(), {universe[0]}, set(universe[1:]), set(universe)]
+        for _ in range(30):
+            sub = _span(ambient, rng.sample(universe, rng.randrange(3)))
+            shift = rng.choice(universe)
+            subsets += [
+                sub,
+                sub - {rng.choice(sorted(sub))},
+                sub - {universe[0]},
+                {(ambient.add(m, shift[0]), ambient.add(e, shift[1])) for m, e in sub},
+                sub | {shift},
+                set(rng.sample(universe, rng.randrange(len(universe) + 1))),
+            ]
+        verdicts = set()
+        for subset in subsets:
+            lattice = LineLattice(ambient, tuple(sorted(subset)))
+            verdict = _pairwise_closed(lattice)
+            assert lattice.is_closed_under_addition() == verdict, sorted(subset)
+            verdicts.add(verdict)
+        assert verdicts == {True, False}
 
 
 class TestMinimalTFT:

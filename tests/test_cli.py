@@ -328,12 +328,38 @@ class TestExitCodes:
 
     def test_line_selection_at_the_guard_ceiling_runs(self, capsys):
         # |A'|^2 |A| = 2^24 exactly; q = 0 dresses no flux with a charge
+        start = time.perf_counter()
         code, out, _ = run(capsys, "lines", "--A", "Z16xZ16", "--Aprime", "full",
                            "--q", "0,0")
+        assert time.perf_counter() - start < 2.0
         pairs = [[[a, b], [0, 0]] for a in range(16) for b in range(16)]
         expected = {"A": "Z16xZ16", "Aprime_generators": [[1, 0], [0, 1]],
                     "pairs": pairs, "count": 256}
         assert code == 0 and out == json.dumps(expected, sort_keys=True, indent=2) + "\n"
+
+    def test_pure_wilson_lines_of_a_large_group_are_quick(self, capsys):
+        # A' = 0 is charged |A| = 4096; the |A|^2 pairwise closure check is gone
+        start = time.perf_counter()
+        code, out, _ = run(capsys, "lines", "--A", "Z4096", "--Aprime", "0", "--q", "")
+        assert time.perf_counter() - start < 1.0
+        doc = json.loads(out)
+        assert code == 0 and doc["count"] == 4096
+        assert doc["pairs"] == [[[0], [e]] for e in range(4096)]
+
+    @pytest.mark.parametrize("flag,rank", [("--group-ring", 300), ("--ty", 301)])
+    def test_large_group_ring_trips_the_guard_before_it_is_built(self, capsys, flag, rank):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "fusion", flag, "Z300")
+        assert time.perf_counter() - start < 1.0
+        assert code == 3 and out == ""
+        assert err == (f"guard exceeded: fusion associativity check ({rank}^3 triples) "
+                       f"needs {rank**3} states, guard allows {HARD_CEILING}\n")
+
+    @pytest.mark.parametrize("flag", ["--q", "--q-cross"])
+    def test_zero_denominator_is_input_error(self, capsys, flag):
+        argv = ["lines", "--A", "Z2xZ2", "--Aprime", "full", "--q", "1/4,1/4"]
+        code, out, err = run(capsys, *argv, flag, "1/0" if flag == "--q" else "0,1:1/0")
+        assert code == 2 and err.startswith("error: ") and out == ""
 
     @pytest.mark.parametrize("limit,expected", [(4096, 0), (4095, 3)])
     def test_line_selection_charge_is_exact(self, capsys, limit, expected):

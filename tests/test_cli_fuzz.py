@@ -1,0 +1,83 @@
+"""Grammar fuzz of the ``lines`` and ``fusion`` subcommands.
+
+Hypothesis draws argvs from the CLI grammar (group strings, subgroup
+specs, q values and cross terms, reports, formats and ``--max-enum``),
+well-formed and garbled alike.  Every argv must end in exit 0, 2 or 3
+from ``cli.main``: a result, an input error or a tripped guard, never an
+uncaught exception.  Runs are derandomized and keep no example database,
+and the groups stay small, so the suite stays fast and deterministic.
+"""
+
+import contextlib
+import io
+import tempfile
+from pathlib import Path
+
+import pytest
+
+pytest.importorskip("hypothesis")
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.configuration import set_hypothesis_home_dir
+
+from finsym.cli import main
+
+# Hypothesis's pytest plugin caches the literals of local modules under its
+# home directory while collecting, database or not; keep that out of the
+# checkout.
+set_hypothesis_home_dir(Path(tempfile.gettempdir()) / "finsym-hypothesis")
+
+FUZZ = settings(derandomize=True, database=None, deadline=None, max_examples=150)
+
+GARBAGE = st.sampled_from(["", " ", "x", ";", ",", ":", "-1", "1/0", "0/0", "1/2/3",
+                           "1.5", "1e3", "Z", "Zx2", "Z0", "Z-4", "nan", "∞"])
+
+
+def groups(max_factor, max_factors):
+    cyclic = st.integers(1, max_factor).map(lambda n: f"Z{n}")
+    return st.one_of(st.lists(cyclic, min_size=1, max_size=max_factors).map("x".join),
+                     st.sampled_from(["S3", "D4", "Q8", "Z1", "trivial", "0", "E8"]), GARBAGE)
+
+
+FRACTIONS = st.one_of(
+    st.sampled_from(["0", "1/2", "1/4", "3/4", "1/8", "1/6", "1/3"]),
+    st.builds(lambda p, q: f"{p}/{q}", st.integers(-9, 9), st.integers(0, 16)),
+    st.integers(-3, 3).map(str),
+    GARBAGE,
+)
+ELEMENT = st.lists(st.integers(-1, 12).map(str), min_size=0, max_size=3).map(",".join)
+SUBGROUPS = st.one_of(st.sampled_from(["0", "trivial", "full"]),
+                      st.lists(ELEMENT, min_size=1, max_size=3).map(";".join), GARBAGE)
+CROSS = st.one_of(
+    st.just(""),
+    st.lists(st.builds(lambda i, j, v: f"{i},{j}:{v}", st.integers(-1, 3),
+                       st.integers(-1, 3), FRACTIONS), max_size=2).map(";".join),
+    GARBAGE,
+)
+COMMON = st.tuples(
+    st.one_of(st.just([]), st.integers(-2, 5000).map(lambda n: ["--max-enum", str(n)])),
+    st.one_of(st.just([]), st.sampled_from(["json", "plain", "csv"]).map(
+        lambda f: ["--format", f])),
+)
+
+
+def _exit_code(argv) -> int:
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        return main(argv)
+
+
+@FUZZ
+@given(groups(12, 3), SUBGROUPS, st.lists(FRACTIONS, max_size=3).map(",".join), CROSS, COMMON)
+def test_lines_argvs_exit_cleanly(group, sub, q, cross, common):
+    argv = ["lines", "--A", group, "--Aprime", sub, "--q", q, "--q-cross", cross]
+    assert _exit_code(argv + common[0] + common[1]) in (0, 2, 3)
+
+
+@FUZZ
+@given(st.sampled_from(["--ty", "--group-ring"]), groups(8, 2),
+       st.lists(st.sampled_from(["dims", "obstructions", "table", "bogus", " "]),
+                max_size=3).map(",".join),
+       COMMON)
+def test_fusion_argvs_exit_cleanly(flag, group, report, common):
+    argv = ["fusion", flag, group, "--report", report]
+    assert _exit_code(argv + common[0] + common[1]) in (0, 2, 3)

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -18,6 +19,7 @@ from finsym.groups import (
     quaternion_group_8,
     symmetric_group_3,
 )
+from finsym.limits import GuardExceeded, max_enum
 
 
 class TestFiniteAbelianGroup:
@@ -136,6 +138,161 @@ class TestFiniteGroup:
         assert set(docs) == {"Z2", "Z3", "Z4", "Z2xZ2", "S3", "D4", "Q8"}
         for name, text in docs.items():
             assert FiniteGroup.from_json(text) == named_group(name)
+
+
+def _cubic_validation(cayley, identity):
+    """The former validator: Latin square, two-sided inverses by search, and
+    all n^3 triples.  Returns the inverses, or None for a rejected table."""
+    table = [list(row) for row in cayley]
+    n = len(table)
+    idx = set(range(n))
+    if any(len(row) != n or set(row) != idx for row in table):
+        return None
+    if any({table[i][j] for i in range(n)} != idx for j in range(n)):
+        return None
+    e = identity
+    if not 0 <= e < n or any(table[e][i] != i or table[i][e] != i for i in range(n)):
+        return None
+    inv = []
+    for i in range(n):
+        found = [j for j in range(n) if table[i][j] == e and table[j][i] == e]
+        if not found:
+            return None
+        inv.append(found[0])
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                if table[table[i][j]][k] != table[i][table[j][k]]:
+                    return None
+    return tuple(inv)
+
+
+def _light_validation(cayley, identity):
+    try:
+        return FiniteGroup(cayley, identity).inverses
+    except ValueError:
+        return None
+
+
+def _relabel(table, perm):
+    """The same magma with element i renamed perm[i]."""
+    n = len(table)
+    out = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            out[perm[i]][perm[j]] = perm[table[i][j]]
+    return out
+
+
+def _unit_latin_square(rng, n):
+    """A random Latin square with unit 0, by randomized backtracking."""
+    table = [[None] * n for _ in range(n)]
+    table[0] = list(range(n))
+    for i in range(n):
+        table[i][0] = i
+    cells = [(i, j) for i in range(1, n) for j in range(1, n)]
+
+    def fill(k):
+        if k == len(cells):
+            return True
+        i, j = cells[k]
+        used = set(table[i]) | {table[r][j] for r in range(n)}
+        choices = [v for v in range(n) if v not in used]
+        rng.shuffle(choices)
+        for v in choices:
+            table[i][j] = v
+            if fill(k + 1):
+                return True
+        table[i][j] = None
+        return False
+
+    assert fill(0)
+    return table
+
+
+def _unit_row_permutations(rng, n):
+    """Rows are permutations and 0 is a two-sided unit; columns are free."""
+    table = [list(range(n))]
+    for i in range(1, n):
+        rest = [v for v in range(n) if v != i]
+        rng.shuffle(rest)
+        table.append([i] + rest)
+    return table
+
+
+def _product_table(t1, t2):
+    """The direct product of two magmas, element (i, j) at i * len(t2) + j."""
+    m = len(t2)
+    return [[t1[i1][i2] * m + t2[j1][j2] for i2 in range(len(t1)) for j2 in range(m)]
+            for i1 in range(len(t1)) for j1 in range(m)]
+
+
+# a loop of order 5 (x x = 0 for all x): Latin, with a unit, not associative
+LOOP_5 = [
+    [0, 1, 2, 3, 4],
+    [1, 0, 3, 4, 2],
+    [2, 4, 0, 1, 3],
+    [3, 2, 4, 0, 1],
+    [4, 3, 1, 2, 0],
+]
+# abelian groups of order <= 32, as in the finite-group bench catalogue
+ABELIAN_LE_32 = [
+    "Z1", "Z2", "Z3", "Z4", "Z2xZ2", "Z5", "Z6", "Z7", "Z8", "Z2xZ4", "Z2xZ2xZ2", "Z9",
+    "Z3xZ3", "Z10", "Z12", "Z2xZ6", "Z16", "Z4xZ4", "Z2xZ8", "Z2xZ2xZ4", "Z18", "Z20",
+    "Z24", "Z2xZ12", "Z5xZ5", "Z27", "Z3xZ9", "Z28", "Z30", "Z32", "Z2xZ2xZ2xZ4",
+]
+
+
+def _oracle_tables():
+    named = [named_group(n) for n in ("S3", "D4", "Q8", *ABELIAN_LE_32)]
+    products = [
+        direct_product(a, b)
+        for a, b in ((cyclic_group(2), cyclic_group(3)), (symmetric_group_3(), cyclic_group(2)),
+                     (quaternion_group_8(), cyclic_group(2)),
+                     (dihedral_group_4(), cyclic_group(3)))
+    ]
+    tables = [(g.cayley, g.identity) for g in (*named, *products)]
+    rng = random.Random(20240917)
+    for n in range(1, 7):
+        for _ in range(12):
+            for table in (_unit_latin_square(rng, n), _unit_row_permutations(rng, n)):
+                perm = list(range(n))
+                rng.shuffle(perm)
+                tables.append((_relabel(table, perm), perm[0]))
+    tables.append((LOOP_5, 0))
+    # the first greedy generator, (e, 1) in the Z2 factor, is associative
+    tables.append((_product_table(LOOP_5, cyclic_group(2).cayley), 0))
+    tables.append((_relabel(LOOP_5, [3, 1, 4, 0, 2]), 3))
+    # broken inputs: a row that is no permutation, no unit, a unit out of range, a short row
+    tables += [([[0, 0], [1, 1]], 0), ([[1, 0], [0, 1]], 0), ([[0]], 1), ([[0, 1], [1]], 0)]
+    return tables
+
+
+class TestLightValidatorOracle:
+    def test_agrees_with_the_cubic_validator(self):
+        verdicts = set()
+        for cayley, identity in _oracle_tables():
+            old = _cubic_validation(cayley, identity)
+            assert _light_validation(cayley, identity) == old, (cayley, identity)
+            verdicts.add(old is None)
+        assert verdicts == {True, False}
+
+    def test_nonassociative_loop_is_rejected(self):
+        with pytest.raises(ValueError, match="associativity fails"):
+            FiniteGroup(LOOP_5, 0)
+
+    def test_charge_is_n_squared_times_generators(self):
+        # S3 from transposition 1: right multiples of e reach {0, 1}, so
+        # 2 joins as a second generator; 6^2 x 2 = 72 checks
+        cayley = symmetric_group_3().cayley
+        with max_enum(72):
+            FiniteGroup(cayley, 0)
+        with max_enum(71), pytest.raises(GuardExceeded, match=r"6\^2 x 2 gens"):
+            FiniteGroup(cayley, 0)
+
+    def test_cayley_table_is_charged_before_it_is_built(self):
+        with max_enum(10**6), pytest.raises(GuardExceeded, match="Cayley table"):
+            abelian_cayley(FiniteAbelianGroup([2000]))
 
 
 class TestConjugacyClasses:
