@@ -12,9 +12,10 @@ from __future__ import annotations
 import cmath
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, sqrt
+from math import gcd, prod, sqrt
 
 from .groups import FiniteAbelianGroup, characters, dual_group
+from .intmatrix import IntMatrix, invariant_factors
 from .limits import check_enum
 from .quadratic import QuadraticForm, _validate, mod1, polarization, subgroup_quadratic_table
 
@@ -94,10 +95,18 @@ def allowed_lines_from_generator_values(
 
 
 def _line_subgroup(ambient: FiniteAbelianGroup, subgroup_generators) -> tuple:
-    """The elements of A', once the |A'|^2 |A| selection loop is charged."""
-    sub_elems = ambient.subgroup(subgroup_generators)
-    check_enum(len(sub_elems) ** 2 * ambient.order, what="line selection (|A'|^2 |A|)")
-    return sub_elems
+    """The elements of A', enumerated only after the |A'|^2 |A| selection
+    loop is charged: |A'| = |A| / prod of the invariant factors of the
+    lattice spanned by the columns of [diag(n_i) | generators]."""
+    for g in subgroup_generators:
+        if not ambient.contains(tuple(g)):
+            raise ValueError(f"{g} is not an element of {ambient}")
+    lattice = IntMatrix([[n * (i == j) for j in range(ambient.rank)]
+                         + [g[i] for g in subgroup_generators]
+                         for i, n in enumerate(ambient.invariant_factors)])
+    order = ambient.order // prod(invariant_factors(lattice))
+    check_enum(order**2 * ambient.order, what="line selection (|A'|^2 |A|)")
+    return ambient.subgroup(subgroup_generators)
 
 
 def _select_lines(ambient: FiniteAbelianGroup, generators, sub_elems, table) -> LineLattice:

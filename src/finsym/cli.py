@@ -48,7 +48,7 @@ def parse_target(text: str):
     if not group_name:
         raise ValueError(f"target must look like B2:Z2, got {text!r}")
     degree = int(head[1:]) if len(head) > 1 else 1
-    if head[0] != "B" or degree < 1:
+    if head[:1] != "B" or degree < 1:
         raise ValueError(f"cannot parse target {text!r}")
     if group_name in ("S3", "D4", "Q8"):
         return pathintegral.PiFiniteTarget(named_group(group_name), degree)
@@ -200,6 +200,10 @@ def _run_bordism(args) -> dict:
 def _run_fusion(args) -> dict:
     from . import fusion
 
+    name = args.group_ring if args.ty is None else args.ty
+    if name.strip() not in ("S3", "D4", "Q8"):
+        # the ring's rank^3, before an abelian group's |A|^2 Cayley table is built
+        fusion._charged_rank(parse_abelian(name).order + (args.ty is not None))
     if args.ty is not None:
         ring = fusion.tambara_yamagami(named_group(args.ty))
         doc = {"ring": f"TY({args.ty})"}

@@ -11,8 +11,9 @@ coefficient theorem each H^q(C; Z_n) is a product of Z_gcd(d, n) over their
 invariant factors d and a free Z_n part; generator representatives, exact
 class coordinates and induced restriction maps come from the same
 transforms.  Where only |H^q| is needed, the same formula runs on invariant
-factors alone (``cohomology_order``).  A brute-force cochain enumerator
-doubles as the independent oracle for all of this.
+factors alone (``cohomology_order``).  Relative cohomology is that of the
+quotient complex C(W)/C(S) (``quotient``).  A brute-force cochain
+enumerator doubles as the independent oracle for all of this.
 
 Cell structures for the preset manifolds are the minimal standard ones
 (one-vertex surfaces, standard RP^n); their boundary columns are spelled
@@ -41,23 +42,6 @@ def _column(entries, rows: int) -> tuple[tuple[int, int], ...]:
             raise ValueError(f"boundary row {i} out of range 0..{rows - 1}")
         acc[i] = acc.get(i, 0) + int(v)
     return tuple((i, acc[i]) for i in sorted(acc) if acc[i])
-
-
-def _coboundary_matrix(columns, kept) -> IntMatrix:
-    """Dense coboundary whose row j is the sparse boundary column
-    ``columns[j]`` restricted to the cells ``kept``, in that order.
-
-    This is the one place a complex becomes an IntMatrix.
-    """
-    position = {i: p for p, i in enumerate(kept)}
-    rows = []
-    for col in columns:
-        row = [0] * len(position)
-        for i, v in col:
-            if i in position:
-                row[position[i]] = v
-        rows.append(row)
-    return IntMatrix(rows, rows=len(rows), cols=len(position))
 
 
 class ChainComplex:
@@ -119,8 +103,13 @@ class ChainComplex:
         return self.coboundary(k - 1).transpose()
 
     def coboundary(self, q: int) -> IntMatrix:
-        """delta^q: C^q -> C^{q+1}, the transpose of d_{q+1}."""
-        return _coboundary_matrix(self.columns(q + 1), range(self.n_cells(q)))
+        """delta^q: C^q -> C^{q+1}, the transpose of d_{q+1}; the one place a
+        complex becomes an IntMatrix."""
+        rows = [[0] * self.n_cells(q) for _ in self.columns(q + 1)]
+        for row, col in zip(rows, self.columns(q + 1)):
+            for i, v in col:
+                row[i] = v
+        return IntMatrix(rows, rows=len(rows), cols=self.n_cells(q))
 
     def euler_characteristic(self) -> int:
         return sum((-1) ** k * c for k, c in enumerate(self.cells))
@@ -198,6 +187,21 @@ class SubcomplexMap:
 
 def empty_subcomplex(target: ChainComplex) -> SubcomplexMap:
     return SubcomplexMap(ChainComplex((0,), ()), target, ((),))
+
+
+def quotient(w: ChainComplex, sub: SubcomplexMap) -> ChainComplex:
+    """C(w)/C(sub), whose cohomology is H^*(w, sub): the cells of ``w``
+    outside the image of ``sub``, in order, each boundary column restricted
+    to them and renumbered."""
+    if sub.target != w:
+        raise ValueError("subcomplex map does not land in the given complex")
+    kept = [sorted(set(range(w.n_cells(k))) - set(sub.image_cells(k)))
+            for k in range(w.top_dim + 1)]
+    new = [{i: p for p, i in enumerate(cells)} for cells in kept]
+    bnds = [[[(new[k - 1][i], v) for i, v in w.columns(k)[j] if i in new[k - 1]]
+             for j in kept[k]]
+            for k in range(1, w.top_dim + 1)]
+    return ChainComplex([len(cells) for cells in kept], bnds)
 
 
 # ---------------------------------------------------------------------------
@@ -396,7 +400,7 @@ class _CyclicFactor:
 
     ``_coords`` is diag(I_r, U_W) V^-1, shared by every n: V is the column
     transform of delta^q's Smith form (rank r), U_W the row transform of the
-    Smith form of W (see ``_cohomology_group``).
+    Smith form of W (see ``cohomology``).
     Coordinate i of a cocycle is divisible by ``_steps[i]`` (n / gcd(d_i, n)
     on the r pivot rows, 1 elsewhere); its class coordinate is the quotient
     modulo the order, so ``coordinates`` is a group homomorphism from
@@ -498,20 +502,25 @@ def _cyclic_orders(c: int, out_factors, in_factors, n: int) -> list[int]:
     return [gcd(d, n) for d in out_factors] + [gcd(e, n) for e in in_factors] + [n] * free
 
 
-def _cohomology_group(q, coeffs, delta_out, delta_in) -> CohomologyGroup:
-    """Two full Smith forms, shared by every cyclic factor of A.
+def _check_degree(cx: ChainComplex, q: int) -> None:
+    if not 0 <= q <= cx.top_dim:
+        raise ValueError(f"degree {q} out of range 0..{cx.top_dim}")
+
+
+def cohomology(cx: ChainComplex, coeffs: FiniteAbelianGroup, q: int) -> CohomologyGroup:
+    """H^q(cx; coeffs), exactly, from two full Smith forms shared by every
+    cyclic factor of the coefficients.
 
     The first is U delta^q V = D, of rank r.  d o d = 0 puts the columns of
     delta^{q-1} in V-coordinates on the c - r nonpivot rows; the second
     Smith form is of that block W, which has delta^{q-1}'s invariant
     factors.  Each factor Z_n then needs only gcds (``_cyclic_orders``).
     """
-    if delta_in.rows != delta_out.cols:
-        raise ValueError("cochain rank mismatch between coboundaries")
-    c = delta_out.cols
-    snf = smith_normal_form_full(delta_out)
+    _check_degree(cx, q)
+    c = cx.n_cells(q)
+    snf = smith_normal_form_full(cx.coboundary(q))
     r = snf.rank
-    images = snf.v_inv * delta_in
+    images = snf.v_inv * cx.coboundary(q - 1)
     if any(any(row) for row in images.data[:r]):
         raise ValueError("coboundary is not a cocycle; broken complex")
     w = smith_normal_form_full(IntMatrix(images.data[r:], rows=c - r, cols=images.cols))
@@ -539,27 +548,6 @@ def _cohomology_group(q, coeffs, delta_out, delta_in) -> CohomologyGroup:
     )
 
 
-def _check_degree(cx: ChainComplex, q: int) -> None:
-    if not 0 <= q <= cx.top_dim:
-        raise ValueError(f"degree {q} out of range 0..{cx.top_dim}")
-
-
-def cohomology(cx: ChainComplex, coeffs: FiniteAbelianGroup, q: int) -> CohomologyGroup:
-    """H^q(cx; coeffs), exactly, from two Smith forms shared by every cyclic
-    factor of the coefficients."""
-    _check_degree(cx, q)
-    return _cohomology_group(q, coeffs, cx.coboundary(q), cx.coboundary(q - 1))
-
-
-def _order(ncells: int, out_factors, in_factors, coeffs: FiniteAbelianGroup) -> int:
-    """|H^q(C; A)| from the invariant factors of delta^q and delta^{q-1}:
-    the product of ``_cyclic_orders`` over the cyclic factors Z_n of A."""
-    return prod(
-        prod(_cyclic_orders(ncells, out_factors, in_factors, n))
-        for n in coeffs.invariant_factors
-    )
-
-
 def _boundary_factors(cx: ChainComplex, k: int, table: dict) -> tuple[int, ...]:
     """Invariant factors of d_k, read off delta^{k-1}, reduced once per table."""
     if k not in table:
@@ -579,48 +567,15 @@ def cohomology_order(
     """
     _check_degree(cx, q)
     table = {} if boundary_factors is None else boundary_factors
-    return _order(
-        cx.n_cells(q),
-        _boundary_factors(cx, q + 1, table),
-        _boundary_factors(cx, q, table),
-        coeffs,
-    )
+    factors = (_boundary_factors(cx, q + 1, table), _boundary_factors(cx, q, table))
+    return prod(prod(_cyclic_orders(cx.n_cells(q), *factors, n))
+                for n in coeffs.invariant_factors)
 
 
-def _relative_coboundaries(w: ChainComplex, sub: SubcomplexMap, q: int):
-    """delta^q and delta^{q-1} of the subcomplex-vanishing cochain complex."""
-    if sub.target != w:
-        raise ValueError("subcomplex map does not land in the given complex")
-    _check_degree(w, q)
-
-    def kept(k):
-        excluded = set(sub.image_cells(k))
-        return [i for i in range(w.n_cells(k)) if i not in excluded]
-
-    def coboundary(k):
-        columns = w.columns(k + 1)
-        return _coboundary_matrix([columns[j] for j in kept(k + 1)], kept(k))
-
-    return coboundary(q), coboundary(q - 1)
-
-
-def relative_cohomology(
-    w: ChainComplex, sub: SubcomplexMap, coeffs: FiniteAbelianGroup, q: int
-) -> CohomologyGroup:
-    """H^q(w, sub; coeffs): cohomology of cochains vanishing on the subcomplex."""
-    delta_out, delta_in = _relative_coboundaries(w, sub, q)
-    return _cohomology_group(q, coeffs, delta_out, delta_in)
-
-
-def relative_cohomology_order(
-    w: ChainComplex, sub: SubcomplexMap, coeffs: FiniteAbelianGroup, q: int
-) -> int:
-    """|H^q(w, sub; coeffs)| from the invariant factors of the restricted
-    coboundaries; equal to ``relative_cohomology(...).order``."""
-    delta_out, delta_in = _relative_coboundaries(w, sub, q)
-    return _order(
-        delta_out.cols, invariant_factors(delta_out), invariant_factors(delta_in), coeffs
-    )
+def relative_cohomology(w: ChainComplex, sub: SubcomplexMap, coeffs: FiniteAbelianGroup,
+                        q: int) -> CohomologyGroup:
+    """H^q(w, sub; coeffs), the cohomology of the quotient complex C(w)/C(sub)."""
+    return cohomology(quotient(w, sub), coeffs, q)
 
 
 @dataclass(frozen=True)

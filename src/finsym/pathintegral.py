@@ -52,9 +52,9 @@ def em_partition(m: ChainComplex, coeffs: FiniteAbelianGroup, n: int) -> Fractio
     if not is_closed(m, table):
         raise ValueError("em_partition requires a closed complex")
     value = Fraction(1)
-    for q in range(n + 1):
-        deg = n - q
-        order = cohomology_order(m, coeffs, deg, table) if deg <= m.top_dim else 1
+    # degrees above the top cell contribute |H^deg| = 1
+    for q in range(max(0, n - m.top_dim), n + 1):
+        order = cohomology_order(m, coeffs, n - q, table)
         value *= Fraction(order) if q % 2 == 0 else Fraction(1, order)
     return value
 

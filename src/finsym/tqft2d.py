@@ -5,7 +5,8 @@ with matrix entries
 
     c(W) * #{ a in H^1(W; A) : a restricts to the given classes }
 
-with the normalization c(W) = 1 / |H^0(W, in-boundary; A)|.  Restriction to
+with the normalization c(W) = 1 / |H^0(W, in-boundary; A)|, the order of
+H^0 of the quotient complex C(W)/C(in-boundary).  Restriction to
 the boundary circles, r: H^1(W; A) -> A^{out} x A^{in}, is a homomorphism,
 so that count is |ker r| * [label in im r], read off im r.  The naive
 alternating-product constant applied to closed W breaks the trace identity
@@ -29,11 +30,12 @@ from .complexes import (
     ChainComplex,
     SubcomplexMap,
     cohomology,
+    cohomology_order,
     disjoint_union,
     glue_complexes,
     product,
     product_cell_index,
-    relative_cohomology_order,
+    quotient,
 )
 from .groups import FiniteAbelianGroup
 from .limits import check_enum
@@ -302,9 +304,7 @@ def _in_boundary_subcomplex(b: Bordism) -> SubcomplexMap:
 
 def normalization_constant(b: Bordism, group: FiniteAbelianGroup) -> Fraction:
     """c(W) = 1 / |H^0(W, in-boundary; A)|."""
-    return Fraction(
-        1, relative_cohomology_order(b.w, _in_boundary_subcomplex(b), group, 0)
-    )
+    return Fraction(1, cohomology_order(quotient(b.w, _in_boundary_subcomplex(b)), group, 0))
 
 
 def bordism_matrix(b: Bordism, group: FiniteAbelianGroup) -> BordismMatrix:

@@ -39,11 +39,17 @@ class TestSubcommands:
         assert code == 0
         assert json.loads(out)["value"] == "1/6"
 
-    def test_bad_target_rejected(self, capsys):
-        for target in ("B0:Z2", "Z2", "C2:Z2"):
-            code, _, _ = run(capsys, "partition", "--target", target,
+    @pytest.mark.parametrize("target,message", [
+        ("B0:Z2", "cannot parse target 'B0:Z2'"),
+        ("Z2", "target must look like B2:Z2, got 'Z2'"),
+        ("C2:Z2", "cannot parse target 'C2:Z2'"),
+        (":Z2", "cannot parse target ':Z2'"),
+        (":S3", "cannot parse target ':S3'"),
+    ])
+    def test_bad_target_rejected(self, capsys, target, message):
+        code, out, err = run(capsys, "partition", "--target", target,
                              "--manifold", "sphere:2")
-            assert code == 2
+        assert code == 2 and out == "" and err == f"error: {message}\n"
 
     def test_cohomology(self, capsys):
         code, out, _ = run(capsys, "cohomology", "--manifold", "rp:2",
@@ -319,12 +325,16 @@ class TestExitCodes:
         assert time.perf_counter() - start < 1.0
         assert code == 3 and "bordism matrix entries" in err and out == ""
 
-    def test_line_selection_trips_the_default_guard(self, capsys):
+    @pytest.mark.parametrize("group,q,states", [("Z32xZ32", "0,0", 2**30),
+                                                ("Z1000000", "0", 10**18)])
+    def test_line_selection_trips_the_default_guard(self, capsys, group, q, states):
+        # charged before A' is enumerated, so even a million-element A' is quick
         start = time.perf_counter()
-        code, out, err = run(capsys, "lines", "--A", "Z32xZ32", "--Aprime", "full",
-                             "--q", "0,0")
+        code, out, err = run(capsys, "lines", "--A", group, "--Aprime", "full", "--q", q)
         assert time.perf_counter() - start < 1.0
-        assert code == 3 and "line selection" in err and out == ""
+        assert code == 3 and out == ""
+        assert err == (f"guard exceeded: line selection (|A'|^2 |A|) needs {states} states, "
+                       f"guard allows {HARD_CEILING}\n")
 
     def test_line_selection_at_the_guard_ceiling_runs(self, capsys):
         # |A'|^2 |A| = 2^24 exactly; q = 0 dresses no flux with a charge
@@ -346,14 +356,27 @@ class TestExitCodes:
         assert code == 0 and doc["count"] == 4096
         assert doc["pairs"] == [[[0], [e]] for e in range(4096)]
 
-    @pytest.mark.parametrize("flag,rank", [("--group-ring", 300), ("--ty", 301)])
-    def test_large_group_ring_trips_the_guard_before_it_is_built(self, capsys, flag, rank):
+    @pytest.mark.parametrize("flag,group,rank", [
+        ("--group-ring", "Z300", 300), ("--ty", "Z300", 301),
+        # Z2048's |A|^2 Cayley table fits under the ceiling; its rank^3 does not
+        ("--group-ring", "Z2048", 2048), ("--ty", "Z2048", 2049),
+    ])
+    def test_large_group_ring_trips_the_guard_before_it_is_built(self, capsys, flag, group,
+                                                                  rank):
         start = time.perf_counter()
-        code, out, err = run(capsys, "fusion", flag, "Z300")
+        code, out, err = run(capsys, "fusion", flag, group)
         assert time.perf_counter() - start < 1.0
         assert code == 3 and out == ""
         assert err == (f"guard exceeded: fusion associativity check ({rank}^3 triples) "
                        f"needs {rank**3} states, guard allows {HARD_CEILING}\n")
+
+    def test_target_degree_far_above_the_manifold_is_quick(self, capsys):
+        # degrees above the top cell contribute 1: B^n Z2 on T^2 is 1 for n >= 3
+        start = time.perf_counter()
+        code, out, _ = run(capsys, "partition", "--target", "B100000000:Z2",
+                           "--manifold", "torus:2")
+        assert time.perf_counter() - start < 1.0
+        assert code == 0 and json.loads(out)["value"] == "1/1"
 
     @pytest.mark.parametrize("flag", ["--q", "--q-cross"])
     def test_zero_denominator_is_input_error(self, capsys, flag):
@@ -361,10 +384,14 @@ class TestExitCodes:
         code, out, err = run(capsys, *argv, flag, "1/0" if flag == "--q" else "0,1:1/0")
         assert code == 2 and err.startswith("error: ") and out == ""
 
-    @pytest.mark.parametrize("limit,expected", [(4096, 0), (4095, 3)])
-    def test_line_selection_charge_is_exact(self, capsys, limit, expected):
-        # Z4xZ4 with A' = A: 16^2 * 16 = 4096 selection steps
-        code, _, _ = run(capsys, "lines", "--A", "Z4xZ4", "--Aprime", "full",
+    @pytest.mark.parametrize("group,sub,limit,expected", [
+        # A' = A = Z4xZ4: 16^2 * 16 = 4096 selection steps
+        ("Z4xZ4", "full", 4096, 0), ("Z4xZ4", "full", 4095, 3),
+        # (1,1) and (0,2) = 2(1,1) span a cyclic A' of order 4 in Z2xZ4: 4^2 * 8
+        ("Z2xZ4", "1,1;0,2", 128, 0), ("Z2xZ4", "1,1;0,2", 127, 3),
+    ])
+    def test_line_selection_charge_is_exact(self, capsys, group, sub, limit, expected):
+        code, _, _ = run(capsys, "lines", "--A", group, "--Aprime", sub,
                          "--q", "0,0", "--max-enum", str(limit))
         assert code == expected
 

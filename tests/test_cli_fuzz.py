@@ -1,7 +1,9 @@
-"""Grammar fuzz of the ``lines`` and ``fusion`` subcommands.
+"""Grammar fuzz of the ``lines``, ``fusion``, ``cohomology``, ``partition``
+and ``bordism`` subcommands.
 
 Hypothesis draws argvs from the CLI grammar (group strings, subgroup
-specs, q values and cross terms, reports, formats and ``--max-enum``),
+specs, q values and cross terms, reports, manifold presets and their
+parameters, targets, shapes, degrees, formats and ``--max-enum``),
 well-formed and garbled alike.  Every argv must end in exit 0, 2 or 3
 from ``cli.main``: a result, an input error or a tripped guard, never an
 uncaught exception.  Runs are derandomized and keep no example database,
@@ -80,4 +82,46 @@ def test_lines_argvs_exit_cleanly(group, sub, q, cross, common):
        COMMON)
 def test_fusion_argvs_exit_cleanly(flag, group, report, common):
     argv = ["fusion", flag, group, "--report", report]
+    assert _exit_code(argv + common[0] + common[1]) in (0, 2, 3)
+
+
+MANIFOLDS = st.one_of(
+    st.sampled_from(["circle", "interval", "klein", "disk", "pants", "sphere", "torus",
+                     "surface", "rp", "cube", ""]),
+    st.builds(lambda name, param: f"{name}:{param}",
+              st.sampled_from(["circle", "klein", "sphere", "torus", "surface", "rp", "cube"]),
+              st.one_of(st.integers(-1, 6).map(str), st.just("2:3"), GARBAGE)),
+    GARBAGE,
+)
+TARGETS = st.one_of(
+    st.builds(lambda head, group: f"{head}:{group}",
+              st.one_of(st.integers(-1, 6).map(lambda n: f"B{n}"),
+                        st.sampled_from(["", "B", "b1", "C2", "BB", "B-", "2", "B1.5"])),
+              groups(6, 2)),
+    GARBAGE,
+)
+DEGREES = st.one_of(st.integers(-2, 6).map(str), GARBAGE)
+
+
+@FUZZ
+@given(MANIFOLDS, groups(12, 3), DEGREES, COMMON)
+def test_cohomology_argvs_exit_cleanly(manifold, group, degree, common):
+    argv = ["cohomology", "--manifold", manifold, "--coefficients", group, "--degree", degree]
+    assert _exit_code(argv + common[0] + common[1]) in (0, 2, 3)
+
+
+@FUZZ
+@given(TARGETS, MANIFOLDS, st.integers(-2, 5000), COMMON)
+def test_partition_argvs_exit_cleanly(target, manifold, limit, common):
+    # always bounded: a nonabelian genus-4 count is |G|^8 tuples under the ceiling
+    argv = ["partition", "--target", target, "--manifold", manifold,
+            "--max-enum", str(limit)]
+    assert _exit_code(argv + common[1]) in (0, 2, 3)
+
+
+@FUZZ
+@given(groups(4, 2), st.sampled_from(["cylinder", "pants", "copants", "cap", "cup", "torus",
+                                      "sphere", "klein", ""]), COMMON)
+def test_bordism_argvs_exit_cleanly(group, shape, common):
+    argv = ["bordism", "--group", group, "--shape", shape]
     assert _exit_code(argv + common[0] + common[1]) in (0, 2, 3)

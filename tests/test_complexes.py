@@ -17,6 +17,7 @@ from finsym.complexes import (
     pants,
     preset,
     product,
+    quotient,
     real_projective_space,
     relative_cohomology,
     restriction_map,
@@ -24,6 +25,7 @@ from finsym.complexes import (
     surface,
     torus,
 )
+from finsym import tqft2d
 from finsym.groups import FiniteAbelianGroup
 from finsym.intmatrix import IntMatrix
 from finsym.limits import GuardExceeded
@@ -289,6 +291,49 @@ class TestRelative:
             for i, order in enumerate(orders):
                 alternating *= Fraction(order) if i % 2 == 0 else Fraction(1, order)
             assert alternating == 1, (w.cells, str(coeffs), orders)
+
+
+QUOTIENT_BORDISMS = [
+    tqft2d.bordism_preset(shape)
+    for shape in ("cylinder", "pants", "copants", "cap", "cup", "torus", "sphere")
+] + [
+    tqft2d.glue(tqft2d.bordism_preset(a), tqft2d.bordism_preset(b))
+    for a, b in (("cylinder", "cylinder"), ("cap", "copants"), ("pants", "cup"))
+]
+
+
+class TestQuotient:
+    @pytest.mark.parametrize("cx", SMALL_PRESETS, ids=repr)
+    def test_quotient_by_nothing_is_the_complex(self, cx):
+        assert quotient(cx, empty_subcomplex(cx)) == cx
+
+    def test_disk_mod_boundary(self):
+        cx, boundary = disk()
+        assert quotient(cx, boundary).cells == (0, 0, 1)
+
+    def test_pants_mod_one_cuff(self):
+        cx, (cuff1, _, _) = pants()
+        q = quotient(cx, cuff1)
+        assert q.cells == (2, 4, 1)
+        # vertex 0 and edge 0 are gone; the others move down by one
+        assert q.columns(1) == ((), (), ((1, 1),), ((0, -1), (1, 1)))
+        assert q.columns(2) == (((0, 1), (1, -1)),)
+
+    def test_wrong_target_rejected(self):
+        _, boundary = disk()
+        with pytest.raises(ValueError, match="does not land in the given complex"):
+            quotient(torus(2), boundary)
+
+    @pytest.mark.parametrize("coeffs", [Z2, Z3, Z4, Z2Z2], ids=str)
+    @pytest.mark.parametrize("b", QUOTIENT_BORDISMS, ids=lambda b: repr(b.w))
+    def test_relative_cohomology_matches_bruteforce(self, b, coeffs):
+        subs = [tqft2d._in_boundary_subcomplex(b), *b.in_circles, *b.out_circles]
+        for sub in subs:
+            rel = quotient(b.w, sub)
+            for q in range(b.w.top_dim + 1):
+                assert len(enumerate_cocycles(rel, coeffs, q)) == (
+                    relative_cohomology(b.w, sub, coeffs, q).order
+                )
 
 
 class TestRestriction:
