@@ -15,7 +15,7 @@ from fractions import Fraction
 # Only stdlib, groups and limits at module level: each parser and runner
 # imports the one finsym module it calls, so a cold process of an exact
 # subcommand never loads numpy.
-from .groups import FiniteAbelianGroup, named_group, parse_abelian
+from .groups import FiniteAbelianGroup, named_group, parse_abelian, parse_cyclic_orders
 from .limits import GuardExceeded, check_enum, max_enum
 
 
@@ -55,16 +55,36 @@ def parse_target(text: str):
     return pathintegral.PiFiniteTarget(parse_abelian(group_name), degree)
 
 
-def _parse_subgroup(group: FiniteAbelianGroup, text: str):
+def _parse_subgroup(group: FiniteAbelianGroup, orders, text: str):
+    """Generators in the written factor order ``orders`` of ``group``;
+    ``full`` is the unit generators of the nontrivial written factors."""
     text = text.strip()
     if text in ("0", "trivial"):
         return []
     if text in ("full", str(group)):
-        return group.unit_generators()
-    gens = []
-    for part in text.split(";"):
-        gens.append(tuple(int(x) for x in part.split(",")))
-    return gens
+        k = len(orders)
+        return [tuple(int(i == j) for j in range(k)) for i in range(k) if orders[i] > 1]
+    return [tuple(int(x) for x in part.split(",")) for part in text.split(";")]
+
+
+def _written_to_canonical(orders):
+    """Carry elements of Z_{n_1} x ... in the written order into
+    ``FiniteAbelianGroup.from_cyclic_orders(orders)``.  With U diag(n) V = S
+    in Smith form, x -> (U x)_i mod d_i over the d_i > 1 is an isomorphism,
+    and U = I when the orders are already canonical."""
+    from .intmatrix import IntMatrix, smith_normal_form_full
+
+    k = len(orders)
+    snf = smith_normal_form_full(IntMatrix(
+        [[n * (i == j) for j in range(k)] for i, n in enumerate(orders)], rows=k, cols=k))
+    written = "x".join(f"Z{n}" for n in orders) or "Z1"
+
+    def carry(x):
+        if len(x) != k or not all(0 <= a < n for a, n in zip(x, orders)):
+            raise ValueError(f"{x} is not an element of {written}")
+        return tuple(a % d for a, d in zip(snf.u.apply_vector(x), snf.diagonal) if d > 1)
+
+    return carry
 
 
 class _Parser(argparse.ArgumentParser):
@@ -153,12 +173,14 @@ def build_parser() -> _Parser:
 
 
 def _matrix_doc(mat) -> dict:
+    # every entry is mat.value or 0: two strings, formatted once each
+    nonzero, zero = fmt_fraction(mat.value), fmt_fraction(0)
     return {
         "source_dim": mat.source.dim,
         "target_dim": mat.target.dim,
         "source_basis": [list(map(list, b)) for b in mat.source.basis],
         "target_basis": [list(map(list, b)) for b in mat.target.basis],
-        "matrix": [[fmt_fraction(x) for x in row] for row in mat.entries],
+        "matrix": [[nonzero if x else zero for x in row] for row in mat.entries],
     }
 
 
@@ -233,10 +255,11 @@ def _run_fusion(args) -> dict:
 def _run_lines(args) -> dict:
     from . import anomaly
 
-    ambient = parse_abelian(args.ambient)
-    gens = _parse_subgroup(ambient, args.sub)
+    orders = parse_cyclic_orders(args.ambient)
+    ambient = FiniteAbelianGroup.from_cyclic_orders(orders)
+    written = _parse_subgroup(ambient, orders, args.sub)
     gen_values = [parse_fraction(v) for v in args.q.split(",") if v.strip()]
-    if len(gen_values) != len(gens):
+    if len(gen_values) != len(written):
         raise ValueError("need one --q value per subgroup generator")
     cross = {}
     for chunk in args.q_cross.split(";"):
@@ -245,6 +268,7 @@ def _run_lines(args) -> dict:
         pair, _, val = chunk.partition(":")
         i, j = (int(x) for x in pair.split(","))
         cross[(i, j)] = parse_fraction(val)
+    gens = list(map(_written_to_canonical(orders), written))
     lattice = anomaly.allowed_lines_from_generator_values(
         ambient, gens, gen_values, cross
     )

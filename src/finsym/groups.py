@@ -405,18 +405,23 @@ def quaternion_group_8() -> FiniteGroup:
     return FiniteGroup([[mul(x, y) for y in range(8)] for x in range(8)], 0)
 
 
-def parse_abelian(name: str) -> FiniteAbelianGroup:
-    """Parse the mini-language 'Z2', 'Z2xZ4', 'Z1' into an abelian group."""
+def parse_cyclic_orders(name: str) -> list[int]:
+    """The cyclic orders of 'Z4xZ2'-style names, in the order written."""
     name = name.strip()
     if name in ("Z1", "1", "trivial", "0"):
-        return FiniteAbelianGroup()
+        return []
     orders = []
     for part in name.split("x"):
         part = part.strip()
         if not part.startswith("Z"):
             raise ValueError(f"cannot parse abelian group {name!r}")
         orders.append(int(part[1:]))
-    return FiniteAbelianGroup.from_cyclic_orders(orders)
+    return orders
+
+
+def parse_abelian(name: str) -> FiniteAbelianGroup:
+    """Parse the mini-language 'Z2', 'Z2xZ4', 'Z1' into an abelian group."""
+    return FiniteAbelianGroup.from_cyclic_orders(parse_cyclic_orders(name))
 
 
 def named_group(name: str) -> FiniteGroup:

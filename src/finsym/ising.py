@@ -60,6 +60,8 @@ class IsingLattice:
             raise ValueError("lattice sides must be >= 1")
         if not self.beta > 0:
             raise ValueError("beta must be positive")
+        if not isfinite(self.beta):
+            raise ValueError("beta must be positive and finite")
 
     @property
     def sites(self) -> int:
@@ -207,9 +209,16 @@ def sector_histograms(lat: IsingLattice) -> dict:
     }
 
 
+def _weights(beta: float, count: int) -> np.ndarray:
+    """exp(-2*beta*k) for k < count.  beta*k is formed first, so k = 0 gives
+    1 at any finite beta (not exp(-inf * 0)); doubling is exact, so the
+    values equal exp(-2.0*beta*k) wherever that one is finite."""
+    with np.errstate(over="ignore"):
+        return np.exp(-2.0 * (beta * np.arange(count, dtype=np.float64)))
+
+
 def _partition_from_histogram(hist: np.ndarray, beta: float) -> float:
-    ks = np.arange(len(hist), dtype=np.float64)
-    return float(np.sum(hist * np.exp(-2.0 * beta * ks)))
+    return float(np.sum(hist * _weights(beta, len(hist))))
 
 
 def partition_bruteforce(lat: IsingLattice, bg: Background | None = None) -> float:
@@ -239,7 +248,7 @@ def transfer_matrix(length: int, beta: float, spatial_twist: int = 0) -> np.ndar
     horiz = sum(bits[x] ^ bits[x + 1] for x in range(length - 1)) + (
         bits[-1] ^ bits[0] ^ spatial_twist % 2
     )
-    w = np.exp(-2.0 * beta * np.arange(2 * length + 1))
+    w = _weights(beta, 2 * length + 1)
     return w[ones[rows[:, np.newaxis] ^ rows] + horiz]
 
 

@@ -14,16 +14,25 @@ Z(M x S^1) = Tr Z(M x I) (it would give 8 instead of 2 for the torus with
 A = Z_2); the relative-H^0 normalization is the one validated by the
 cylinder-identity and trace oracles below.
 
+A bordism matrix is therefore value * 1_R with R = im r, a subgroup of
+A^{out} x A^{in}, and it is stored as that pair.  The form is closed under
+composition (relation composite; the middle-label count is constant on
+the support), disjoint union (R x R') and trace, so those are subgroup
+arithmetic, never a dense loop.
+
 Bordisms are (complex, in-circles, out-circles) triples.  Composites exist
-in two flavors: ``compose`` multiplies matrices (the formal composite),
-``glue`` actually glues the cell complexes.  Closed-surface scalars come
-from glued or preset closed complexes and match the surface bundle counts.
+in two flavors: ``compose`` composes relations (the formal composite, equal
+to the matrix product), ``glue`` actually glues the cell complexes.
+Closed-surface scalars come from glued or preset closed complexes and match
+the surface bundle counts.
 """
 
 from __future__ import annotations
 
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product as iproduct
 
 from . import complexes
 from .complexes import (
@@ -105,84 +114,78 @@ class StateSpace:
 
 @dataclass(frozen=True)
 class BordismMatrix:
+    """The matrix value * 1_R: entry (out, in) is ``value`` where the label
+    pair lies in ``support``, a subgroup R of A^{out} x A^{in}, else 0."""
+
     source: StateSpace
     target: StateSpace
-    entries: tuple[tuple[Fraction, ...], ...]  # rows: out labels, cols: in labels
+    value: Fraction
+    support: frozenset  # (out label, in label) pairs
 
     def __post_init__(self):
-        if len(self.entries) != self.target.dim:
-            raise ValueError("row count mismatch")
-        if any(len(r) != self.source.dim for r in self.entries):
-            raise ValueError("column count mismatch")
-        if any(x.numerator < 0 for row in self.entries for x in row):
+        if self.value < 0:
             raise ValueError("bordism matrices have nonnegative entries")
+
+    @property
+    def entries(self) -> tuple[tuple[Fraction, ...], ...]:
+        """Dense rows: out labels, columns: in labels."""
+        rows = [[Fraction(0)] * self.source.dim for _ in range(self.target.dim)]
+        for out, inn in self.support:
+            rows[self.target.index(out)][self.source.index(inn)] = self.value
+        return tuple(map(tuple, rows))
 
     def __getitem__(self, key):
         i, j = key
-        return self.entries[i][j]
+        pair = (self.target.basis[i], self.source.basis[j])
+        return self.value if pair in self.support else Fraction(0)
 
     def scalar(self) -> Fraction:
         if self.source.dim != 1 or self.target.dim != 1:
             raise ValueError("not a closed bordism")
-        return self.entries[0][0]
+        return self[0, 0]
 
     def trace(self) -> Fraction:
         if self.source != self.target:
             raise ValueError("trace needs equal source and target")
-        return sum((self.entries[i][i] for i in range(self.source.dim)), Fraction(0))
+        return self.value * sum(out == inn for out, inn in self.support)
 
     def is_identity(self) -> bool:
-        return self.source == self.target and all(
-            self.entries[i][j] == (1 if i == j else 0)
-            for i in range(self.target.dim)
-            for j in range(self.source.dim)
-        )
+        return (self.source == self.target and self.value == 1
+                and len(self.support) == self.source.dim
+                and all(out == inn for out, inn in self.support))
 
 
 def compose(outer: BordismMatrix, inner: BordismMatrix) -> BordismMatrix:
-    """Formal composite: the matrix product outer o inner."""
+    """Formal composite outer o inner, as a relation composite: entry (t, s)
+    counts the middle labels m with (t, m) in outer's and (m, s) in inner's
+    support.  For subgroups that count is one constant on the support."""
     if inner.target != outer.source:
         raise ValueError("bordism matrices do not compose")
-    rows = []
-    for i in range(outer.target.dim):
-        row = []
-        for j in range(inner.source.dim):
-            row.append(
-                sum(
-                    (outer.entries[i][k] * inner.entries[k][j]
-                     for k in range(outer.source.dim)),
-                    Fraction(0),
-                )
-            )
-        rows.append(tuple(row))
-    return BordismMatrix(inner.source, outer.target, tuple(rows))
+    by_middle = defaultdict(list)
+    for mid, inn in inner.support:
+        by_middle[mid].append(inn)
+    counts = Counter((out, inn) for out, mid in outer.support for inn in by_middle[mid])
+    sizes = set(counts.values())
+    if len(sizes) > 1:
+        raise ValueError("supports are not subgroups: middle label counts differ")
+    return BordismMatrix(inner.source, outer.target,
+                         outer.value * inner.value * max(sizes, default=0), frozenset(counts))
 
 
 def tensor(a: BordismMatrix, b: BordismMatrix) -> BordismMatrix:
-    """Disjoint union of bordisms: Kronecker product in the lexicographic
-    basis of concatenated circle labels."""
+    """Disjoint union of bordisms: R x R', labels concatenated, which is the
+    Kronecker product in the lexicographic basis."""
     if a.source.group != b.source.group:
         raise ValueError("coefficient groups differ")
     src = StateSpace(a.source.group, a.source.circles + b.source.circles)
     tgt = StateSpace(a.target.group, a.target.circles + b.target.circles)
-    rows = []
-    for i1 in range(a.target.dim):
-        for i2 in range(b.target.dim):
-            row = []
-            for j1 in range(a.source.dim):
-                for j2 in range(b.source.dim):
-                    row.append(a.entries[i1][j1] * b.entries[i2][j2])
-            rows.append(tuple(row))
-    return BordismMatrix(src, tgt, tuple(rows))
+    support = frozenset((ao + bo, ai + bi) for ao, ai in a.support for bo, bi in b.support)
+    return BordismMatrix(src, tgt, a.value * b.value, support)
 
 
 def identity_matrix(group: FiniteAbelianGroup, circles: int) -> BordismMatrix:
     space = StateSpace(group, circles)
-    rows = tuple(
-        tuple(Fraction(1 if i == j else 0) for j in range(space.dim))
-        for i in range(space.dim)
-    )
-    return BordismMatrix(space, space, rows)
+    return BordismMatrix(space, space, Fraction(1), frozenset((x, x) for x in space.basis))
 
 
 # ---------------------------------------------------------------------------
@@ -325,25 +328,19 @@ def bordism_matrix(b: Bordism, group: FiniteAbelianGroup) -> BordismMatrix:
     kernel = 1
     for factor in cohomology(b.w, group, 1).factors:
         gens = [tuple(rep[e] for e in edges) for rep in factor.reps]
-        image = set(FiniteAbelianGroup([factor.n] * len(edges)).subgroup(gens))
+        image = FiniteAbelianGroup([factor.n] * len(edges)).subgroup(gens)
         images.append(image)
         kernel *= factor.order // len(image)
 
-    def per_factor(label):
-        return [tuple(a[k] for a in label) for k in range(len(images))]
-
+    # R = im r: one image element per cyclic factor of A, re-zipped into
+    # one A-value per edge
+    n_out = len(b.out_circles)
+    support = set()
+    for per_factor in iproduct(*images):
+        label = tuple(tuple(v[e] for v in per_factor) for e in range(len(edges)))
+        support.add((label[:n_out], label[n_out:]))
     value = normalization_constant(b, group) * kernel
-    zero = Fraction(0)
-    in_labels = [per_factor(label) for label in source.basis]
-    rows = []
-    for out_label in target.basis:
-        out = per_factor(out_label)
-        rows.append(tuple(
-            value if all(o + i in image for o, i, image in zip(out, ins, images))
-            else zero
-            for ins in in_labels
-        ))
-    return BordismMatrix(source, target, tuple(rows))
+    return BordismMatrix(source, target, value, frozenset(support))
 
 
 @dataclass(frozen=True)
@@ -358,8 +355,9 @@ def trace_check(circles: int, group: FiniteAbelianGroup) -> TraceReport:
     """Tr of the cylinder bordism over ``circles`` circles must equal the
     value of the corresponding closed mapping torus (disjoint tori)."""
     mat = identity_matrix(group, 0)
+    cyl = bordism_matrix(cylinder(), group)
     for _ in range(circles):
-        mat = tensor(mat, bordism_matrix(cylinder(), group))
+        mat = tensor(mat, cyl)
     tr = mat.trace()
     torus_cx = complexes.torus(2)
     cx = torus_cx

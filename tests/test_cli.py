@@ -97,6 +97,27 @@ class TestSubcommands:
         doc = json.loads(out)
         assert doc["count"] == 8
 
+    @pytest.mark.parametrize("written,canonical", [
+        # Z4xZ2 is Z2xZ4 canonically, with the factors swapped
+        (("Z4xZ2", "1,1;2,0", "0,0"), ("Z2xZ4", "1,1;0,2", "0,0")),
+        (("Z4xZ2", "full", "1/8,1/4"), ("Z2xZ4", "0,1;1,0", "1/8,1/4")),
+        # Z2xZ3 is Z6, and (1, 0) is its element 3 of order 2
+        (("Z2xZ3", "1,0", "1/2"), ("Z6", "3", "1/2")),
+    ])
+    def test_lines_reads_generators_in_the_written_factor_order(self, capsys, written,
+                                                                canonical):
+        docs = []
+        for group, sub, q in (written, canonical):
+            code, out, err = run(capsys, "lines", "--A", group, "--Aprime", sub, "--q", q)
+            assert code == 0, err
+            docs.append(json.loads(out))
+        assert docs[0] == docs[1]
+
+    def test_lines_checks_generators_against_the_written_factors(self, capsys):
+        code, out, err = run(capsys, "lines", "--A", "Z4xZ2", "--Aprime", "0,2", "--q", "0")
+        assert code == 2 and out == ""
+        assert err == "error: (0, 2) is not an element of Z4xZ2\n"
+
     def test_anyons(self, capsys):
         code, out, _ = run(capsys, "anyons", "--N", "2", "--p", "1")
         assert code == 0
@@ -399,6 +420,20 @@ class TestExitCodes:
         code, out, err = run(capsys, "ising", "--L", "4", "--T", "300", "--beta", "0.05",
                              "--method", "transfer")
         assert code == 2 and "overflows a float" in err and out == ""
+
+    @pytest.mark.parametrize("method", ["bruteforce", "transfer"])
+    def test_huge_beta_gives_the_ground_state_count(self, capsys, method):
+        # the k = 0 weight is 1, not exp(-inf * 0) = nan; 2 ground states on 2x2
+        code, out, err = run(capsys, "ising", "--L", "2", "--T", "2", "--beta", "1e308",
+                             "--method", method)
+        assert code == 0 and err == ""
+        doc = json.loads(out)
+        assert [doc[f"Z{h}"] for h in ("00", "01", "10", "11")] == ["2", "0", "0", "0"]
+
+    def test_infinite_beta_is_input_error(self, capsys):
+        code, out, err = run(capsys, "ising", "--L", "2", "--T", "2", "--beta", "inf")
+        assert code == 2 and out == ""
+        assert err == "error: beta must be positive and finite\n"
 
     @pytest.mark.parametrize("method", ["bruteforce", "transfer"])
     def test_sweep_count_trips_the_default_guard(self, capsys, method):

@@ -1,17 +1,21 @@
-"""Grammar fuzz of the ``lines``, ``fusion``, ``cohomology``, ``partition``
-and ``bordism`` subcommands.
+"""Grammar fuzz of every subcommand: ``lines``, ``fusion``, ``cohomology``,
+``partition``, ``bordism``, ``anyons``, ``anomaly``, ``gauss``, ``ising``
+and ``problem1``.
 
 Hypothesis draws argvs from the CLI grammar (group strings, subgroup
 specs, q values and cross terms, reports, manifold presets and their
-parameters, targets, shapes, degrees, formats and ``--max-enum``),
-well-formed and garbled alike.  Every argv must end in exit 0, 2 or 3
-from ``cli.main``: a result, an input error or a tripped guard, never an
-uncaught exception.  Runs are derandomized and keep no example database,
-and the groups stay small, so the suite stays fast and deterministic.
+parameters, targets, shapes, degrees, integer parameters, inverse
+temperatures and sweeps, formats and ``--max-enum``), well-formed and
+garbled alike.  Every argv must end in exit 0, 2 or 3 from ``cli.main``:
+a result, an input error or a tripped guard, never an uncaught exception;
+and stdout never prints ``inf`` or ``nan``.  Runs are derandomized and
+keep no example database, and the groups and lattices stay small, so the
+suite stays fast and deterministic.
 """
 
 import contextlib
 import io
+import re
 import tempfile
 from pathlib import Path
 
@@ -63,9 +67,16 @@ COMMON = st.tuples(
 )
 
 
+NONFINITE = re.compile(r"\b(inf|nan)\b")
+
+
 def _exit_code(argv) -> int:
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-        return main(argv)
+    """The exit code of ``argv``, after checking stdout prints no inf/nan."""
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()):
+        code = main(argv)
+    assert not NONFINITE.search(stdout.getvalue()), stdout.getvalue()
+    return code
 
 
 @FUZZ
@@ -124,4 +135,72 @@ def test_partition_argvs_exit_cleanly(target, manifold, limit, common):
                                       "sphere", "klein", ""]), COMMON)
 def test_bordism_argvs_exit_cleanly(group, shape, common):
     argv = ["bordism", "--group", group, "--shape", shape]
+    assert _exit_code(argv + common[0] + common[1]) in (0, 2, 3)
+
+
+INTS = st.one_of(st.integers(-3, 40).map(str), GARBAGE)
+
+
+@FUZZ
+@given(INTS, INTS, COMMON)
+def test_anyons_argvs_exit_cleanly(n, p, common):
+    argv = ["anyons", "--N", n, "--p", p]
+    assert _exit_code(argv + common[0] + common[1]) in (0, 2, 3)
+
+
+@FUZZ
+@given(st.one_of(st.just([]), INTS.map(lambda n: ["--ym-theta-pi", n])),
+       st.one_of(st.just([]), st.tuples(INTS, INTS).map(
+           lambda np_: ["--fractional-instanton", *np_])),
+       st.sampled_from([[], ["--spin"]]), COMMON)
+def test_anomaly_argvs_exit_cleanly(ym, frac, spin, common):
+    argv = ["anomaly", *ym, *frac, *spin]
+    assert _exit_code(argv + common[0] + common[1]) in (0, 2, 3)
+
+
+@FUZZ
+@given(INTS, INTS, COMMON)
+def test_gauss_argvs_exit_cleanly(n, p, common):
+    argv = ["gauss", "--N", n, "--p", p]
+    assert _exit_code(argv + common[0] + common[1]) in (0, 2, 3)
+
+
+BETAS = st.one_of(
+    st.sampled_from(["inf", "-inf", "+inf", "nan", "-nan", "1e308", "1.7976931348623157e308",
+                     "1e200", "-1", "0", "-0.0", "5e-324", "1e-300", "0.44068679", "1e3"]),
+    st.floats(-5, 50, allow_nan=False).map(repr),
+    GARBAGE,
+)
+SIDE = st.integers(1, 3).map(str)
+OPTIONS = st.tuples(st.sampled_from([[], ["--sectors", "all"], ["--sectors", "trivial"]]),
+                    st.sampled_from([[], ["--gauge"]]),
+                    st.sampled_from([[], ["--method", "bruteforce"], ["--method", "transfer"]]))
+
+
+@FUZZ
+@given(SIDE, SIDE, BETAS, OPTIONS, COMMON)
+def test_ising_beta_argvs_exit_cleanly(length, steps, beta, options, common):
+    argv = ["ising", "--L", length, "--T", steps, "--beta", beta, *sum(options, [])]
+    assert _exit_code(argv + common[0] + common[1]) in (0, 2, 3)
+
+
+@FUZZ
+@given(st.one_of(SIDE, st.integers(-1, 0).map(str), GARBAGE),
+       st.one_of(SIDE, st.integers(-1, 0).map(str), GARBAGE),
+       st.one_of(st.tuples(BETAS, BETAS, st.one_of(st.integers(-1, 12).map(str), GARBAGE))
+                 .map(lambda sweep: ["--sweep", *sweep]),
+                 st.just([])),
+       OPTIONS, COMMON)
+def test_ising_argvs_exit_cleanly(length, steps, sweep, options, common):
+    argv = ["ising", "--L", length, "--T", steps, *sweep, *sum(options, [])]
+    assert _exit_code(argv + common[0] + common[1]) in (0, 2, 3)
+
+
+@FUZZ
+@given(st.one_of(st.sampled_from(["Z1", "Z2", "Z3", "Z4", "Z5", "Z6", "Z7", "Z8", "Z2xZ2",
+                                  "Z2xZ4", "Z4xZ2", "Z2xZ3", "Z2xZ2xZ2", "Z1xZ2", "S3",
+                                  "trivial"]), GARBAGE),
+       COMMON)
+def test_problem1_argvs_exit_cleanly(group, common):
+    argv = ["problem1", "--group", group]
     assert _exit_code(argv + common[0] + common[1]) in (0, 2, 3)
