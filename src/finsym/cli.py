@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from fractions import Fraction
 
@@ -189,13 +190,14 @@ def _run_cohomology(args) -> dict:
 
     cx = parse_manifold(args.manifold)
     coeffs = parse_abelian(args.coefficients)
-    h = complexes.cohomology(cx, coeffs, args.degree)
+    group = FiniteAbelianGroup.from_cyclic_orders(
+        complexes.cohomology_cyclic_orders(cx, coeffs, args.degree))
     return {
         "manifold": args.manifold,
         "coefficients": str(coeffs),
         "degree": args.degree,
-        "group": str(h.group),
-        "order": h.order,
+        "group": str(group),
+        "order": group.order,
     }
 
 
@@ -347,6 +349,10 @@ def _run_ising(args):
             per_point = ising.enumeration_size(
                 ising.IsingLattice(args.length, args.time_steps, start))
         check_enum(count * per_point, what="beta sweep")
+        # the grid below multiplies before it divides; keep its bits, reject overflow
+        if not math.isfinite((count - 1) * (stop - start)):
+            raise ValueError(
+                "sweep overflows a float: (count - 1) * (stop - start) must be finite")
         betas = [start + i * (stop - start) / (count - 1) for i in range(count)]
     else:
         if args.beta is None:

@@ -10,10 +10,11 @@ delta^q's coordinates, shared by every cyclic factor.  By the universal
 coefficient theorem each H^q(C; Z_n) is a product of Z_gcd(d, n) over their
 invariant factors d and a free Z_n part; generator representatives, exact
 class coordinates and induced restriction maps come from the same
-transforms.  Where only |H^q| is needed, the same formula runs on invariant
-factors alone (``cohomology_order``).  Relative cohomology is that of the
-quotient complex C(W)/C(S) (``quotient``).  A brute-force cochain
-enumerator doubles as the independent oracle for all of this.
+transforms.  Where only the group type or |H^q| is needed, the same
+formula runs on invariant factors alone (``cohomology_cyclic_orders``,
+``cohomology_order``).  Relative cohomology is that of the quotient
+complex C(W)/C(S) (``quotient``).  A brute-force cochain enumerator
+doubles as the independent oracle for all of this.
 
 Cell structures for the preset manifolds are the minimal standard ones
 (one-vertex surfaces, standard RP^n); their boundary columns are spelled
@@ -555,21 +556,31 @@ def _boundary_factors(cx: ChainComplex, k: int, table: dict) -> tuple[int, ...]:
     return table[k]
 
 
-def cohomology_order(
+def cohomology_cyclic_orders(
     cx: ChainComplex, coeffs: FiniteAbelianGroup, q: int, boundary_factors=None
-) -> int:
-    """|H^q(cx; coeffs)| from integer invariant factors alone.
+) -> list[int]:
+    """Orders of cyclic groups whose product is H^q(cx; coeffs), from
+    integer invariant factors alone (1s included).
 
-    No transforms and no representatives: equal to ``cohomology(...).order``
-    at a fraction of the cost.  A caller that needs several orders of one
-    complex passes one dict as ``boundary_factors`` to every call, so each
-    boundary matrix is reduced once for all degrees and coefficients.
+    No transforms and no representatives:
+    ``FiniteAbelianGroup.from_cyclic_orders`` of the list is
+    ``cohomology(...).group`` at a fraction of the cost.  A caller that
+    needs several degrees or coefficients of one complex passes one dict as
+    ``boundary_factors`` to every call, so each boundary matrix is reduced
+    once for all of them.
     """
     _check_degree(cx, q)
     table = {} if boundary_factors is None else boundary_factors
     factors = (_boundary_factors(cx, q + 1, table), _boundary_factors(cx, q, table))
-    return prod(prod(_cyclic_orders(cx.n_cells(q), *factors, n))
-                for n in coeffs.invariant_factors)
+    return [o for n in coeffs.invariant_factors
+            for o in _cyclic_orders(cx.n_cells(q), *factors, n)]
+
+
+def cohomology_order(
+    cx: ChainComplex, coeffs: FiniteAbelianGroup, q: int, boundary_factors=None
+) -> int:
+    """|H^q(cx; coeffs)|: the product of ``cohomology_cyclic_orders``."""
+    return prod(cohomology_cyclic_orders(cx, coeffs, q, boundary_factors))
 
 
 def relative_cohomology(w: ChainComplex, sub: SubcomplexMap, coeffs: FiniteAbelianGroup,

@@ -9,15 +9,18 @@ each matrix reduced once per call; no cohomology representatives or Smith
 transforms are built.  An independent cochain-groupoid oracle
 (#Z^n weighted by the gauge tower |C^{n-1}|, |C^{n-2}|, ...) validates it
 at desk scale.  Nonabelian gauge groups are supported on surfaces only,
-where the partition function is a normalized count of relation-satisfying
-tuples.
+where the partition function is the normalized count of tuples with
+prod [a_i, b_i] = e: the identity coefficient of the g-th convolution
+power of the commutator histogram in Z[G], in g |G|^2 exact integer steps.
+The tests check it against the |G|^{2g} tuple enumeration and against
+Frobenius-Mednykh, sum over irreducible characters of (|G|/chi(1))^{2g-2}.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product as iproduct
 
 from . import complexes
 from .complexes import ChainComplex, cohomology_order, count_cocycles, is_closed
@@ -99,21 +102,31 @@ def em_category_simple_count(m: ChainComplex, coeffs: FiniteAbelianGroup) -> int
 def surface_gauge_count(group: FiniteGroup, genus: int, limit=None) -> Fraction:
     """Z_G(Sigma_g) = #{(a_1,b_1,..,a_g,b_g) : prod [a_i,b_i] = e} / |G|.
 
-    The g = 0 value is the groupoid cardinality of pt//G, i.e. 1/|G|.
+    The count is the identity coefficient of c^{*g} in Z[G], where
+    c[x] = #{(a, b) : [a, b] = x} is the commutator histogram: |G|^2
+    commutators build c, and each of the g - 1 convolutions through the
+    Cayley rows takes at most |G|^2 exact integer steps.  The g = 0 value
+    is the groupoid cardinality of pt//G, i.e. 1/|G|.  The guard is
+    charged max(|G|^{2g}, g |G|^2): the tuple count, which keeps every
+    existing limit and message, or the convolution steps where those are
+    larger (the trivial group).
     """
     if genus < 0:
         raise ValueError("genus must be >= 0")
     if genus == 0:
         return Fraction(1, group.order)
-    check_enum(group.order ** (2 * genus), limit, what="gauge tuple enumeration")
-    count = 0
-    for tup in iproduct(range(group.order), repeat=2 * genus):
-        acc = group.identity
-        for i in range(genus):
-            acc = group.mul(acc, group.commutator(tup[2 * i], tup[2 * i + 1]))
-        if acc == group.identity:
-            count += 1
-    return Fraction(count, group.order)
+    n = group.order
+    check_enum(max(n ** (2 * genus), genus * n * n), limit, what="gauge tuple enumeration")
+    hist = Counter(group.commutator(a, b) for a in range(n) for b in range(n))
+    acc = hist
+    for _ in range(genus - 1):
+        nxt = Counter()
+        for x, ax in acc.items():
+            row = group.cayley[x]
+            for y, cy in hist.items():
+                nxt[row[y]] += ax * cy
+        acc = nxt
+    return Fraction(acc[group.identity], n)
 
 
 def partition(target: PiFiniteTarget, m: ChainComplex) -> Fraction:

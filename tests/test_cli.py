@@ -58,6 +58,32 @@ class TestSubcommands:
         doc = json.loads(out)
         assert doc["group"] == "Z2" and doc["order"] == 2
 
+    @pytest.mark.parametrize("manifold", [
+        "circle", "interval", "klein", "disk", "pants",
+        *(f"{name}:{k}" for name in ("sphere", "torus", "rp") for k in range(1, 5)),
+        *(f"surface:{g}" for g in range(5)),
+    ])
+    def test_cohomology_group_matches_full_route(self, capsys, manifold):
+        from finsym.cli import parse_manifold
+        from finsym.complexes import cohomology
+        from finsym.groups import parse_abelian
+
+        cx = parse_manifold(manifold)
+        for name in ("Z2", "Z4", "Z6", "Z2xZ4"):
+            for q in range(cx.top_dim + 1):
+                code, out, _ = run(capsys, "cohomology", "--manifold", manifold,
+                                   "--coefficients", name, "--degree", str(q))
+                h = cohomology(cx, parse_abelian(name), q)
+                assert code == 0
+                assert json.loads(out) == {"manifold": manifold, "coefficients": name,
+                                           "degree": q, "group": str(h.group),
+                                           "order": h.order}
+
+    def test_cohomology_degree_out_of_range_is_input_error(self, capsys):
+        code, out, err = run(capsys, "cohomology", "--manifold", "torus:2",
+                             "--coefficients", "Z2", "--degree", "3")
+        assert code == 2 and out == "" and err == "error: degree 3 out of range 0..2\n"
+
     def test_bordism_pants(self, capsys):
         code, out, _ = run(capsys, "bordism", "--group", "Z2", "--shape", "pants")
         assert code == 0
@@ -442,6 +468,21 @@ class TestExitCodes:
                              "--sweep", "0.1", "1.0", "100000000", "--method", method)
         assert time.perf_counter() - start < 1.0
         assert code == 3 and "guard" in err and out == ""
+
+    @pytest.mark.parametrize("stop", ["1e308", "inf"])
+    def test_overflowing_sweep_is_input_error(self, capsys, stop):
+        code, out, err = run(capsys, "ising", "--L", "2", "--T", "2",
+                             "--sweep", "0.1", stop, "3")
+        assert code == 2 and out == ""
+        assert err == ("error: sweep overflows a float: "
+                       "(count - 1) * (stop - start) must be finite\n")
+
+    def test_genus_four_surface_count_is_quick(self, capsys):
+        start = time.perf_counter()
+        code, out, _ = run(capsys, "partition", "--target", "B1:D4",
+                           "--manifold", "surface:4")
+        assert time.perf_counter() - start < 1.0
+        assert code == 0 and json.loads(out)["value"] == "1052672/1"
 
     def test_zero_generator_value_is_input_error(self, capsys):
         code, out, err = run(capsys, "lines", "--A", "Z2xZ2", "--Aprime", "1,0;0,0",

@@ -1,6 +1,9 @@
 from fractions import Fraction
+from itertools import product
 
 import pytest
+
+from finsym import limits
 
 from finsym.complexes import (
     circle,
@@ -12,7 +15,13 @@ from finsym.complexes import (
     surface,
     torus,
 )
-from finsym.groups import FiniteAbelianGroup, conjugacy_classes, named_group
+from finsym.groups import (
+    FiniteAbelianGroup,
+    conjugacy_classes,
+    cyclic_group,
+    direct_product,
+    named_group,
+)
 from finsym.limits import GuardExceeded
 from finsym.pathintegral import (
     PiFiniteTarget,
@@ -127,8 +136,73 @@ class TestSurfaceCounts:
         assert surface_gauge_count(g, genus) == Fraction(g.order) ** (2 * genus - 1)
 
     def test_guard(self):
-        with pytest.raises(GuardExceeded):
+        with pytest.raises(GuardExceeded) as exc:
             surface_gauge_count(named_group("Q8"), 3, limit=1000)
+        assert str(exc.value) == (
+            "gauge tuple enumeration needs 262144 states, guard allows 1000"
+        )
+
+    def test_trivial_group_at_large_genus_is_guarded(self):
+        # |G|^{2g} = 1, so only the g |G|^2 term of the charge can trip
+        with pytest.raises(GuardExceeded, match="needs 1000000 states"):
+            surface_gauge_count(cyclic_group(1), 10**6, limit=1000)
+
+
+def tuple_count(group, genus):
+    """Brute-force oracle: enumerate all |G|^{2g} tuples and keep those with
+    prod [a_i, b_i] = e."""
+    count = 0
+    for tup in product(range(group.order), repeat=2 * genus):
+        acc = group.identity
+        for i in range(genus):
+            acc = group.mul(acc, group.commutator(tup[2 * i], tup[2 * i + 1]))
+        if acc == group.identity:
+            count += 1
+    return Fraction(count, group.order)
+
+
+# (group, degrees of its irreducible characters); a product's degrees are
+# the products of its factors' degrees
+S3_DEGREES = (1, 1, 2)
+ORACLE_GROUPS = [
+    ("S3", named_group("S3"), S3_DEGREES),
+    ("D4", named_group("D4"), (1, 1, 1, 1, 2)),
+    ("Q8", named_group("Q8"), (1, 1, 1, 1, 2)),
+    ("Z2xZ2", named_group("Z2xZ2"), (1,) * 4),
+    *((f"C{n}", cyclic_group(n), (1,) * n) for n in range(1, 7)),
+    ("S3xC2", direct_product(named_group("S3"), cyclic_group(2)),
+     tuple(d * e for d in S3_DEGREES for e in (1, 1))),
+]
+
+
+def frobenius_mednykh(degrees, genus):
+    """Sum over irreducible characters of (|G| / chi(1))^{2g - 2}."""
+    order = sum(d * d for d in degrees)
+    return sum((Fraction(order, d) ** (2 * genus - 2) for d in degrees), Fraction(0))
+
+
+class TestSurfaceCountOracles:
+    @pytest.mark.parametrize(
+        "group, genus",
+        [
+            pytest.param(group, genus, id=f"{name}-g{genus}")
+            for name, group, _ in ORACLE_GROUPS
+            for genus in range(11)
+            if group.order ** (2 * genus) <= 2**18
+        ],
+    )
+    def test_equals_tuple_enumeration(self, group, genus):
+        assert surface_gauge_count(group, genus) == tuple_count(group, genus)
+
+    @pytest.mark.parametrize(
+        "group, degrees", [pytest.param(g, d, id=name) for name, g, d in ORACLE_GROUPS]
+    )
+    def test_equals_frobenius_mednykh(self, group, degrees, monkeypatch):
+        # the kept tuple-count charge reaches 12^20 at genus 10, above the 2^24 ceiling
+        monkeypatch.setattr(limits, "HARD_CEILING", 2**80)
+        assert len(degrees) == len(conjugacy_classes(group))
+        for genus in range(11):
+            assert surface_gauge_count(group, genus) == frobenius_mednykh(degrees, genus)
 
 
 class TestTargets:
