@@ -12,10 +12,9 @@ from __future__ import annotations
 import cmath
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, prod, sqrt
+from math import gcd, sqrt
 
 from .groups import FiniteAbelianGroup, characters, dual_group
-from .intmatrix import IntMatrix, invariant_factors
 from .limits import check_enum
 from .quadratic import QuadraticForm, _validate, mod1, polarization, subgroup_quadratic_table
 
@@ -30,10 +29,6 @@ class LineLattice:
 
     ambient: FiniteAbelianGroup
     pairs: tuple[tuple[tuple, tuple], ...]
-
-    def __contains__(self, pair):
-        m, e = pair
-        return (tuple(m), tuple(e)) in set(self.pairs)
 
     def is_closed_under_addition(self) -> bool:
         """Empty, or holding 0 and each coset by which their span grows."""
@@ -96,15 +91,8 @@ def allowed_lines_from_generator_values(
 
 def _line_subgroup(ambient: FiniteAbelianGroup, subgroup_generators) -> tuple:
     """The elements of A', enumerated only after the |A'|^2 |A| selection
-    loop is charged: |A'| = |A| / prod of the invariant factors of the
-    lattice spanned by the columns of [diag(n_i) | generators]."""
-    for g in subgroup_generators:
-        if not ambient.contains(tuple(g)):
-            raise ValueError(f"{g} is not an element of {ambient}")
-    lattice = IntMatrix([[n * (i == j) for j in range(ambient.rank)]
-                         + [g[i] for g in subgroup_generators]
-                         for i, n in enumerate(ambient.invariant_factors)])
-    order = ambient.order // prod(invariant_factors(lattice))
+    loop is charged."""
+    order = ambient.subgroup_order(subgroup_generators)
     check_enum(order**2 * ambient.order, what="line selection (|A'|^2 |A|)")
     return ambient.subgroup(subgroup_generators)
 

@@ -12,9 +12,11 @@ invariant factors d and a free Z_n part; generator representatives, exact
 class coordinates and induced restriction maps come from the same
 transforms.  Where only the group type or |H^q| is needed, the same
 formula runs on invariant factors alone (``cohomology_cyclic_orders``,
-``cohomology_order``).  Relative cohomology is that of the quotient
-complex C(W)/C(S) (``quotient``).  A brute-force cochain enumerator
-doubles as the independent oracle for all of this.
+``cohomology_order``); a complex reduces each boundary matrix once and
+keeps its invariant factors for every later degree and coefficient group.
+Relative cohomology is that of the quotient complex C(W)/C(S)
+(``quotient``).  A brute-force cochain enumerator doubles as the
+independent oracle for all of this.
 
 Cell structures for the preset manifolds are the minimal standard ones
 (one-vertex surfaces, standard RP^n); their boundary columns are spelled
@@ -52,10 +54,11 @@ class ChainComplex:
     nonzero entries (row, coeff) of column j of d_k, for k = 1..top_dim.
     Each degree may be given as such columns (in any order, with duplicates
     or zeros) or as an IntMatrix; either is stored as canonical columns.
-    d o d = 0 is checked exactly, over the nonzero entries.
+    d o d = 0 is checked exactly, over the nonzero entries.  The invariant
+    factors of each d_k are kept once computed; they are not part of equality.
     """
 
-    __slots__ = ("cells", "boundaries")
+    __slots__ = ("cells", "boundaries", "_factors")
 
     def __init__(self, cells, boundaries):
         cells = tuple(int(c) for c in cells)
@@ -82,6 +85,7 @@ class ChainComplex:
                     raise ValueError(f"d_{k-1} o d_{k} != 0")
         object.__setattr__(self, "cells", cells)
         object.__setattr__(self, "boundaries", tuple(bnds))
+        object.__setattr__(self, "_factors", {})
 
     def __setattr__(self, name, value):
         raise AttributeError("ChainComplex is immutable")
@@ -111,6 +115,12 @@ class ChainComplex:
             for i, v in col:
                 row[i] = v
         return IntMatrix(rows, rows=len(rows), cols=self.n_cells(q))
+
+    def boundary_factors(self, k: int) -> tuple[int, ...]:
+        """Invariant factors of d_k, read off delta^{k-1}; reduced on first use."""
+        if k not in self._factors:
+            self._factors[k] = invariant_factors(self.coboundary(k - 1))
+        return self._factors[k]
 
     def euler_characteristic(self) -> int:
         return sum((-1) ** k * c for k, c in enumerate(self.cells))
@@ -549,38 +559,26 @@ def cohomology(cx: ChainComplex, coeffs: FiniteAbelianGroup, q: int) -> Cohomolo
     )
 
 
-def _boundary_factors(cx: ChainComplex, k: int, table: dict) -> tuple[int, ...]:
-    """Invariant factors of d_k, read off delta^{k-1}, reduced once per table."""
-    if k not in table:
-        table[k] = invariant_factors(cx.coboundary(k - 1))
-    return table[k]
-
-
-def cohomology_cyclic_orders(
-    cx: ChainComplex, coeffs: FiniteAbelianGroup, q: int, boundary_factors=None
-) -> list[int]:
+def cohomology_cyclic_orders(cx: ChainComplex, coeffs: FiniteAbelianGroup,
+                             q: int) -> list[int]:
     """Orders of cyclic groups whose product is H^q(cx; coeffs), from
     integer invariant factors alone (1s included).
 
     No transforms and no representatives:
     ``FiniteAbelianGroup.from_cyclic_orders`` of the list is
-    ``cohomology(...).group`` at a fraction of the cost.  A caller that
-    needs several degrees or coefficients of one complex passes one dict as
-    ``boundary_factors`` to every call, so each boundary matrix is reduced
-    once for all of them.
+    ``cohomology(...).group`` at a fraction of the cost.  The complex keeps
+    the invariant factors of each boundary matrix, so every degree and
+    coefficient group of one complex reduces each matrix once.
     """
     _check_degree(cx, q)
-    table = {} if boundary_factors is None else boundary_factors
-    factors = (_boundary_factors(cx, q + 1, table), _boundary_factors(cx, q, table))
+    factors = (cx.boundary_factors(q + 1), cx.boundary_factors(q))
     return [o for n in coeffs.invariant_factors
             for o in _cyclic_orders(cx.n_cells(q), *factors, n)]
 
 
-def cohomology_order(
-    cx: ChainComplex, coeffs: FiniteAbelianGroup, q: int, boundary_factors=None
-) -> int:
+def cohomology_order(cx: ChainComplex, coeffs: FiniteAbelianGroup, q: int) -> int:
     """|H^q(cx; coeffs)|: the product of ``cohomology_cyclic_orders``."""
-    return prod(cohomology_cyclic_orders(cx, coeffs, q, boundary_factors))
+    return prod(cohomology_cyclic_orders(cx, coeffs, q))
 
 
 def relative_cohomology(w: ChainComplex, sub: SubcomplexMap, coeffs: FiniteAbelianGroup,
@@ -642,10 +640,10 @@ def restriction_map(
 # ---------------------------------------------------------------------------
 
 
-def _cyclic_cocycles(cx: ChainComplex, n: int, q: int, limit=None):
+def _cyclic_cocycles(cx: ChainComplex, n: int, q: int):
     """All degree-q cocycles mod n, by exhaustive cochain enumeration."""
     c = cx.n_cells(q)
-    check_enum(n**c, limit, what=f"cochain enumeration ({n}^{c})")
+    check_enum(n**c, what=f"cochain enumeration ({n}^{c})")
     delta = cx.coboundary(q)
     out = []
     for x in iproduct(*(range(n) for _ in range(c))):
@@ -662,11 +660,11 @@ def _cyclic_coboundary_group(cx: ChainComplex, n: int, q: int):
     return FiniteAbelianGroup([n] * cx.n_cells(q)).subgroup(gens)
 
 
-def count_cocycles(cx: ChainComplex, coeffs: FiniteAbelianGroup, q: int, limit=None) -> int:
+def count_cocycles(cx: ChainComplex, coeffs: FiniteAbelianGroup, q: int) -> int:
     """#Z^q(cx; A) by brute force; independent of the SNF route."""
     total = 1
     for n in coeffs.invariant_factors:
-        total *= len(_cyclic_cocycles(cx, n, q, limit))
+        total *= len(_cyclic_cocycles(cx, n, q))
     return total
 
 
@@ -678,7 +676,7 @@ def count_coboundaries(cx: ChainComplex, coeffs: FiniteAbelianGroup, q: int) -> 
     return total
 
 
-def enumerate_cocycles(cx: ChainComplex, coeffs: FiniteAbelianGroup, q: int, limit=None):
+def enumerate_cocycles(cx: ChainComplex, coeffs: FiniteAbelianGroup, q: int):
     """One representative cocycle per cohomology class, exhaustively.
 
     This is the oracle: it never touches the Smith-normal-form route.
@@ -686,7 +684,7 @@ def enumerate_cocycles(cx: ChainComplex, coeffs: FiniteAbelianGroup, q: int, lim
     """
     per_factor = []
     for n in coeffs.invariant_factors:
-        cocycles = _cyclic_cocycles(cx, n, q, limit)
+        cocycles = _cyclic_cocycles(cx, n, q)
         coboundaries = _cyclic_coboundary_group(cx, n, q)
         reps = []
         covered = set()
@@ -704,13 +702,11 @@ def enumerate_cocycles(cx: ChainComplex, coeffs: FiniteAbelianGroup, q: int, lim
     return out
 
 
-def is_closed(cx: ChainComplex, boundary_factors=None) -> bool:
+def is_closed(cx: ChainComplex) -> bool:
     """Mod-2 closedness test: every component carries a top class.
 
     For the compact manifold complexes used here, |H^top(M; Z_2)| equals
-    |H^0(M; Z_2)| exactly when M has no boundary.  ``boundary_factors`` is
-    shared with ``cohomology_order``.
+    |H^0(M; Z_2)| exactly when M has no boundary.
     """
     z2 = FiniteAbelianGroup([2])
-    table = {} if boundary_factors is None else boundary_factors
-    return cohomology_order(cx, z2, cx.top_dim, table) == cohomology_order(cx, z2, 0, table)
+    return cohomology_order(cx, z2, cx.top_dim) == cohomology_order(cx, z2, 0)

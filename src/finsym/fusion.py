@@ -15,6 +15,10 @@ from dataclasses import dataclass
 from .groups import FiniteGroup
 from .limits import check_enum
 
+PF_TOL = 1e-12  # power iteration stops when a step moves the vector by PF_TOL / 100
+PF_MAX_ITER = 10**5
+INTEGRALITY_TOL = 1e-9  # a PF dimension this close to an integer counts as one
+
 
 def _charged_rank(rank: int) -> int:
     check_enum(rank**3, what=f"fusion associativity check ({rank}^3 triples)")
@@ -237,12 +241,12 @@ def _is_invertible(ring: FusionRing, i: int) -> bool:
     return len({row.index(1) for row in rows}) == len(rows)
 
 
-def pf_dimensions(ring: FusionRing, tol: float = 1e-12, max_iter: int = 10**5):
+def pf_dimensions(ring: FusionRing):
     """Perron-Frobenius dimension of each simple object.
 
     Invertible simples (permutation fusion matrices) give exactly 1 without
     touching numpy; otherwise power iteration on N_i + I, which is primitive
-    on the relevant block, to the requested tolerance.
+    on the relevant block, to ``PF_TOL``.
     """
     dims = []
     for i in range(ring.rank):
@@ -254,10 +258,10 @@ def pf_dimensions(ring: FusionRing, tol: float = 1e-12, max_iter: int = 10**5):
         mat = ring.fusion_matrix(i)
         shifted = mat + np.eye(ring.rank)
         vec = np.ones(ring.rank) / np.sqrt(ring.rank)
-        for _ in range(max_iter):
+        for _ in range(PF_MAX_ITER):
             nxt = shifted @ vec
             nxt = nxt / np.linalg.norm(nxt)
-            if np.linalg.norm(nxt - vec) <= tol * 1e-2:
+            if np.linalg.norm(nxt - vec) <= PF_TOL * 1e-2:
                 vec = nxt
                 break
             vec = nxt
@@ -274,7 +278,7 @@ class Obstruction:
     detail: str | None = None
 
 
-def fiber_functor_obstruction(ring: FusionRing, tol: float = 1e-9) -> Obstruction:
+def fiber_functor_obstruction(ring: FusionRing) -> Obstruction:
     """'impossible' when some PF dimension is non-integral (necessary
     condition only; 'possible' is inconclusive).
 
@@ -285,7 +289,7 @@ def fiber_functor_obstruction(ring: FusionRing, tol: float = 1e-9) -> Obstructio
     dims = pf_dimensions(ring)
     for i, d in enumerate(dims):
         nearest = round(d)
-        if abs(d - nearest) <= tol:
+        if abs(d - nearest) <= INTEGRALITY_TOL:
             continue
         detail = f"d({ring.labels[i]}) = {d:.12f} is not an integer"
         square_row = ring.n_tensor[i][ring.dual[i]]

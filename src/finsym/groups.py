@@ -1,7 +1,9 @@
 """Finite abelian groups, characters, and finite groups as Cayley tables.
 
-Abelian groups are kept in invariant-factor form; elements are tuples of
-residues, one per factor.  Characters evaluate into Q/Z: the value is the
+Abelian groups are kept in invariant-factor form, reached from any list of
+cyclic orders by gcd and lcm alone, with no factoring; element and subgroup
+orders are integer arithmetic too, not enumerations.  Elements are tuples
+of residues, one per factor.  Characters evaluate into Q/Z: the value is the
 exact fraction t of a full turn, i.e. the root of unity exp(2*pi*i*t).
 General finite groups are multiplication tables validated on construction
 (rows are permutations, two-sided identity, associativity by Light's test
@@ -11,25 +13,11 @@ over a generating set).
 from __future__ import annotations
 
 import json
-from collections import defaultdict
 from fractions import Fraction
-from itertools import product, zip_longest
-from math import prod
+from itertools import product
+from math import gcd, lcm, prod
 
 from .limits import check_enum
-
-
-def _factorint(n: int) -> dict[int, int]:
-    out: dict[int, int] = {}
-    p = 2
-    while p * p <= n:
-        while n % p == 0:
-            out[p] = out.get(p, 0) + 1
-            n //= p
-        p += 1
-    if n > 1:
-        out[n] = out.get(n, 0) + 1
-    return out
 
 
 class FiniteAbelianGroup:
@@ -56,21 +44,25 @@ class FiniteAbelianGroup:
 
     @classmethod
     def from_cyclic_orders(cls, orders) -> "FiniteAbelianGroup":
-        """Canonical invariant-factor form of a product of cyclic groups."""
-        per_prime: dict[int, list[int]] = defaultdict(list)
+        """Canonical invariant-factor form of a product of cyclic groups.
+
+        Each order n is merged into the chain c_1 | ... | c_k from the top by
+        Z_c x Z_n = Z_lcm(c, n) x Z_gcd(c, n): c becomes the lcm and the gcd
+        moves down until it is 1 or the factor below it divides it, where it
+        is inserted.  No order is factored.
+        """
+        chain: list[int] = []
         for n in orders:
             n = int(n)
             if n < 1:
                 raise ValueError("cyclic order must be >= 1")
-            for p, e in _factorint(n).items():
-                per_prime[p].append(e)
-        columns = zip_longest(
-            *[sorted(exps, reverse=True) for exps in per_prime.values()], fillvalue=0
-        )
-        factors = sorted(
-            prod(p**e for p, e in zip(sorted(per_prime), col)) for col in columns
-        )
-        return cls([f for f in factors if f > 1])
+            i = len(chain)
+            while n > 1 and i and n % chain[i - 1]:
+                i -= 1
+                chain[i], n = lcm(chain[i], n), gcd(chain[i], n)
+            if n > 1:
+                chain.insert(i, n)
+        return cls(chain)
 
     @property
     def order(self) -> int:
@@ -108,18 +100,16 @@ class FiniteAbelianGroup:
         return tuple((k * a) % n for a, n in zip(x, self.invariant_factors))
 
     def element_order(self, x) -> int:
-        k = 1
-        y = x
-        while any(y):
-            y = self.add(y, x)
-            k += 1
-        return k
+        return lcm(*(n // gcd(a, n) for a, n in zip(x, self.invariant_factors)))
 
-    def subgroup(self, generators) -> tuple:
-        """All elements generated by ``generators``, sorted lexicographically."""
+    def _check_members(self, generators) -> None:
         for g in generators:
             if not self.contains(tuple(g)):
                 raise ValueError(f"{g} is not an element of {self}")
+
+    def subgroup(self, generators) -> tuple:
+        """All elements generated by ``generators``, sorted lexicographically."""
+        self._check_members(generators)
         seen = {self.zero()}
         frontier = [self.zero()]
         while frontier:
@@ -130,6 +120,24 @@ class FiniteAbelianGroup:
                     seen.add(y)
                     frontier.append(y)
         return tuple(sorted(seen))
+
+    def subgroup_order(self, generators) -> int:
+        """|<generators>| without enumerating it, one coordinate at a time:
+        Euclid steps leave a single generator p with a nonzero entry d there,
+        the projection to Z_n contributes n / gcd(d, n), and the other
+        generators with (n / gcd(d, n)) p generate its kernel."""
+        self._check_members(generators)
+        gens, order = [tuple(g) for g in generators], 1
+        for i, n in enumerate(self.invariant_factors):
+            pivot, kernel = self.zero(), []
+            for g in gens:
+                while g[i]:
+                    pivot, g = g, self.add(pivot, self.scalar_mul(-(pivot[i] // g[i]), g))
+                kernel.append(g)
+            step = n // gcd(pivot[i], n)
+            order *= step
+            gens = kernel + [self.scalar_mul(step, pivot)]
+        return order
 
     def __eq__(self, other):
         if not isinstance(other, FiniteAbelianGroup):

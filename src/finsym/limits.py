@@ -3,7 +3,7 @@
 Brute-force enumerations (cochain assignments, group tuples, spin
 configurations) are bounded so that a typo never launches an overnight
 computation.  The hard ceiling is 2**24 states; a ``max_enum`` block (the
-CLI's ``--max-enum``) and an explicit argument may lower it, never raise it.
+CLI's ``--max-enum``) may lower it, never raise it, and is the only way to.
 """
 
 from __future__ import annotations
@@ -35,7 +35,11 @@ def effective_limit(explicit: int | None = None) -> int:
     return min(int(b) for b in bounds if b is not None)
 
 
-def check_enum(size: int, limit: int | None = None, what: str = "enumeration") -> None:
-    bound = effective_limit(limit)
+def check_enum(size: int, what: str = "enumeration") -> None:
+    bound = effective_limit()
     if size > bound:
-        raise GuardExceeded(f"{what} needs {size} states, guard allows {bound}")
+        try:
+            states = str(size)
+        except ValueError:  # more digits than int-to-str conversion allows
+            states = f"at least 2^{size.bit_length() - 1}"
+        raise GuardExceeded(f"{what} needs {states} states, guard allows {bound}")

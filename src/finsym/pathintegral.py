@@ -5,7 +5,7 @@ pi_q = H^{n-q}(M; A), so its homotopy cardinality is the alternating
 product prod_q |H^{n-q}(M; A)|^{(-1)^q}.  That product is adopted as the
 partition function for every n.  Only orders enter, so they come from the
 integer invariant factors of the boundary matrices (universal coefficients),
-each matrix reduced once per call; no cohomology representatives or Smith
+each matrix reduced once per complex; no cohomology representatives or Smith
 transforms are built.  An independent cochain-groupoid oracle
 (#Z^n weighted by the gauge tower |C^{n-1}|, |C^{n-2}|, ...) validates it
 at desk scale.  Nonabelian gauge groups are supported on surfaces only,
@@ -46,25 +46,22 @@ def em_partition(m: ChainComplex, coeffs: FiniteAbelianGroup, n: int) -> Fractio
     """Partition function of the B^nA theory on a closed complex.
 
     Returns prod_{q=0}^{n} |H^{n-q}(m; A)|^{(-1)^q} as an exact rational;
-    for n = 2 this is #H^2 * #H^0 / #H^1.  Each boundary matrix is reduced
-    once, for the closedness check and every degree alike.
+    for n = 2 this is #H^2 * #H^0 / #H^1.  The complex keeps each boundary
+    matrix's reduction, so the closedness check and every degree share it.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    table: dict = {}
-    if not is_closed(m, table):
+    if not is_closed(m):
         raise ValueError("em_partition requires a closed complex")
     value = Fraction(1)
     # degrees above the top cell contribute |H^deg| = 1
     for q in range(max(0, n - m.top_dim), n + 1):
-        order = cohomology_order(m, coeffs, n - q, table)
+        order = cohomology_order(m, coeffs, n - q)
         value *= Fraction(order) if q % 2 == 0 else Fraction(1, order)
     return value
 
 
-def em_partition_bruteforce(
-    m: ChainComplex, coeffs: FiniteAbelianGroup, n: int, limit=None
-) -> Fraction:
+def em_partition_bruteforce(m: ChainComplex, coeffs: FiniteAbelianGroup, n: int) -> Fraction:
     """Independent oracle: cochain-level groupoid cardinality.
 
     Counts degree-n cocycles exhaustively and weights by the full gauge
@@ -73,7 +70,7 @@ def em_partition_bruteforce(
     """
     if not is_closed(m):
         raise ValueError("oracle requires a closed complex")
-    value = Fraction(count_cocycles(m, coeffs, n, limit)) if n <= m.top_dim else (
+    value = Fraction(count_cocycles(m, coeffs, n)) if n <= m.top_dim else (
         Fraction(1)
     )
     for k in range(n):
@@ -95,11 +92,10 @@ def em_category_simple_count(m: ChainComplex, coeffs: FiniteAbelianGroup) -> int
     B^2A theory: |H^2(m; A)| * |H^1(m; A)|."""
     if m.top_dim != 3:
         raise ValueError("category-level counting needs a 3-complex")
-    table: dict = {}
-    return cohomology_order(m, coeffs, 2, table) * cohomology_order(m, coeffs, 1, table)
+    return cohomology_order(m, coeffs, 2) * cohomology_order(m, coeffs, 1)
 
 
-def surface_gauge_count(group: FiniteGroup, genus: int, limit=None) -> Fraction:
+def surface_gauge_count(group: FiniteGroup, genus: int) -> Fraction:
     """Z_G(Sigma_g) = #{(a_1,b_1,..,a_g,b_g) : prod [a_i,b_i] = e} / |G|.
 
     The count is the identity coefficient of c^{*g} in Z[G], where
@@ -116,7 +112,7 @@ def surface_gauge_count(group: FiniteGroup, genus: int, limit=None) -> Fraction:
     if genus == 0:
         return Fraction(1, group.order)
     n = group.order
-    check_enum(max(n ** (2 * genus), genus * n * n), limit, what="gauge tuple enumeration")
+    check_enum(max(n ** (2 * genus), genus * n * n), what="gauge tuple enumeration")
     hist = Counter(group.commutator(a, b) for a in range(n) for b in range(n))
     acc = hist
     for _ in range(genus - 1):

@@ -124,9 +124,7 @@ def subgroup_quadratic_table(
     gen_values = tuple(mod1(v) for v in gen_values)
     if len(gen_values) != len(generators):
         raise ValueError("one value per generator required")
-    for g in generators:
-        if not group.contains(g):
-            raise ValueError(f"{g} is not an element of {group}")
+    order = group.subgroup_order(generators)
     cross = {(i, j): mod1(v) for (i, j), v in (cross_terms or {}).items()}
     if not all(0 <= i < j < len(generators) for i, j in cross):
         raise ValueError("cross terms are indexed by pairs i < j")
@@ -136,6 +134,8 @@ def subgroup_quadratic_table(
     cross = {ij: int(v * d) for ij, v in cross.items()}
     orders = [group.element_order(g) for g in generators]
     check_enum(prod(orders), what="quadratic table expansion")
+    # the refinement check of the finished table, charged before any word is expanded
+    check_enum(len(generators) * order**2, what="quadratic refinement check")
     table: dict[tuple, Fraction] = {}
     for coeffs in product(*(range(n) for n in orders)):
         elem = tuple(

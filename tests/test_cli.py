@@ -211,6 +211,35 @@ class TestSubcommands:
                                           ["0/1", "1/1", "1/1", "0/1"]]
 
 
+class TestMixedPrimeGroups:
+    """Groups print in invariant-factor form whatever the primes and their order."""
+
+    @pytest.mark.parametrize("coefficients", ["Z3xZ4", "Z4xZ3"])
+    def test_cohomology(self, capsys, coefficients):
+        code, out, _ = run(capsys, "cohomology", "--manifold", "circle",
+                           "--coefficients", coefficients, "--degree", "1")
+        doc = json.loads(out)
+        assert code == 0 and doc["group"] == "Z12" and doc["order"] == 12
+
+    def test_partition(self, capsys):
+        code, out, _ = run(capsys, "partition", "--target", "B1:Z3xZ4",
+                           "--manifold", "torus:2")
+        assert code == 0 and json.loads(out)["value"] == "12/1"
+
+    def test_lines(self, capsys):
+        code, out, _ = run(capsys, "lines", "--A", "Z3xZ4", "--Aprime", "full",
+                           "--q", "0,0")
+        doc = json.loads(out)
+        assert code == 0 and doc["A"] == "Z12" and doc["count"] == 12
+
+    def test_large_prime_coefficients_are_quick(self, capsys):
+        start = time.perf_counter()
+        code, out, _ = run(capsys, "cohomology", "--manifold", "circle",
+                           "--coefficients", "Z10000000000000061", "--degree", "1")
+        assert time.perf_counter() - start < 1.0
+        assert code == 0 and json.loads(out)["order"] == 10000000000000061
+
+
 class TestFormats:
     def test_plain(self, capsys):
         code, out, _ = run(capsys, "gauss", "--N", "3", "--p", "2",

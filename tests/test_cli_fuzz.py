@@ -2,15 +2,17 @@
 ``partition``, ``bordism``, ``anyons``, ``anomaly``, ``gauss``, ``ising``
 and ``problem1``.
 
-Hypothesis draws argvs from the CLI grammar (group strings, subgroup
-specs, q values and cross terms, reports, manifold presets and their
-parameters, targets, shapes, degrees, integer parameters, inverse
-temperatures and sweeps, formats and ``--max-enum``), well-formed and
-garbled alike.  Every argv must end in exit 0, 2 or 3 from ``cli.main``:
-a result, an input error or a tripped guard, never an uncaught exception;
-and stdout never prints ``inf`` or ``nan``.  Runs are derandomized and
-keep no example database, and the groups and lattices stay small, so the
-suite stays fast and deterministic.
+Hypothesis draws argvs from the CLI grammar (group strings, among them
+products of coprime prime powers in every written order, subgroup specs,
+q values and cross terms, reports, manifold presets and their parameters,
+targets, shapes, degrees, integer parameters, inverse temperatures and
+sweeps, formats and ``--max-enum``), well-formed and garbled alike.  Every
+argv must end in exit 0, 2 or 3 from ``cli.main``: a result, an input
+error or a tripped guard, never an uncaught exception; and stdout never
+prints ``inf`` or ``nan``.  A ``cohomology`` argv prints the same with its
+coefficient factors written in reverse.  Runs are derandomized and keep no
+example database, and the groups and lattices stay small, so the suite
+stays fast and deterministic.
 """
 
 import contextlib
@@ -39,9 +41,18 @@ GARBAGE = st.sampled_from(["", " ", "x", ";", ",", ":", "-1", "1/0", "0/0", "1/2
                            "1.5", "1e3", "Z", "Zx2", "Z0", "Z-4", "nan", "∞"])
 
 
+def mixed_primes(max_factor, max_factors):
+    """Products of coprime prime powers, in every order: Z3xZ4 as well as Z4xZ3."""
+    powers = [n for n in (2, 3, 4, 5, 7, 8, 9, 11) if n <= max_factor]
+    coprime = st.lists(st.sampled_from(powers), min_size=2, max_size=max(2, max_factors),
+                       unique_by=lambda n: min(p for p in (2, 3, 5, 7, 11) if n % p == 0))
+    return coprime.flatmap(st.permutations).map(lambda ns: "x".join(f"Z{n}" for n in ns))
+
+
 def groups(max_factor, max_factors):
     cyclic = st.integers(1, max_factor).map(lambda n: f"Z{n}")
     return st.one_of(st.lists(cyclic, min_size=1, max_size=max_factors).map("x".join),
+                     mixed_primes(max_factor, max_factors),
                      st.sampled_from(["S3", "D4", "Q8", "Z1", "trivial", "0", "E8"]), GARBAGE)
 
 
@@ -119,6 +130,18 @@ DEGREES = st.one_of(st.integers(-2, 6).map(str), GARBAGE)
 def test_cohomology_argvs_exit_cleanly(manifold, group, degree, common):
     argv = ["cohomology", "--manifold", manifold, "--coefficients", group, "--degree", degree]
     assert _exit_code(argv + common[0] + common[1]) in (0, 2, 3)
+
+
+@FUZZ
+@given(MANIFOLDS, mixed_primes(12, 3), DEGREES)
+def test_cohomology_ignores_the_written_factor_order(manifold, group, degree):
+    outputs = set()
+    for name in (group, "x".join(reversed(group.split("x")))):
+        stdout = io.StringIO()
+        argv = ["cohomology", "--manifold", manifold, "--coefficients", name, "--degree", degree]
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()):
+            outputs.add((main(argv), stdout.getvalue()))
+    assert len(outputs) == 1
 
 
 @FUZZ

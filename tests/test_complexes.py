@@ -28,7 +28,7 @@ from finsym.complexes import (
 from finsym import tqft2d
 from finsym.groups import FiniteAbelianGroup
 from finsym.intmatrix import IntMatrix
-from finsym.limits import GuardExceeded
+from finsym.limits import GuardExceeded, max_enum
 
 Z2 = FiniteAbelianGroup([2])
 Z3 = FiniteAbelianGroup([3])
@@ -234,8 +234,8 @@ class TestEnumeration:
             assert cohomology(cx, coeffs, q).order == z // b
 
     def test_guard(self):
-        with pytest.raises(GuardExceeded):
-            enumerate_cocycles(torus(2), Z2, 1, limit=1)
+        with max_enum(1), pytest.raises(GuardExceeded):
+            enumerate_cocycles(torus(2), Z2, 1)
 
 
 class TestRelative:

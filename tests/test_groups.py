@@ -1,5 +1,9 @@
 import random
+from collections import Counter
 from fractions import Fraction
+from functools import lru_cache
+from itertools import product
+from math import gcd, lcm, prod
 
 import pytest
 
@@ -59,6 +63,86 @@ class TestFiniteAbelianGroup:
         assert parse_abelian("Z2xZ4") == FiniteAbelianGroup([2, 4])
         assert parse_abelian("Z4xZ2") == FiniteAbelianGroup([2, 4])
         assert parse_abelian("trivial").order == 1
+
+
+@lru_cache(maxsize=None)
+def _cyclic_order_counts(n: int) -> Counter:
+    return Counter(n // gcd(a, n) for a in range(n))
+
+
+def _order_counts(orders) -> Counter:
+    """#{x : ord(x) = d} for each d in Z_{n_1} x ... x Z_{n_k}, counted over
+    all elements: a in Z_n has order n / gcd(a, n), and a tuple's order is
+    the lcm of its entries' orders."""
+    counts = Counter({1: 1})
+    for n in orders:
+        merged = Counter()
+        for d, c in counts.items():
+            for e, m in _cyclic_order_counts(n).items():
+                merged[lcm(d, e)] += c * m
+        counts = merged
+    return counts
+
+
+def _chains(bound: int, start: int = 2, prefix=()):
+    """Every invariant-factor chain with product at most ``bound``."""
+    yield prefix
+    for n in range(start, bound // prod(prefix) + 1):
+        if not prefix or n % prefix[-1] == 0:
+            yield from _chains(bound, n, prefix + (n,))
+
+
+ORDER_SET = list(range(1, 13)) + [16, 18, 25, 27]
+
+
+class TestInvariantsByArithmetic:
+    """The gcd/lcm merge, element orders and subgroup orders against
+    enumerations: two finite abelian groups are isomorphic exactly when
+    they have equally many elements of each order."""
+
+    def test_merge_matches_the_order_count_oracle(self):
+        checked = 0
+        for length in range(4):
+            for orders in product(ORDER_SET, repeat=length):
+                if prod(orders) > 4096:
+                    continue
+                factors = FiniteAbelianGroup.from_cyclic_orders(orders).invariant_factors
+                assert all(n >= 2 for n in factors), orders
+                assert all(b % a == 0 for a, b in zip(factors, factors[1:])), orders
+                assert _order_counts(factors) == _order_counts(orders), orders
+                checked += 1
+        assert checked == 4159
+
+    @pytest.mark.parametrize("name,canonical", [
+        ("Z3xZ4", "Z12"), ("Z4xZ3", "Z12"), ("Z3xZ12", "Z3xZ12"), ("Z9xZ2", "Z18"),
+        ("Z3xZ2xZ2", "Z2xZ6"), ("Z25xZ4xZ9", "Z900"), ("Z6xZ10xZ15", "Z30xZ30"),
+    ])
+    def test_mixed_primes_in_any_order(self, name, canonical):
+        assert str(parse_abelian(name)) == canonical
+
+    def test_element_order_matches_repeated_addition(self):
+        groups = [FiniteAbelianGroup(chain) for chain in _chains(64)]
+        assert len(groups) == 117  # sum over n <= 64 of the partitions of n's exponents
+        for g in groups:
+            for x in g.elements():
+                k, y = 1, x
+                while any(y):
+                    y, k = g.add(y, x), k + 1
+                assert g.element_order(x) == k, (g, x)
+
+    def test_subgroup_order_matches_the_enumeration(self):
+        rng = random.Random(13)
+        chains = [(2, 4, 8), (3, 12), (2, 2, 6), (6, 36), (5, 25), (4, 4), (30,), (2, 6, 12),
+                  ()]
+        for _ in range(300):
+            g = FiniteAbelianGroup(rng.choice(chains))
+            gens = [tuple(rng.randrange(n) for n in g.invariant_factors)
+                    for _ in range(rng.randrange(4))]
+            assert g.subgroup_order(gens) == len(g.subgroup(gens)), (g, gens)
+
+    def test_subgroup_order_rejects_outsiders(self):
+        with pytest.raises(ValueError, match=r"\[2, 0\] is not an element of Z2xZ4"):
+            FiniteAbelianGroup([2, 4]).subgroup_order([[2, 0]])
 
 
 class TestDualAndCharacters:

@@ -22,7 +22,7 @@ from finsym.groups import (
     direct_product,
     named_group,
 )
-from finsym.limits import GuardExceeded
+from finsym.limits import GuardExceeded, max_enum
 from finsym.pathintegral import (
     PiFiniteTarget,
     em_category_simple_count,
@@ -136,16 +136,16 @@ class TestSurfaceCounts:
         assert surface_gauge_count(g, genus) == Fraction(g.order) ** (2 * genus - 1)
 
     def test_guard(self):
-        with pytest.raises(GuardExceeded) as exc:
-            surface_gauge_count(named_group("Q8"), 3, limit=1000)
+        with max_enum(1000), pytest.raises(GuardExceeded) as exc:
+            surface_gauge_count(named_group("Q8"), 3)
         assert str(exc.value) == (
             "gauge tuple enumeration needs 262144 states, guard allows 1000"
         )
 
     def test_trivial_group_at_large_genus_is_guarded(self):
         # |G|^{2g} = 1, so only the g |G|^2 term of the charge can trip
-        with pytest.raises(GuardExceeded, match="needs 1000000 states"):
-            surface_gauge_count(cyclic_group(1), 10**6, limit=1000)
+        with max_enum(1000), pytest.raises(GuardExceeded, match="needs 1000000 states"):
+            surface_gauge_count(cyclic_group(1), 10**6)
 
 
 def tuple_count(group, genus):

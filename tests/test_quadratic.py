@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 from itertools import product
 from math import lcm
@@ -231,6 +232,14 @@ def test_refinement_check_is_charged_per_generator_and_pair():
         QuadraticForm(z16, [Fraction(1, 32)])
     with max_enum(255), pytest.raises(GuardExceeded, match="quadratic refinement check"):
         QuadraticForm(z16, [Fraction(1, 32)])
+
+
+def test_refinement_check_is_charged_before_the_expansion():
+    # 10^7 words fit under the ceiling; the 10^14-step check of their table does not
+    start = time.perf_counter()
+    with pytest.raises(GuardExceeded, match="quadratic refinement check needs 10{14} states"):
+        QuadraticForm(FiniteAbelianGroup([10**7]), [0])
+    assert time.perf_counter() - start < 1.0
 
 
 def test_redundant_generators_charge_the_expansion():
