@@ -63,17 +63,17 @@ def allowed_lines(
     ``subgroup_quadratic_table``; a table is validated as a quadratic
     refinement on the subgroup, and a bad one raises ValueError.
     """
-    sub_elems = _line_subgroup(ambient, subgroup_generators)
+    order = _charge_selection(ambient, subgroup_generators)
     if isinstance(q, QuadraticForm):
-        if q.domain != ambient or set(sub_elems) != set(ambient.elements()):
+        if q.domain != ambient or order != ambient.order:
             raise ValueError("a QuadraticForm on A works only when A' = A")
         table = q.table
     else:
         table = {tuple(k): mod1(v) for k, v in dict(q).items()}
-        if set(table) != set(sub_elems):
+        if set(table) != set(ambient.subgroup(subgroup_generators)):
             raise ValueError("q must be defined exactly on the subgroup")
         _validate(ambient, [tuple(g) for g in subgroup_generators], table)
-    return _select_lines(ambient, subgroup_generators, sub_elems, table)
+    return _select_lines(ambient, subgroup_generators, table)
 
 
 def allowed_lines_from_generator_values(
@@ -84,26 +84,26 @@ def allowed_lines_from_generator_values(
 ) -> LineLattice:
     """Expand q over the subgroup, then select lines; the expansion has
     validated the table, so it is not validated again."""
-    sub_elems = _line_subgroup(ambient, subgroup_generators)
+    _charge_selection(ambient, subgroup_generators)
     table = subgroup_quadratic_table(ambient, subgroup_generators, gen_values, cross_terms)
-    return _select_lines(ambient, subgroup_generators, sub_elems, table)
+    return _select_lines(ambient, subgroup_generators, table)
 
 
-def _line_subgroup(ambient: FiniteAbelianGroup, subgroup_generators) -> tuple:
-    """The elements of A', enumerated only after the |A'|^2 |A| selection
-    loop is charged."""
+def _charge_selection(ambient: FiniteAbelianGroup, subgroup_generators) -> int:
+    """|A'|, once the |A'|^2 |A| selection loop is charged; A' is not built."""
     order = ambient.subgroup_order(subgroup_generators)
     check_enum(order**2 * ambient.order, what="line selection (|A'|^2 |A|)")
-    return ambient.subgroup(subgroup_generators)
+    return order
 
 
-def _select_lines(ambient: FiniteAbelianGroup, generators, sub_elems, table) -> LineLattice:
-    """The rule of ``allowed_lines``: characters bucketed by values on gens."""
+def _select_lines(ambient: FiniteAbelianGroup, generators, table) -> LineLattice:
+    """The rule of ``allowed_lines`` for each m in A', the keys of ``table``:
+    characters bucketed by values on gens."""
     buckets = {}
     for chi in characters(ambient):
         buckets.setdefault(tuple(chi.value(g) for g in generators), []).append(chi.exponents)
     pairs = []
-    for m in sub_elems:
+    for m in table:
         key = tuple(-polarization(ambient, table, m, tuple(g)) % 1 for g in generators)
         pairs.extend((m, e) for e in buckets.get(key, ()))
     lattice = LineLattice(ambient, tuple(sorted(pairs)))

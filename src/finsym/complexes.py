@@ -355,12 +355,6 @@ def product(a: ChainComplex, b: ChainComplex) -> ChainComplex:
     return ChainComplex([off[-1] for off in offsets], bnds)
 
 
-def product_cell_index(a: ChainComplex, b: ChainComplex, k: int, i: int,
-                       a_idx: int, b_idx: int) -> int:
-    """Index of the cell (a_idx in degree i) x (b_idx in degree k-i)."""
-    return _block_offsets(a, b, k)[i] + a_idx * b.n_cells(k - i) + b_idx
-
-
 def disjoint_union(a: ChainComplex, b: ChainComplex) -> ChainComplex:
     """a then b, cell by cell: the glue of a and b along nothing."""
     return glue_complexes(a, b, {})[0]
@@ -531,9 +525,8 @@ def cohomology(cx: ChainComplex, coeffs: FiniteAbelianGroup, q: int) -> Cohomolo
     c = cx.n_cells(q)
     snf = smith_normal_form_full(cx.coboundary(q))
     r = snf.rank
+    # the first r rows vanish: ChainComplex has checked d o d = 0
     images = snf.v_inv * cx.coboundary(q - 1)
-    if any(any(row) for row in images.data[:r]):
-        raise ValueError("coboundary is not a cocycle; broken complex")
     w = smith_normal_form_full(IntMatrix(images.data[r:], rows=c - r, cols=images.cols))
     # diag(I_r, U_W) V^-1 and V diag(I_r, U_W^-1): only the c - r nonpivot
     # rows of V^-1 and columns of V change

@@ -60,9 +60,6 @@ class IntMatrix:
         i, j = key
         return self.data[i][j]
 
-    def row(self, i: int):
-        return self.data[i]
-
     def column(self, j: int):
         return tuple(self.data[i][j] for i in range(self.rows))
 
@@ -89,15 +86,6 @@ class IntMatrix:
 
     def __neg__(self) -> "IntMatrix":
         return IntMatrix([[-x for x in row] for row in self.data], rows=self.rows, cols=self.cols)
-
-    def __add__(self, other: "IntMatrix") -> "IntMatrix":
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ValueError("shape mismatch in matrix sum")
-        return IntMatrix(
-            [[a + b for a, b in zip(r1, r2)] for r1, r2 in zip(self.data, other.data)],
-            rows=self.rows,
-            cols=self.cols,
-        )
 
     def apply_vector(self, vec):
         """Matrix times column vector, as a tuple."""

@@ -14,8 +14,9 @@ Conventions, fixed for golden values:
   * a background is a Z_2 twist per edge; the holonomy sector (h_x, h_t)
     twists the wrap-around edges.
 
-All four holonomy sectors come from shared work: brute force enumerates the
-spin configurations once (a twisted wrap edge is frustrated exactly when the
+Every brute-force histogram, of one background or of all four holonomy
+sectors, comes from one grouped-edge kernel that enumerates the spin
+configurations once (a twisted edge is frustrated exactly when the
 untwisted one is not), and the transfer route takes one matrix power per
 spatial twist h_x, whose trace and anti-diagonal trace are the h_t = 0 and
 h_t = 1 sectors.  A transfer Z that overflows a float is a ValueError.
@@ -106,14 +107,9 @@ class Background:
     def from_holonomies(cls, lat: IsingLattice, h_x: int, h_t: int) -> "Background":
         """Twist the spatial wrap edges by h_x and the temporal wrap edges
         by h_t (holonomies in {0, 1})."""
-        twists = []
-        for t in range(lat.time_steps):
-            for x in range(lat.length):
-                twists.append(-1 if (h_x % 2 and x == lat.length - 1) else 1)
-        for t in range(lat.time_steps):
-            for x in range(lat.length):
-                twists.append(-1 if (h_t % 2 and t == lat.time_steps - 1) else 1)
-        return cls(lat, tuple(twists))
+        row = [1] * (lat.length - 1) + [-1 if h_x % 2 else 1]
+        last = [-1 if h_t % 2 else 1] * lat.length
+        return cls(lat, tuple(row * lat.time_steps + [1] * (lat.sites - lat.length) + last))
 
     def flip_site(self, x: int, t: int) -> "Background":
         """Gauge transformation: multiply every edge at one site by -1.
@@ -159,14 +155,39 @@ def _spin_bits(lat: IsingLattice) -> list[np.ndarray]:
     return bits
 
 
-def _frustrated(bits: list[np.ndarray], edge_list) -> np.ndarray:
-    """Per configuration, how many of the (i, j, flip) edges are frustrated:
-    edge (i, j) is frustrated when bit_i ^ bit_j ^ flip is 1."""
-    count = np.zeros(len(bits[0]), dtype=np.uint8)
-    for i, j, flip in edge_list:
-        frustrated = bits[i] ^ bits[j]
-        count += frustrated ^ 1 if flip else frustrated
-    return count
+def _histograms(lat: IsingLattice, backgrounds) -> list[np.ndarray]:
+    """The frustration histogram of every background from one enumeration.
+
+    Edges are grouped by their twist in every background, and each group's
+    untwisted frustration count c is taken once: a twisted edge is
+    frustrated exactly when the untwisted one is not, so a background counts
+    k - c over each group of k edges it twists and c over the others.
+    """
+    if any(bg.lattice != lat for bg in backgrounds):
+        raise ValueError("background belongs to a different lattice")
+    bits = _spin_bits(lat)
+    size = len(bits[0])
+    groups = {}
+    for edge, twists in zip(edges(lat), zip(*(bg.twists for bg in backgrounds))):
+        groups.setdefault(twists, []).append(edge)
+    partial = []
+    for twists, group in groups.items():
+        count = np.zeros(size, dtype=np.uint8)
+        for i, j in group:
+            count += bits[i] ^ bits[j]
+        partial.append((twists, len(group), count))
+    del bits  # the sums below and bincount's int64 copy reuse its memory
+    hists = []
+    for b in range(len(backgrounds)):
+        total = np.zeros(size, dtype=np.uint8)
+        for twists, k, count in partial:
+            if twists[b] < 0:  # k - c, in place; uint8 wraps back into range
+                total -= count
+                total += k
+            else:
+                total += count
+        hists.append(np.bincount(total, minlength=2 * lat.sites + 1))
+    return hists
 
 
 def frustration_histogram(lat: IsingLattice, bg: Background | None = None) -> np.ndarray:
@@ -174,39 +195,13 @@ def frustration_histogram(lat: IsingLattice, bg: Background | None = None) -> np
 
     Exhaustive over all 2^(L*T) configurations (guarded); exact integers.
     """
-    if bg is None:
-        bg = Background.trivial(lat)
-    if bg.lattice != lat:
-        raise ValueError("background belongs to a different lattice")
-    count = _frustrated(
-        _spin_bits(lat), [(i, j, eps < 0) for (i, j), eps in zip(edges(lat), bg.twists)]
-    )
-    return np.bincount(count, minlength=2 * lat.sites + 1)
+    return _histograms(lat, [Background.trivial(lat) if bg is None else bg])[0]
 
 
 def sector_histograms(lat: IsingLattice) -> dict:
-    """The frustration histogram of every holonomy sector from one enumeration.
-
-    A twisted wrap edge is frustrated exactly when the untwisted one is not,
-    so with per-configuration counts over the bulk, spatial-wrap (T of them)
-    and temporal-wrap (L of them) edges, sector (h_x, h_t) counts
-    bulk + (T - wrap_x if h_x else wrap_x) + (L - wrap_t if h_t else wrap_t).
-    """
-    bits = _spin_bits(lat)
-    groups = ([], [], [])  # bulk, spatial wrap, temporal wrap
-    x_wraps = Background.from_holonomies(lat, 1, 0).twists
-    t_wraps = Background.from_holonomies(lat, 0, 1).twists
-    for (i, j), ex, et in zip(edges(lat), x_wraps, t_wraps):
-        groups[(ex < 0) + 2 * (et < 0)].append((i, j, False))
-    bulk, wrap_x, wrap_t = (_frustrated(bits, group) for group in groups)
-    length, steps = lat.length, lat.time_steps
-    return {
-        (h_x, h_t): np.bincount(
-            bulk + (steps - wrap_x if h_x else wrap_x) + (length - wrap_t if h_t else wrap_t),
-            minlength=2 * lat.sites + 1,
-        )
-        for h_x, h_t in SECTORS
-    }
+    """The frustration histogram of every holonomy sector from one enumeration."""
+    backgrounds = [Background.from_holonomies(lat, *sector) for sector in SECTORS]
+    return dict(zip(SECTORS, _histograms(lat, backgrounds)))
 
 
 def _weights(beta: float, count: int) -> np.ndarray:

@@ -143,13 +143,9 @@ def partition(target: PiFiniteTarget, m: ChainComplex) -> Fraction:
 
 
 def _genus_of_surface_complex(m: ChainComplex):
-    """Recognize the standard closed orientable surface complexes (including
-    the torus as a product of circles); returns the genus or None."""
-    if m.top_dim != 2 or not is_closed(m):
-        return None
+    """Recognize the standard closed orientable surface complexes, cell for
+    cell (``torus(2)`` equals ``surface(1)``); returns the genus or None."""
     for g in range(0, 5):
         if m == complexes.surface(g):
             return g
-    if m == complexes.torus(2):
-        return 1
     return None

@@ -42,8 +42,6 @@ from .complexes import (
     cohomology_order,
     disjoint_union,
     glue_complexes,
-    product,
-    product_cell_index,
     quotient,
 )
 from .groups import FiniteAbelianGroup
@@ -194,15 +192,13 @@ def identity_matrix(group: FiniteAbelianGroup, circles: int) -> BordismMatrix:
 
 
 def cylinder() -> Bordism:
-    cx = product(complexes.circle(), complexes.interval())
+    """circle x interval: vertices (v, 0), (v, 1); edges (v, I), (e, 0),
+    (e, 1); face (e, I).  The end circles are (v, i) with (e, i)."""
+    d1 = [((0, -1), (1, 1)), (), ()]
+    cx = ChainComplex((2, 3, 1), (d1, [((1, 1), (2, -1))]))
     c = complexes.circle()
-    # End circles are (v, interval vertex i) and (e, interval vertex i).
-    ends = []
-    for i in (0, 1):
-        v = product_cell_index(c, complexes.interval(), 0, 0, 0, i)
-        e = product_cell_index(c, complexes.interval(), 1, 1, 0, i)
-        ends.append(SubcomplexMap(c, cx, ((v,), (e,))))
-    return Bordism(cx, (ends[0],), (ends[1],))
+    return Bordism(cx, (SubcomplexMap(c, cx, ((0,), (1,))),),
+                   (SubcomplexMap(c, cx, ((1,), (2,))),))
 
 
 def pants_bordism() -> Bordism:

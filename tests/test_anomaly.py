@@ -83,8 +83,13 @@ class TestAllowedLines:
             (Z2Z4, [(0, 1)], [Fraction(1, 8)]),
         ],
     )
-    def test_count_and_closure(self, ambient, gens, gen_values):
+    def test_count_and_closure(self, ambient, gens, gen_values, monkeypatch):
+        # A' is read off the expanded table; it is never enumerated apart
+        calls, subgroup = [], FiniteAbelianGroup.subgroup
+        monkeypatch.setattr(FiniteAbelianGroup, "subgroup",
+                            lambda self, g: calls.append(g) or subgroup(self, g))
         lattice = allowed_lines_from_generator_values(ambient, gens, gen_values)
+        assert calls == []
         assert len(lattice.pairs) == ambient.order
         assert lattice.is_closed_under_addition()
 

@@ -33,6 +33,13 @@ class TestSubcommands:
         assert code == 0
         assert json.loads(out)["value"] == "3/1"
 
+    @pytest.mark.parametrize("manifold", ["klein", "rp:2"])
+    def test_partition_nonabelian_off_surfaces(self, capsys, manifold):
+        code, out, err = run(capsys, "partition", "--target", "B1:S3",
+                             "--manifold", manifold)
+        assert code == 2 and out == ""
+        assert err == "error: nonabelian gauge groups are supported on closed surfaces only\n"
+
     def test_partition_bare_b_means_degree_one(self, capsys):
         code, out, _ = run(capsys, "partition", "--target", "B:S3",
                            "--manifold", "surface:0")

@@ -3,11 +3,13 @@ import math
 import numpy as np
 import pytest
 
+from finsym import ising
 from finsym.ising import (
     BETA_C,
     SECTORS,
     Background,
     IsingLattice,
+    _histograms,
     edges,
     frustration_histogram,
     gauged_partition,
@@ -23,6 +25,7 @@ from finsym.ising import (
 from finsym.limits import GuardExceeded, max_enum
 
 BETAS = (0.1, 0.3, BETA_C, 1.0)
+SMALL_TORI = [(2, 2), (3, 3), (2, 4), (3, 4), (4, 4)]
 
 
 class TestWeights:
@@ -208,6 +211,13 @@ class TestKramersWannier:
             r = kw_ratio(IsingLattice(length, time_steps, float(beta)))
             assert abs(r - c1) / c1 <= 1e-9
 
+    @pytest.mark.parametrize("shape", SMALL_TORI)
+    def test_transfer_ratio_equals_bruteforce(self, shape):
+        for beta in (0.2, BETA_C, 0.9):
+            lat = IsingLattice(*shape, beta)
+            brute = kw_ratio(lat)
+            assert abs(kw_ratio(lat, method="transfer") - brute) <= 1e-12 * brute
+
     def test_gauged_at_critical_point_ratio(self):
         # at the self-dual point the gauged/original ratio is the same
         # beta-independent constant in the KW normalization
@@ -272,6 +282,20 @@ class TestOnePassSectors:
             assert np.array_equal(frustration_histogram(lat, bg),
                                   spin_product_histogram(lat, bg))
 
+    @pytest.mark.parametrize("shape", SMALL_LATTICES)
+    def test_one_kernel_call_serves_every_background(self, shape, monkeypatch):
+        lat = IsingLattice(*shape, 1.0)
+        rng = np.random.default_rng(shape[0] * 31 + shape[1])
+        bgs = [Background(lat, tuple(int(t) for t in rng.choice((-1, 1), 2 * lat.sites)))
+               for _ in range(2)] + [Background.from_holonomies(lat, 1, 0)]
+        charges, check_enum = [], ising.check_enum
+        monkeypatch.setattr(ising, "check_enum",
+                            lambda size, what: charges.append(size) or check_enum(size, what))
+        hists = _histograms(lat, bgs)
+        assert charges == [2**lat.sites]
+        for bg, hist in zip(bgs, hists):
+            assert np.array_equal(hist, spin_product_histogram(lat, bg))
+
     @pytest.mark.parametrize("length", range(1, 11))
     def test_transfer_matrix_matches_outer_products(self, length):
         for twist in (0, 1):
@@ -326,3 +350,11 @@ class TestValidation:
             IsingLattice(0, 1, 1.0)
         with pytest.raises(ValueError):
             IsingLattice(1, 1, 0.0)
+
+    def test_background_of_another_lattice_rejected(self):
+        lat = IsingLattice(2, 2, 1.0)
+        other = Background.trivial(IsingLattice(2, 2, 0.5))
+        with pytest.raises(ValueError, match="different lattice"):
+            frustration_histogram(lat, other)
+        with pytest.raises(ValueError, match="different lattice"):
+            _histograms(lat, [Background.trivial(lat), other])

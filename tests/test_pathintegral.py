@@ -219,7 +219,14 @@ class TestTargets:
         assert partition(target, surface(2)) == surface_gauge_count(named_group("S3"), 2)
         assert partition(target, torus(2)) == 3
 
+    @pytest.mark.parametrize("cx,genus", [(surface(g), g) for g in range(5)] + [(torus(2), 1)],
+                             ids=[f"surface{g}" for g in range(5)] + ["torus2"])
+    def test_partition_recognizes_surface_genus(self, cx, genus):
+        s3 = named_group("S3")
+        assert partition(PiFiniteTarget(s3, 1), cx) == surface_gauge_count(s3, genus)
+
     def test_partition_nonabelian_rejected_off_surfaces(self):
         target = PiFiniteTarget(named_group("S3"), 1)
-        with pytest.raises(ValueError):
-            partition(target, torus(3))
+        for cx in (klein_bottle(), real_projective_space(2), torus(3), sphere(3)):
+            with pytest.raises(ValueError, match="closed surfaces only"):
+                partition(target, cx)

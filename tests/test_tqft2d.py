@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from finsym.complexes import cohomology, disjoint_union, torus
+from finsym.complexes import circle, cohomology, disjoint_union, interval, product, torus
 from finsym.groups import FiniteAbelianGroup, parse_abelian
 from finsym.limits import GuardExceeded, max_enum
 from finsym.pathintegral import surface_gauge_count
@@ -63,6 +63,12 @@ class TestStateSpace:
 
 
 class TestNormalization:
+    def test_cylinder_is_circle_times_interval(self):
+        cyl = cylinder()
+        assert cyl.w == product(circle(), interval())
+        assert [end.cell_maps for end in cyl.in_circles + cyl.out_circles] == [
+            ((0,), (1,)), ((1,), (2,))]
+
     def test_cylinder_constant_is_one(self):
         assert normalization_constant(cylinder(), Z2) == 1
 
@@ -195,6 +201,13 @@ class TestTraceIdentity:
         assert report.passed
         assert report.cylinder_trace == expected
         assert report.closed_torus_value == expected
+
+    @pytest.mark.parametrize("group", GROUPS)
+    def test_no_circles(self, group):
+        report = trace_check(0, group)
+        assert report.passed
+        assert report.cylinder_trace == report.closed_torus_value == 1
+        assert report.state_space_dim == 1
 
     def test_two_circles(self):
         report = trace_check(2, Z2)
