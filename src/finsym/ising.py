@@ -17,9 +17,32 @@ Conventions, fixed for golden values:
 Every brute-force histogram, of one background or of all four holonomy
 sectors, comes from one grouped-edge kernel that enumerates the spin
 configurations once (a twisted edge is frustrated exactly when the
-untwisted one is not), and the transfer route takes one matrix power per
-spatial twist h_x, whose trace and anti-diagonal trace are the h_t = 0 and
-h_t = 1 sectors.  A transfer Z that overflows a float is a ValueError.
+untwisted one is not).
+
+The transfer route evaluates the exact spectrum of the row-to-row transfer
+matrix (Kaufman, Phys. Rev. 76, 1232 (1949); twisted boundaries from
+Ferdinand and Fisher, Phys. Rev. 185, 832 (1969)).  With L the row length
+(the h_x direction) and T the number of rows (the h_t direction):
+
+    P = (1/2) (2 sinh 2b)^(LT/2) e^(-2bLT),
+    cosh gamma_q = cosh 2b coth 2b - cos(pi q / L)     (q >= 1, gamma_q > 0),
+    gamma_0 = 2 (b - b*), signed, with tanh b* = e^(-2b),
+    Z1, Z2 = prod_{k<L} 2 cosh, 2 sinh (T gamma_{2k+1} / 2),
+    Z3, Z4 = prod_{k<L} 2 cosh, 2 sinh (T gamma_{2k} / 2),
+
+    Z[0,0] = P (Z1 + Z2 + Z3 + Z4)    Z[0,1] = P (Z1 + Z2 - Z3 - Z4)
+    Z[1,0] = P (Z1 - Z2 + Z3 - Z4)    Z[1,1] = P (-Z1 + Z2 + Z3 - Z4).
+
+At low temperature the twisted sectors cancel catastrophically, so the
+products are evaluated in stdlib ``decimal``, in x = e^(2b): first at 40
+digits plus log10(1/b) (lost to x - 1 at small b) and log10(T) (lost to
+the T-th powers).  When max_i P|Z_i| / max(|Z[h]|, 2^-1075) shows that a
+sector kept fewer than 20 of them, the products are evaluated once more
+with the lost digits added.  The precision stays
+bounded because max_i P|Z_i| <= Z[0,0], and a Z[0,0] that overflows a
+float is a ValueError.  When exp(-2b) underflows, every excited weight is
+0 and the sectors are the ground-state count (2, 0, 0, 0).  The dense
+matrix ``transfer_matrix`` is kept as the oracle of this route.
 
 Kramers-Wannier: sinh(2*beta) * sinh(2*beta_dual) = 1.  In the weight
 convention above the finite-torus duality reads
@@ -34,7 +57,9 @@ test suite rather than asserted a priori.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import asinh, exp, expm1, isfinite, log, sinh, sqrt
+from decimal import MAX_EMAX, MIN_EMIN, Context, Decimal, Overflow, localcontext
+from functools import lru_cache
+from math import asinh, ceil, exp, expm1, isfinite, log, log10, sinh, sqrt
 
 import numpy as np
 
@@ -46,6 +71,13 @@ BRUTE_FORCE_MAX_SITES = 20
 TRANSFER_MAX_WIDTH = 12
 
 SECTORS = ((0, 0), (0, 1), (1, 0), (1, 1))
+
+_KAUFMAN_DIGITS = 40  # first working precision of the closed form
+# Z[h] / P as the signed sum of Z1..Z4, per holonomy sector
+_KAUFMAN_SIGNS = {(0, 0): (1, 1, 1, 1), (0, 1): (1, 1, -1, -1),
+                  (1, 0): (1, -1, 1, -1), (1, 1): (-1, 1, 1, -1)}
+_FLOAT_TINY_EXP = -324  # decimal exponent of 2^-1075, below which a float is 0
+_OVERFLOW = "Z overflows a float; use brute force or a shorter torus"
 
 
 @dataclass(frozen=True)
@@ -222,7 +254,8 @@ def partition_bruteforce(lat: IsingLattice, bg: Background | None = None) -> flo
 
 
 def transfer_matrix(length: int, beta: float, spatial_twist: int = 0) -> np.ndarray:
-    """Row-to-row transfer matrix on 2^L row configurations.
+    """Row-to-row transfer matrix on 2^L row configurations: the dense
+    oracle of the closed-form transfer route, which never builds it.
 
     M[next, cur] = H(cur) * V(cur, next), where H carries the row's spatial
     edges (with the optional wrap twist) and V the vertical edges to the
@@ -247,40 +280,124 @@ def transfer_matrix(length: int, beta: float, spatial_twist: int = 0) -> np.ndar
     return w[ones[rows[:, np.newaxis] ^ rows] + horiz]
 
 
-def _transfer_traces(lat: IsingLattice, h_x: int, flips=(0, 1)) -> list[float]:
-    """Z in the sectors (h_x, h_t), h_t in ``flips``, from one matrix power P.
+@lru_cache(maxsize=16)
+def _pi(digits: int) -> Decimal:
+    """pi to ``digits`` digits: Gauss-Legendre, which doubles the correct
+    digits per step."""
+    with localcontext(Context(prec=digits + 5)):
+        a, b, t = Decimal(1), Decimal("0.5").sqrt(), Decimal("0.25")
+        for k in range(digits.bit_length()):
+            a, b, t = (a + b) / 2, (a * b).sqrt(), t - 2**k * ((a - b) / 2) ** 2
+        return (a + b) ** 2 / (4 * t)
 
-    The flip sector's trace(P @ F) is the anti-diagonal sum trace(P[:, ::-1]),
-    entry for entry the same diagonal.  A non-finite trace is a ValueError.
+
+def _cosines(length: int, digits: int) -> list[Decimal]:
+    """cos(pi q / L) for q < 2L, in the current context: one Taylor series
+    for q = 1, then cos((q + 1) t) = 2 cos t cos(q t) - cos((q - 1) t)."""
+    square, negligible = (_pi(digits) / length) ** 2, Decimal(10) ** -(digits + 2)
+    term, cos, k = Decimal(1), Decimal(1), 0
+    while abs(term) > negligible:
+        k += 2
+        term = -term * square / (k * (k - 1))
+        cos += term
+    out = [Decimal(1), cos]
+    while len(out) < 2 * length:
+        out.append(2 * cos * out[-1] - out[-2])
+    return out
+
+
+def _kaufman(lat: IsingLattice, digits: int):
+    """The four sectors at ``digits`` digits, and max_i P|Z_i|.
+
+    P Z_i is (1/2) Lambda^T prod_q (1 +- r_q^T) over the odd (Z1, Z2) or
+    even (Z3, Z4) q, with r_q = e^{-|gamma_q|} and Lambda^2 the product of
+    (2 sinh 2b) e^{-4b} e^{|gamma_q|} over those q (Lambda is the top
+    transfer eigenvalue of that fermion parity); Z4 takes the sign of
+    gamma_0.  Written through Lambda^T, no intermediate leaves the range
+    that Z itself needs.
     """
-    m = transfer_matrix(lat.length, lat.beta, spatial_twist=h_x)
-    with np.errstate(over="ignore", invalid="ignore"):
-        power = np.linalg.matrix_power(m, lat.time_steps)
-    zs = [float(np.trace(power[:, ::-1] if h_t % 2 else power)) for h_t in flips]
-    if not all(isfinite(z) for z in zs):
-        raise ValueError("Z overflows a float; use brute force or a shorter torus")
-    return zs
+    length, steps = lat.length, lat.time_steps
+    with localcontext(Context(prec=digits, Emax=MAX_EMAX, Emin=MIN_EMIN)):
+        x = (2 * Decimal(lat.beta)).exp()
+        bulk = (x * x + 1) ** 2 / (2 * x * (x * x - 1))  # cosh 2b coth 2b
+        site = (x * x - 1) / x**3  # (2 sinh 2b) e^{-4b}
+        cos = _cosines(length, digits)
+        w0 = x * (x - 1) / (x + 1)  # e^{gamma_0}: gamma_0 = 2(b - b*) is signed
+        terms = []
+        for parity in (1, 0):
+            square, plus, minus = site**length, Decimal(1), Decimal(1)  # Lambda^2
+            for q in range(parity, 2 * length, 2):
+                if q:
+                    c = bulk - cos[q]
+                    w = c + (c * c - 1).sqrt()  # e^{gamma_q}
+                else:
+                    w = max(w0, 1 / w0)
+                square *= w
+                r = (1 / w) ** steps
+                plus *= 1 + r
+                minus *= 1 - r
+            try:
+                half = square.sqrt() ** steps / 2
+            except Overflow:
+                raise ValueError(_OVERFLOW) from None
+            sign = -1 if parity == 0 and w0 < 1 else 1
+            terms += [half * plus, sign * half * minus]
+        zs = {sector: sum(s * t for s, t in zip(signs, terms))
+              for sector, signs in _KAUFMAN_SIGNS.items()}
+    return zs, max(t.copy_abs() for t in terms)
+
+
+def _transfer_sectors(lat: IsingLattice) -> dict:
+    """Z in the four holonomy sectors from Kaufman's products, as floats.
+    A first pass that kept fewer than 5 digits of a sector shows only noise,
+    so the second pass then adds the bound log10(max_i P|Z_i| / 2^-1075)."""
+    if not 1 <= lat.length <= TRANSFER_MAX_WIDTH:
+        raise ValueError(f"transfer width must be in 1..{TRANSFER_MAX_WIDTH}")
+    if exp(-2.0 * lat.beta) == 0.0:  # every excited weight underflows
+        return {(0, 0): 2.0, (0, 1): 0.0, (1, 0): 0.0, (1, 1): 0.0}
+    extra = int(log10(lat.time_steps)) + 1 + max(0, ceil(-log10(lat.beta)))
+    digits = _KAUFMAN_DIGITS + extra
+    zs, top = _kaufman(lat, digits)
+    if not isfinite(float(zs[(0, 0)])):
+        raise ValueError(_OVERFLOW)
+    # decimal exponents only, so that no rounding context is involved; a
+    # sector that cancelled to exactly 0 has lost everything down to the floor
+    smallest = min(z.adjusted() if z else _FLOAT_TINY_EXP for z in zs.values())
+    lost = top.adjusted() - max(smallest, _FLOAT_TINY_EXP)
+    if lost > digits - extra - 20:
+        if lost > digits - extra - 5:
+            lost = top.adjusted() - _FLOAT_TINY_EXP
+        zs, _ = _kaufman(lat, extra + lost + 25)
+    # a value below the float range may come out as noise of either sign
+    return {sector: float(z.copy_abs()) for sector, z in zs.items()}
 
 
 def partition_transfer(lat: IsingLattice, sector=(0, 0)) -> float:
-    """Z via the transfer matrix, in the holonomy sector (h_x, h_t)."""
+    """Z in the holonomy sector (h_x, h_t) from the exact transfer spectrum.
+
+    Kaufman's four products (Kaufman 1949; Ferdinand-Fisher 1969 for the
+    twisted sectors; the formula and its sector signs are in the module
+    docstring), evaluated in ``decimal`` at 40 digits plus log10(1/beta)
+    and log10(T), and once more with the cancelled digits added when a
+    sector kept fewer than 20.  The value is the sector's entry of
+    ``sector_partitions(lat, "transfer")``.  A width past
+    TRANSFER_MAX_WIDTH, or a Z[0,0] that overflows a float, is a ValueError.
+    """
     h_x, h_t = sector
-    return _transfer_traces(lat, h_x, (h_t,))[0]
+    return _transfer_sectors(lat)[(h_x % 2, h_t % 2)]
 
 
 def sector_partitions(lat: IsingLattice, method: str = "bruteforce") -> dict:
-    """Z in all four holonomy sectors: one spin enumeration (brute force) or
-    one transfer-matrix power per spatial twist (transfer)."""
+    """Z in all four holonomy sectors: one spin enumeration (brute force), or
+    Kaufman's closed-form transfer spectrum at the precision that the
+    sectors' cancellation needs (transfer; see ``partition_transfer``)."""
     if method == "bruteforce":
         return {
             sector: _partition_from_histogram(hist, lat.beta)
             for sector, hist in sector_histograms(lat).items()
         }
     if method == "transfer":
-        out = {}
-        for h_x in (0, 1):
-            out[(h_x, 0)], out[(h_x, 1)] = _transfer_traces(lat, h_x)
-        return out
+        return _transfer_sectors(lat)
     raise ValueError(f"unknown method {method!r}")
 
 

@@ -520,6 +520,16 @@ class TestExitCodes:
         assert time.perf_counter() - start < 1.0
         assert code == 0 and json.loads(out)["value"] == "1052672/1"
 
+    def test_widest_transfer_is_quick(self, capsys):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "ising", "--L", "12", "--T", "12", "--beta", "0.44",
+                             "--sectors", "all", "--gauge", "--method", "transfer")
+        assert time.perf_counter() - start < 1.0
+        assert code == 0 and err == ""
+        doc = json.loads(out)
+        half_sum = 0.5 * sum(float(doc[f"Z{h}"]) for h in ("00", "01", "10", "11"))
+        assert float(doc["gauged"]) == pytest.approx(half_sum, rel=1e-14)
+
     def test_zero_generator_value_is_input_error(self, capsys):
         code, out, err = run(capsys, "lines", "--A", "Z2xZ2", "--Aprime", "1,0;0,0",
                              "--q", "1/4,1/4")

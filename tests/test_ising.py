@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from finsym.ising import (
 from finsym.limits import GuardExceeded, max_enum
 
 BETAS = (0.1, 0.3, BETA_C, 1.0)
+ORACLE_BETAS = (0.05, 0.3, BETA_C, 0.5, 1.2, 3.0, 20.0)
 SMALL_TORI = [(2, 2), (3, 3), (2, 4), (3, 4), (4, 4)]
 
 
@@ -328,6 +330,116 @@ class TestOnePassSectors:
     def test_unknown_method(self):
         with pytest.raises(ValueError, match="unknown method"):
             sector_partitions(IsingLattice(2, 2, 0.4), method="kaufman")
+
+
+def dense_trace(m, steps, h_t):
+    """Oracle: tr(M^T F^{h_t}) for the dense 2^L x 2^L transfer matrix M, as
+    sum(A * (B F^{h_t}).T) = tr(A B F^{h_t}) over M^T = A B, so that T <= 2
+    takes no matrix product (F reverses the columns)."""
+    half = steps // 2
+    b = np.linalg.matrix_power(m, steps - half)
+    b = b[:, ::-1] if h_t else b
+    if not half:
+        return float(np.trace(b))
+    return float(np.sum(np.linalg.matrix_power(m, half) * b.T))
+
+
+def assert_sectors_close(got, expected, rel=1e-12):
+    assert list(got) == list(SECTORS)
+    for sector in SECTORS:
+        assert abs(got[sector] - expected[sector]) <= rel * expected[sector], sector
+
+
+class TestClosedForm:
+    @pytest.mark.parametrize("length", range(1, 11))
+    def test_matches_dense_oracle(self, length):
+        # a few torus lengths T per row length L; the 2^L side bounds T
+        all_steps = (1, 2, 3, 5, 7) if length <= 4 else (1, 2, 4, 7) if length <= 8 else (1, 2)
+        for beta in ORACLE_BETAS:
+            matrices = [transfer_matrix(length, beta, h_x) for h_x in (0, 1)]
+            for steps in all_steps:
+                expected = {(h_x, h_t): dense_trace(matrices[h_x], steps, h_t)
+                            for h_x, h_t in SECTORS}
+                assert_sectors_close(
+                    sector_partitions(IsingLattice(length, steps, beta), "transfer"), expected)
+
+    @pytest.mark.parametrize("shape_beta", [(4, 5, 2.0), (3, 6, 3.0), (2, 8, 5.0)])
+    def test_low_temperature_matches_bruteforce(self, shape_beta):
+        # a float evaluation of the same products is off by 8.8e-5 (4x5) and
+        # by a factor 2.5e4 (3x6) in the (1, 1) sector
+        lat = IsingLattice(*shape_beta)
+        assert_sectors_close(sector_partitions(lat, "transfer"),
+                             sector_partitions(lat, "bruteforce"))
+
+    def test_sector_signs(self):
+        assert ising._KAUFMAN_SIGNS == {(0, 0): (1, 1, 1, 1), (0, 1): (1, 1, -1, -1),
+                                        (1, 0): (1, -1, 1, -1), (1, 1): (-1, 1, 1, -1)}
+        # on 1 x 1 each wrap twist frustrates its self-edge whatever the spin
+        for beta in (0.1, BETA_C, 2.0, 30.0):
+            w = math.exp(-2 * beta)
+            assert_sectors_close(sector_partitions(IsingLattice(1, 1, beta), "transfer"),
+                                 {(0, 0): 2.0, (0, 1): 2 * w, (1, 0): 2 * w, (1, 1): 2 * w * w},
+                                 rel=1e-14)
+
+    def test_orientation_swap_up_to_12x12(self):
+        for length in range(1, 13):
+            for steps in range(length + 1, 13):
+                for beta in (0.3, BETA_C, 1.2, 3.0):
+                    a = sector_partitions(IsingLattice(length, steps, beta), "transfer")
+                    b = sector_partitions(IsingLattice(steps, length, beta), "transfer")
+                    assert_sectors_close(a, {(h_x, h_t): b[(h_t, h_x)]
+                                             for h_x, h_t in SECTORS})
+
+    def test_huge_torus_length(self):
+        # on 1 x T the transfer eigenvalues are e^{-2 b h_x} (1 +- w)
+        beta, steps = 20.0, 10**18
+        w = math.exp(-2 * beta)
+        plus, minus = math.exp(steps * math.log1p(w)), math.exp(steps * math.log1p(-w))
+        assert_sectors_close(sector_partitions(IsingLattice(1, steps, beta), "transfer"),
+                             {(0, 0): plus + minus, (0, 1): plus - minus,
+                              (1, 0): 0.0, (1, 1): 0.0})
+
+    def test_12x12_is_quick(self):
+        lat = IsingLattice(12, 12, BETA_C)
+        best = math.inf
+        for _ in range(3):
+            start = time.perf_counter()
+            sector_partitions(lat, "transfer")
+            best = min(best, time.perf_counter() - start)
+        assert best < 0.01
+
+
+class TestTransferEdgeBetas:
+    @pytest.mark.parametrize("beta", [5e-324, 1e-300])
+    @pytest.mark.parametrize("shape", [(4, 4), (2, 8), (1, 16), (3, 5)])
+    def test_tiny_beta_matches_bruteforce(self, shape, beta):
+        lat = IsingLattice(*shape, beta)
+        assert_sectors_close(sector_partitions(lat, "transfer"),
+                             sector_partitions(lat, "bruteforce"))
+
+    @pytest.mark.parametrize("beta", [5e-324, 1e-300, 372.0, 373.0, 1e3, 1e308])
+    def test_edge_betas_return_floats(self, beta):
+        for shape in ((2, 2), (12, 12), (12, 1), (1, 12)):
+            zs = sector_partitions(IsingLattice(*shape, beta), "transfer")
+            assert all(math.isfinite(z) and z >= 0 for z in zs.values())
+        if beta >= 372.0:  # the ground state, as brute force has it
+            assert sector_partitions(IsingLattice(4, 5, beta), "transfer") == \
+                sector_partitions(IsingLattice(4, 5, beta), "bruteforce")
+
+    def test_worst_precision_corner_is_quick(self):
+        # the twisted sectors lie below 2^-1075, so the second pass runs at
+        # the full bound of about 350 digits
+        for beta in (371.5, 372.0, 372.4):
+            start = time.perf_counter()
+            zs = sector_partitions(IsingLattice(12, 12, beta), "transfer")
+            assert time.perf_counter() - start < 1.0
+            assert zs == {(0, 0): 2.0, (0, 1): 0.0, (1, 0): 0.0, (1, 1): 0.0}
+
+    def test_long_torus_overflow_is_quick(self):
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="overflows a float"):
+            partition_transfer(IsingLattice(4, 300, 0.05))
+        assert time.perf_counter() - start < 0.5
 
 
 class TestTransferOverflow:
