@@ -243,17 +243,13 @@ def gauss_sum(n: int, p: int) -> int:
     The inner sum over c is a full character sum, vanishing unless
     p^{-1} b = 0 mod N; only b = 0 survives and contributes N.
     """
-    if n < 1:
-        raise ValueError("N must be >= 1")
-    if gcd(p, n) != 1:
-        raise ValueError(f"p = {p} must be invertible mod N = {n}")
+    MinimalTFT(n, p)  # validates the level
     return n
 
 
 def gauss_sum_direct(n: int, p: int) -> complex:
     """The same double sum accumulated numerically; oracle for gauss_sum."""
-    if gcd(p, n) != 1:
-        raise ValueError(f"p = {p} must be invertible mod N = {n}")
+    MinimalTFT(n, p)
     check_enum(n * n, what="Gauss-sum term enumeration")
     p_inv = pow(p, -1, n)
     total = 0j

@@ -343,11 +343,11 @@ def _run_ising(args):
         start, stop, count = float(args.sweep[0]), float(args.sweep[1]), int(args.sweep[2])
         if count < 2 or not (start > 0 and stop > start):
             raise ValueError("sweep needs 0 < start < stop and count >= 2")
-        # one guard unit per point (transfer) or per spin configuration
-        per_point = 1
-        if args.method == "bruteforce":
-            per_point = ising.enumeration_size(
-                ising.IsingLattice(args.length, args.time_steps, start))
+        # guard units per point: each spin configuration (brute force), or
+        # L x the closed form's first working precision in digits (transfer)
+        lat = ising.IsingLattice(args.length, args.time_steps, start)
+        per_point = (ising.enumeration_size(lat) if args.method == "bruteforce"
+                     else lat.length * ising.transfer_digits(lat))
         check_enum(count * per_point, what="beta sweep")
         # the grid below multiplies before it divides; keep its bits, reject overflow
         if not math.isfinite((count - 1) * (stop - start)):

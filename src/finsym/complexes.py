@@ -25,7 +25,7 @@ out below so golden tests are deterministic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import product as iproduct
 from math import gcd, prod
 
@@ -47,6 +47,7 @@ def _column(entries, rows: int) -> tuple[tuple[int, int], ...]:
     return tuple((i, acc[i]) for i in sorted(acc) if acc[i])
 
 
+@dataclass(frozen=True, repr=False)
 class ChainComplex:
     """Cellular chain complex: cells_per_dim and boundaries d_k: C_k -> C_{k-1}.
 
@@ -58,13 +59,15 @@ class ChainComplex:
     factors of each d_k are kept once computed; they are not part of equality.
     """
 
-    __slots__ = ("cells", "boundaries", "_factors")
+    cells: tuple[int, ...]
+    boundaries: tuple
+    _factors: dict = field(default_factory=dict, init=False, compare=False)
 
-    def __init__(self, cells, boundaries):
-        cells = tuple(int(c) for c in cells)
+    def __post_init__(self):
+        cells = tuple(int(c) for c in self.cells)
         if not cells or any(c < 0 for c in cells):
             raise ValueError("cells_per_dim must be nonempty and nonnegative")
-        given = tuple(boundaries)
+        given = tuple(self.boundaries)
         if len(given) != len(cells) - 1:
             raise ValueError("need one boundary matrix per dimension 1..top_dim")
         bnds = []
@@ -85,10 +88,6 @@ class ChainComplex:
                     raise ValueError(f"d_{k-1} o d_{k} != 0")
         object.__setattr__(self, "cells", cells)
         object.__setattr__(self, "boundaries", tuple(bnds))
-        object.__setattr__(self, "_factors", {})
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ChainComplex is immutable")
 
     @property
     def top_dim(self) -> int:
@@ -105,7 +104,8 @@ class ChainComplex:
 
     def boundary(self, k: int) -> IntMatrix:
         """d_k: C_k -> C_{k-1} (zero-shaped outside 1..top_dim)."""
-        return self.coboundary(k - 1).transpose()
+        return IntMatrix(tuple(zip(*self.coboundary(k - 1).data)),
+                         rows=self.n_cells(k - 1), cols=self.n_cells(k))
 
     def coboundary(self, q: int) -> IntMatrix:
         """delta^q: C^q -> C^{q+1}, the transpose of d_{q+1}; the one place a
@@ -124,11 +124,6 @@ class ChainComplex:
 
     def euler_characteristic(self) -> int:
         return sum((-1) ** k * c for k, c in enumerate(self.cells))
-
-    def __eq__(self, other):
-        if not isinstance(other, ChainComplex):
-            return NotImplemented
-        return (self.cells, self.boundaries) == (other.cells, other.boundaries)
 
     def __repr__(self):
         return f"ChainComplex(cells={self.cells})"
@@ -152,6 +147,7 @@ class ChainComplex:
         return cls(cells, bnds)
 
 
+@dataclass(frozen=True, eq=False)
 class SubcomplexMap:
     """Inclusion of a subcomplex, as per-degree injective cell-index maps.
 
@@ -160,9 +156,12 @@ class SubcomplexMap:
     particular forces the image to be closed under taking boundaries.
     """
 
-    __slots__ = ("source", "target", "cell_maps")
+    source: ChainComplex
+    target: ChainComplex
+    cell_maps: tuple[tuple[int, ...], ...]
 
-    def __init__(self, source: ChainComplex, target: ChainComplex, cell_maps):
+    def __post_init__(self):
+        source, target, cell_maps = self.source, self.target, self.cell_maps
         maps = []
         for k in range(source.top_dim + 1):
             m = tuple(int(i) for i in (cell_maps[k] if k < len(cell_maps) else ()))
@@ -179,12 +178,7 @@ class SubcomplexMap:
                 # injective maps keep a canonical column's rows distinct
                 if tuple(sorted((maps[k - 1][i], v) for i, v in col)) != tgt[maps[k][j]]:
                     raise ValueError("inclusion does not commute with boundaries")
-        object.__setattr__(self, "source", source)
-        object.__setattr__(self, "target", target)
         object.__setattr__(self, "cell_maps", tuple(maps))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("SubcomplexMap is immutable")
 
     def image_cells(self, k: int) -> tuple[int, ...]:
         if 0 <= k < len(self.cell_maps):

@@ -25,6 +25,7 @@ def _charged_rank(rank: int) -> int:
     return rank
 
 
+@dataclass(frozen=True, repr=False)
 class FusionRing:
     """Unital based ring with nonnegative structure constants.
 
@@ -37,13 +38,16 @@ class FusionRing:
     enumeration guard.
     """
 
-    __slots__ = ("labels", "unit", "n_tensor", "dual")
+    labels: tuple[str, ...]
+    unit: int
+    n_tensor: tuple[tuple[tuple[int, ...], ...], ...]
+    dual: tuple[int, ...]
 
-    def __init__(self, labels, unit: int, n_tensor, dual):
-        labels = tuple(str(l) for l in labels)
+    def __post_init__(self):
+        labels, unit = tuple(str(l) for l in self.labels), self.unit
         rank = len(labels)
         n = tuple(
-            tuple(tuple(int(x) for x in row) for row in plane) for plane in n_tensor
+            tuple(tuple(int(x) for x in row) for row in plane) for plane in self.n_tensor
         )
         if len(n) != rank or any(
             len(plane) != rank or any(len(row) != rank for row in plane)
@@ -52,7 +56,7 @@ class FusionRing:
             raise ValueError("fusion tensor must be rank^3")
         if any(x < 0 for plane in n for row in plane for x in row):
             raise ValueError("fusion multiplicities must be nonnegative")
-        dual = tuple(int(d) for d in dual)
+        dual = tuple(int(d) for d in self.dual)
         if sorted(dual) != list(range(rank)) or any(dual[dual[i]] != i for i in range(rank)):
             raise ValueError("dual must be an involution on labels")
         basis = [tuple(int(a == b) for b in range(rank)) for a in range(rank)]
@@ -92,9 +96,6 @@ class FusionRing:
             if tuple(n[i][j][unit] for j in range(rank)) != basis[dual[i]]:
                 raise ValueError("duality pairing N_ij^1 = delta_(j,i*) fails")
 
-    def __setattr__(self, name, value):
-        raise AttributeError("FusionRing is immutable")
-
     @property
     def rank(self) -> int:
         return len(self.labels)
@@ -119,16 +120,6 @@ class FusionRing:
                         for k, n in enumerate(row):
                             out[k] += a * b * n
         return tuple(out)
-
-    def __eq__(self, other):
-        if not isinstance(other, FusionRing):
-            return NotImplemented
-        return (self.labels, self.unit, self.n_tensor, self.dual) == (
-            other.labels,
-            other.unit,
-            other.n_tensor,
-            other.dual,
-        )
 
     def __repr__(self):
         return f"FusionRing({list(self.labels)!r})"

@@ -13,6 +13,7 @@ over a generating set).
 from __future__ import annotations
 
 import json
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
 from math import gcd, lcm, prod
@@ -20,6 +21,7 @@ from math import gcd, lcm, prod
 from .limits import check_enum
 
 
+@dataclass(frozen=True, repr=False)
 class FiniteAbelianGroup:
     """Z_{n1} x ... x Z_{nk} with n1 | n2 | ... and every ni >= 2.
 
@@ -27,10 +29,10 @@ class FiniteAbelianGroup:
     residues in lexicographic order.
     """
 
-    __slots__ = ("invariant_factors",)
+    invariant_factors: tuple[int, ...] = ()
 
-    def __init__(self, invariant_factors=()):
-        factors = tuple(int(n) for n in invariant_factors)
+    def __post_init__(self):
+        factors = tuple(int(n) for n in self.invariant_factors)
         for n in factors:
             if n < 2:
                 raise ValueError(f"invariant factor {n} < 2")
@@ -38,9 +40,6 @@ class FiniteAbelianGroup:
             if b % a != 0:
                 raise ValueError(f"broken divisibility chain: {a} does not divide {b}")
         object.__setattr__(self, "invariant_factors", factors)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("FiniteAbelianGroup is immutable")
 
     @classmethod
     def from_cyclic_orders(cls, orders) -> "FiniteAbelianGroup":
@@ -139,14 +138,6 @@ class FiniteAbelianGroup:
             gens = kernel + [self.scalar_mul(step, pivot)]
         return order
 
-    def __eq__(self, other):
-        if not isinstance(other, FiniteAbelianGroup):
-            return NotImplemented
-        return self.invariant_factors == other.invariant_factors
-
-    def __hash__(self):
-        return hash(self.invariant_factors)
-
     def __str__(self):
         if not self.invariant_factors:
             return "Z1"
@@ -164,6 +155,7 @@ class FiniteAbelianGroup:
         return cls(doc["invariant_factors"])
 
 
+@dataclass(frozen=True, repr=False)
 class Character:
     """A character of a finite abelian group, stored by exponents.
 
@@ -172,18 +164,15 @@ class Character:
     that angle as an exact element of Q/Z.
     """
 
-    __slots__ = ("group", "exponents")
+    group: FiniteAbelianGroup
+    exponents: tuple[int, ...]
 
-    def __init__(self, group: FiniteAbelianGroup, exponents):
-        given = tuple(exponents)
-        if len(given) != group.rank:
+    def __post_init__(self):
+        given = tuple(self.exponents)
+        if len(given) != self.group.rank:
             raise ValueError("one exponent per invariant factor required")
-        exps = tuple(int(t) % n for t, n in zip(given, group.invariant_factors))
-        object.__setattr__(self, "group", group)
+        exps = tuple(int(t) % n for t, n in zip(given, self.group.invariant_factors))
         object.__setattr__(self, "exponents", exps)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Character is immutable")
 
     def value(self, element) -> Fraction:
         if not self.group.contains(tuple(element)):
@@ -206,14 +195,6 @@ class Character:
     def is_trivial(self) -> bool:
         return not any(self.exponents)
 
-    def __eq__(self, other):
-        if not isinstance(other, Character):
-            return NotImplemented
-        return (self.group, self.exponents) == (other.group, other.exponents)
-
-    def __hash__(self):
-        return hash((self.group, self.exponents))
-
     def __repr__(self):
         return f"Character({self.group!r}, {self.exponents!r})"
 
@@ -229,6 +210,7 @@ def characters(group: FiniteAbelianGroup):
         yield Character(group, exps)
 
 
+@dataclass(frozen=True, repr=False)
 class FiniteGroup:
     """A finite group given by its Cayley table.
 
@@ -238,15 +220,18 @@ class FiniteGroup:
     (Clifford-Preston 1961, section 1.2) checks them on greedy generators.
     """
 
-    __slots__ = ("order", "cayley", "identity", "inverses")
+    cayley: tuple[tuple[int, ...], ...]
+    identity: int = 0
+    order: int = field(init=False, compare=False)
+    inverses: tuple[int, ...] = field(init=False, compare=False)
 
-    def __init__(self, cayley, identity: int = 0):
-        table = tuple(tuple(int(x) for x in row) for row in cayley)
+    def __post_init__(self):
+        table = tuple(tuple(int(x) for x in row) for row in self.cayley)
         n = len(table)
         for row in table:
             if len(row) != n or set(row) != set(range(n)):
                 raise ValueError("Cayley table rows must be permutations")
-        e = int(identity)
+        e = int(self.identity)
         if not 0 <= e < n:
             raise ValueError("identity index out of range")
         for i in range(n):
@@ -273,9 +258,6 @@ class FiniteGroup:
         object.__setattr__(self, "identity", e)
         object.__setattr__(self, "inverses", tuple(row.index(e) for row in table))
 
-    def __setattr__(self, name, value):
-        raise AttributeError("FiniteGroup is immutable")
-
     def mul(self, i: int, j: int) -> int:
         return self.cayley[i][j]
 
@@ -291,14 +273,6 @@ class FiniteGroup:
             for i in range(self.order)
             for j in range(i)
         )
-
-    def __eq__(self, other):
-        if not isinstance(other, FiniteGroup):
-            return NotImplemented
-        return (self.cayley, self.identity) == (other.cayley, other.identity)
-
-    def __hash__(self):
-        return hash((self.cayley, self.identity))
 
     def __repr__(self):
         return f"FiniteGroup(order={self.order})"

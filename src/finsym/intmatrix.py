@@ -15,6 +15,7 @@ from math import gcd
 from operator import mul
 
 
+@dataclass(frozen=True, repr=False)
 class IntMatrix:
     """Immutable matrix over Z.
 
@@ -23,11 +24,13 @@ class IntMatrix:
     when ``data`` cannot determine them.
     """
 
-    __slots__ = ("rows", "cols", "data")
+    data: tuple[tuple[int, ...], ...]
+    rows: int | None = None
+    cols: int | None = None
 
-    def __init__(self, data, rows: int | None = None, cols: int | None = None):
-        tup = tuple(tuple(map(int, row)) for row in data)
-        r = len(tup) if rows is None else int(rows)
+    def __post_init__(self):
+        tup = tuple(tuple(map(int, row)) for row in self.data)
+        r = len(tup) if self.rows is None else int(self.rows)
         if len(tup) not in (0, r):
             raise ValueError("row count does not match data")
         if tup:
@@ -35,18 +38,15 @@ class IntMatrix:
             if len(widths) != 1:
                 raise ValueError("ragged rows")
             c = widths.pop()
-            if cols is not None and c != int(cols):
+            if self.cols is not None and c != int(self.cols):
                 raise ValueError("column count does not match data")
         else:
-            c = 0 if cols is None else int(cols)
+            c = 0 if self.cols is None else int(self.cols)
         if len(tup) < r:
             tup = tup + tuple(tuple(0 for _ in range(c)) for _ in range(r - len(tup)))
+        object.__setattr__(self, "data", tup)
         object.__setattr__(self, "rows", r)
         object.__setattr__(self, "cols", c)
-        object.__setattr__(self, "data", tup)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("IntMatrix is immutable")
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "IntMatrix":
@@ -62,13 +62,6 @@ class IntMatrix:
 
     def column(self, j: int):
         return tuple(self.data[i][j] for i in range(self.rows))
-
-    def transpose(self) -> "IntMatrix":
-        return IntMatrix(
-            [[self.data[i][j] for i in range(self.rows)] for j in range(self.cols)],
-            rows=self.cols,
-            cols=self.rows,
-        )
 
     def __mul__(self, other: "IntMatrix") -> "IntMatrix":
         if self.cols != other.rows:
@@ -95,14 +88,6 @@ class IntMatrix:
 
     def is_zero(self) -> bool:
         return all(x == 0 for row in self.data for x in row)
-
-    def __eq__(self, other):
-        if not isinstance(other, IntMatrix):
-            return NotImplemented
-        return (self.rows, self.cols, self.data) == (other.rows, other.cols, other.data)
-
-    def __hash__(self):
-        return hash((self.rows, self.cols, self.data))
 
     def __repr__(self):
         return f"IntMatrix({[list(r) for r in self.data]!r})"

@@ -347,6 +347,12 @@ def _kaufman(lat: IsingLattice, digits: int):
     return zs, max(t.copy_abs() for t in terms)
 
 
+def transfer_digits(lat: IsingLattice) -> int:
+    """The first working precision of the closed form: 40 digits plus those
+    lost to the T-th powers (log10 T) and to x - 1 at small beta (log10 1/beta)."""
+    return _KAUFMAN_DIGITS + int(log10(lat.time_steps)) + 1 + max(0, ceil(-log10(lat.beta)))
+
+
 def _transfer_sectors(lat: IsingLattice) -> dict:
     """Z in the four holonomy sectors from Kaufman's products, as floats.
     A first pass that kept fewer than 5 digits of a sector shows only noise,
@@ -355,8 +361,8 @@ def _transfer_sectors(lat: IsingLattice) -> dict:
         raise ValueError(f"transfer width must be in 1..{TRANSFER_MAX_WIDTH}")
     if exp(-2.0 * lat.beta) == 0.0:  # every excited weight underflows
         return {(0, 0): 2.0, (0, 1): 0.0, (1, 0): 0.0, (1, 1): 0.0}
-    extra = int(log10(lat.time_steps)) + 1 + max(0, ceil(-log10(lat.beta)))
-    digits = _KAUFMAN_DIGITS + extra
+    digits = transfer_digits(lat)
+    extra = digits - _KAUFMAN_DIGITS
     zs, top = _kaufman(lat, digits)
     if not isfinite(float(zs[(0, 0)])):
         raise ValueError(_OVERFLOW)

@@ -13,6 +13,7 @@ it vanishes and q(n*x) = n^2 * q(x).
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
 from math import lcm, prod
@@ -30,8 +31,12 @@ def polarization(group: FiniteAbelianGroup, table, x, y) -> Fraction:
     return (table[group.add(x, y)] - table[x] - table[y]) % 1
 
 
+@dataclass(frozen=True, eq=False, init=False, repr=False)
 class QuadraticForm:
-    __slots__ = ("domain", "table")
+    """A quadratic refinement q: A -> Q/Z, kept as its value table on all of A."""
+
+    domain: FiniteAbelianGroup
+    table: dict
 
     def __init__(self, domain: FiniteAbelianGroup, gen_values, cross_terms=None):
         """Build q from q(g_i) = gen_values[i] and b(g_i, g_j) = cross_terms[(i, j)]."""
@@ -40,9 +45,6 @@ class QuadraticForm:
         )
         object.__setattr__(self, "domain", domain)
         object.__setattr__(self, "table", table)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("QuadraticForm is immutable")
 
     @classmethod
     def from_values(cls, domain: FiniteAbelianGroup, values) -> "QuadraticForm":

@@ -30,7 +30,7 @@ the surface bundle counts.
 from __future__ import annotations
 
 from collections import Counter, defaultdict
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product as iproduct
 
@@ -69,26 +69,25 @@ class Bordism:
                 raise ValueError("boundary components must be standard circles")
 
 
+@dataclass(frozen=True, repr=False)
 class StateSpace:
     """C-span of H^1 of a disjoint union of circles: basis = A^r, ordered
     lexicographically by the tuple of A-values."""
 
-    __slots__ = ("group", "circles", "basis", "_index")
+    group: FiniteAbelianGroup
+    circles: int
+    basis: tuple = field(init=False, compare=False)
+    _index: dict = field(init=False, compare=False)
 
-    def __init__(self, group: FiniteAbelianGroup, circles: int):
-        if circles < 0:
+    def __post_init__(self):
+        if self.circles < 0:
             raise ValueError("circle count must be >= 0")
-        check_enum(group.order**circles, what="state space basis")
+        check_enum(self.group.order**self.circles, what="state space basis")
         basis = [()]
-        for _ in range(circles):
-            basis = [b + (a,) for b in basis for a in group.elements()]
-        object.__setattr__(self, "group", group)
-        object.__setattr__(self, "circles", circles)
+        for _ in range(self.circles):
+            basis = [b + (a,) for b in basis for a in self.group.elements()]
         object.__setattr__(self, "basis", tuple(basis))
         object.__setattr__(self, "_index", {b: i for i, b in enumerate(basis)})
-
-    def __setattr__(self, name, value):
-        raise AttributeError("StateSpace is immutable")
 
     @property
     def dim(self) -> int:
@@ -100,11 +99,6 @@ class StateSpace:
 
     def index(self, label) -> int:
         return self._index[tuple(tuple(a) for a in label)]
-
-    def __eq__(self, other):
-        if not isinstance(other, StateSpace):
-            return NotImplemented
-        return (self.group, self.circles) == (other.group, other.circles)
 
     def __repr__(self):
         return f"StateSpace({self.group}, circles={self.circles})"

@@ -403,3 +403,7 @@ class TestGaussSums:
     def test_invalid_level(self):
         with pytest.raises(ValueError):
             gauss_sum(4, 2)
+        for n, p in ((-5, 2), (0, 1)):
+            for fn in (gauss_sum, gauss_sum_direct):
+                with pytest.raises(ValueError, match="N must be >= 1"):
+                    fn(n, p)

@@ -505,6 +505,14 @@ class TestExitCodes:
         assert time.perf_counter() - start < 1.0
         assert code == 3 and "guard" in err and out == ""
 
+    def test_transfer_sweep_is_charged_per_digit(self, capsys):
+        # 100000 points x L = 12 x 43 digits; one unit per point would pass
+        start = time.perf_counter()
+        code, out, err = run(capsys, "ising", "--L", "12", "--T", "12",
+                             "--sweep", "0.1", "1.0", "100000", "--method", "transfer")
+        assert time.perf_counter() - start < 1.0
+        assert code == 3 and "guard" in err and out == ""
+
     @pytest.mark.parametrize("stop", ["1e308", "inf"])
     def test_overflowing_sweep_is_input_error(self, capsys, stop):
         code, out, err = run(capsys, "ising", "--L", "2", "--T", "2",
