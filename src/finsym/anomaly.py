@@ -252,8 +252,9 @@ def gauss_sum_direct(n: int, p: int) -> complex:
     MinimalTFT(n, p)
     check_enum(n * n, what="Gauss-sum term enumeration")
     p_inv = pow(p, -1, n)
+    roots = [cmath.exp(2j * cmath.pi * m / n) for m in range(n)]
     total = 0j
     for b in range(n):
         for c in range(n):
-            total += cmath.exp(2j * cmath.pi * ((p_inv * b * c) % n) / n)
+            total += roots[(p_inv * b * c) % n]
     return total

@@ -332,11 +332,7 @@ def _run_gauss(args) -> dict:
     }
 
 
-def _sector_key(sector) -> str:
-    return f"{sector[0]}{sector[1]}"
-
-
-def _run_ising(args):
+def _run_ising(args) -> dict:
     from . import ising
 
     if args.sweep is not None:
@@ -360,33 +356,17 @@ def _run_ising(args):
         betas = [args.beta]
     rows = []
     for beta in betas:
-        lat = ising.IsingLattice(args.length, args.time_steps, beta)
-        row = {"beta": beta}
-        if args.sectors == "all" or args.gauge:
-            zs = ising.sector_partitions(lat, method=args.method)
-            if args.sectors == "all":
-                for sector, z in zs.items():
-                    row[f"Z{_sector_key(sector)}"] = z
-            else:
-                row["Z00"] = zs[(0, 0)]
-            if args.gauge:
-                row["gauged"] = ising.gauge_sum(zs)
-        else:
-            row["Z00"] = (
-                ising.partition_bruteforce(lat)
-                if args.method == "bruteforce"
-                else ising.partition_transfer(lat)
-            )
+        zs = ising.sector_partitions(
+            ising.IsingLattice(args.length, args.time_steps, beta), args.method)
+        shown = zs if args.sectors == "all" else {(0, 0): zs[(0, 0)]}
+        row = {"beta": fmt_float(beta)}
+        row.update((f"Z{h_x}{h_t}", fmt_float(z)) for (h_x, h_t), z in shown.items())
+        if args.gauge:
+            row["gauged"] = fmt_float(ising.gauge_sum(zs))
         rows.append(row)
-    header = list(rows[0])
-    csv_rows = [header] + [[fmt_float(r[k]) for k in header] for r in rows]
-    if args.sweep is not None:
-        doc = {"L": args.length, "T": args.time_steps,
-               "sweep": [{k: fmt_float(v) for k, v in r.items()} for r in rows]}
-    else:
-        doc = {"L": args.length, "T": args.time_steps,
-               **{k: fmt_float(v) for k, v in rows[0].items()}}
-    return doc, csv_rows
+    if args.sweep is None:
+        return {"L": args.length, "T": args.time_steps, **rows[0]}
+    return {"L": args.length, "T": args.time_steps, "sweep": rows}
 
 
 def _run_problem1(args) -> dict:
@@ -442,15 +422,12 @@ def main(argv=None) -> int:
         "anyons": _run_anyons,
         "anomaly": _run_anomaly,
         "gauss": _run_gauss,
+        "ising": _run_ising,
         "problem1": _run_problem1,
     }
     try:
         with max_enum(args.max_enum):
-            csv_rows = None
-            if args.command == "ising":
-                doc, csv_rows = _run_ising(args)
-            else:
-                doc = runners[args.command](args)
+            doc = runners[args.command](args)
     except GuardExceeded as exc:
         print(f"guard exceeded: {exc}", file=sys.stderr)
         return 3
@@ -463,12 +440,14 @@ def main(argv=None) -> int:
     elif args.format == "plain":
         for line in _emit_plain(doc):
             print(line)
+    elif args.command != "ising":
+        print("error: CSV output is only available for ising runs", file=sys.stderr)
+        return 2
     else:
-        if csv_rows is None:
-            print("error: CSV output is only available for ising runs", file=sys.stderr)
-            return 2
-        for row in csv_rows:
-            print(",".join(str(x) for x in row))
+        # one row per beta: the sweep's rows, or the document without L and T
+        rows = doc.get("sweep") or [{k: v for k, v in doc.items() if k not in ("L", "T")}]
+        for row in [list(rows[0]), *(r.values() for r in rows)]:
+            print(",".join(row))
     return 0
 
 

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import product as iproduct
-from math import gcd, prod
+from math import comb, gcd, prod
 
 from .groups import FiniteAbelianGroup
 from .intmatrix import IntMatrix, invariant_factors, smith_normal_form_full
@@ -214,6 +214,7 @@ def quotient(w: ChainComplex, sub: SubcomplexMap) -> ChainComplex:
 #   circle        v; e (loop)                      d1 = 0
 #   interval      v0, v1; u                        d1(u) = v1 - v0
 #   sphere(n>=2)  v; one n-cell                    all d = 0
+#   torus(n)      comb(n, k) k-cells of (S^1)^n    all d = 0
 #   surface(g)    v; a1,b1,..,ag,bg; f             d = 0 (commutator word)
 #   rp(n)         one cell per dim; d_k = 1+(-1)^k  (0, 2, 0, 2, ...)
 #   klein         v; a, b; f with word a b a b^-1  d2 = (2, 0)^T
@@ -244,10 +245,8 @@ def sphere(n: int) -> ChainComplex:
 def torus(n: int) -> ChainComplex:
     if not 1 <= n <= 5:
         raise ValueError("torus(n) supports 1 <= n <= 5")
-    out = circle()
-    for _ in range(n - 1):
-        out = product(out, circle())
-    return out
+    cells = [comb(n, k) for k in range(n + 1)]
+    return ChainComplex(cells, [[()] * c for c in cells[1:]])
 
 
 def surface(g: int) -> ChainComplex:

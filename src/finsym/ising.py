@@ -457,9 +457,6 @@ def kw_ratio(lat: IsingLattice, method: str = "bruteforce") -> float:
     n_edges = 2 * lat.sites
     gauged = gauged_partition(lat, method=method)
     dual = IsingLattice(lat.length, lat.time_steps, kw_dual_beta(lat.beta))
-    if method == "bruteforce":
-        z_dual = partition_bruteforce(dual)
-    else:
-        z_dual = partition_transfer(dual)
+    z_dual = sector_partitions(dual, method)[(0, 0)]
     factor = ((1.0 + exp(-2.0 * lat.beta)) / sqrt(2.0)) ** n_edges
     return gauged / (factor * z_dual)

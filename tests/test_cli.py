@@ -262,6 +262,26 @@ class TestFormats:
         assert lines[0].startswith("beta,Z00")
         assert len(lines) == 4
 
+    @pytest.mark.parametrize("method", ["bruteforce", "transfer"])
+    @pytest.mark.parametrize("sectors", ["all", "trivial"])
+    @pytest.mark.parametrize("gauge", [[], ["--gauge"]])
+    @pytest.mark.parametrize("points", [["--beta", "0.44068679"],
+                                        ["--sweep", "0.1", "1.0", "4"]])
+    def test_csv_renders_the_json_rows(self, capsys, method, sectors, gauge, points):
+        argv = ["ising", "--L", "3", "--T", "2", *points, "--method", method,
+                "--sectors", sectors, *gauge]
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        doc = json.loads(out)
+        rows = doc["sweep"] if "sweep" in doc else [
+            {k: v for k, v in doc.items() if k not in ("L", "T")}]
+        code, out, _ = run(capsys, *argv, "--format", "csv")
+        assert code == 0
+        header, *cells = (line.split(",") for line in out.splitlines())
+        # JSON sorts its keys; CSV keeps the document's order, beta first
+        assert header[0] == "beta" and sorted(header) == sorted(rows[0])
+        assert [dict(zip(header, row)) for row in cells] == rows
+
     def test_csv_rejected_elsewhere(self, capsys):
         code, _, err = run(capsys, "gauss", "--N", "3", "--p", "1",
                            "--format", "csv")
@@ -477,6 +497,13 @@ class TestExitCodes:
         code, _, _ = run(capsys, "lines", "--A", group, "--Aprime", sub,
                          "--q", "0,0", "--max-enum", str(limit))
         assert code == expected
+
+    @pytest.mark.parametrize("sectors", ["all", "trivial"])
+    def test_transfer_width_is_input_error(self, capsys, sectors):
+        code, out, err = run(capsys, "ising", "--L", "13", "--T", "2", "--beta", "0.4",
+                             "--method", "transfer", "--sectors", sectors)
+        assert code == 2 and out == ""
+        assert err == "error: transfer width must be in 1..12\n"
 
     def test_transfer_overflow_is_input_error(self, capsys):
         code, out, err = run(capsys, "ising", "--L", "4", "--T", "300", "--beta", "0.05",

@@ -103,6 +103,17 @@ class TestProduct:
     def test_torus_5_binomial_cells(self):
         assert torus(5).cells == (1, 5, 10, 10, 5, 1)
 
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_torus_is_the_product_of_circles(self, n):
+        # the iterated product is the oracle of the spelled-out preset
+        iterated = circle()
+        for _ in range(n - 1):
+            iterated = product(iterated, circle())
+        assert torus(n) == iterated and hash(torus(n)) == hash(iterated)
+        for q in range(n + 1):
+            assert [f.reps for f in cohomology(torus(n), Z2Z2, q).factors] == \
+                [f.reps for f in cohomology(iterated, Z2Z2, q).factors]
+
     def test_disjoint_union_adds(self):
         two = disjoint_union(circle(), circle())
         assert two.cells == (2, 2)

@@ -451,6 +451,14 @@ class TestTransferOverflow:
         with pytest.raises(ValueError, match="overflows a float"):
             sector_partitions(lat, method="transfer")
 
+    def test_overflow_of_the_top_eigenvalue_power_is_value_error(self):
+        # Lambda^T itself leaves decimal's exponent range: decimal.Overflow
+        # inside the closed form becomes the same ValueError
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="Z overflows a float"):
+            sector_partitions(IsingLattice(12, 10**1500, 300.0), "transfer")
+        assert time.perf_counter() - start < 1.0
+
     def test_long_finite_torus_still_returns(self):
         z = partition_transfer(IsingLattice(4, 200, 0.05))
         assert math.isfinite(z) and z > 0
