@@ -82,8 +82,8 @@ def allowed_lines_from_generator_values(
     gen_values,
     cross_terms=None,
 ) -> LineLattice:
-    """Expand q over the subgroup, then select lines; the expansion has
-    validated the table, so it is not validated again."""
+    """Build q over the subgroup, then select lines; the walk that built
+    the table has checked it, so it is not checked again."""
     _charge_selection(ambient, subgroup_generators)
     table = subgroup_quadratic_table(ambient, subgroup_generators, gen_values, cross_terms)
     return _select_lines(ambient, subgroup_generators, table)

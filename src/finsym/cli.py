@@ -16,7 +16,8 @@ from fractions import Fraction
 # Only stdlib, groups and limits at module level: each parser and runner
 # imports the one finsym module it calls, so a cold process of an exact
 # subcommand never loads numpy.
-from .groups import FiniteAbelianGroup, named_group, parse_abelian, parse_cyclic_orders
+from .groups import (NONABELIAN_PRESETS, FiniteAbelianGroup, named_group, parse_abelian,
+                     parse_cyclic_orders)
 from .limits import GuardExceeded, check_enum, max_enum
 
 
@@ -51,7 +52,7 @@ def parse_target(text: str):
     degree = int(head[1:]) if len(head) > 1 else 1
     if head[:1] != "B" or degree < 1:
         raise ValueError(f"cannot parse target {text!r}")
-    if group_name in ("S3", "D4", "Q8"):
+    if group_name in NONABELIAN_PRESETS:
         return pathintegral.PiFiniteTarget(named_group(group_name), degree)
     return pathintegral.PiFiniteTarget(parse_abelian(group_name), degree)
 
@@ -225,7 +226,7 @@ def _run_fusion(args) -> dict:
     from . import fusion
 
     name = args.group_ring if args.ty is None else args.ty
-    if name.strip() not in ("S3", "D4", "Q8"):
+    if name.strip() not in NONABELIAN_PRESETS:
         # the ring's rank^3, before an abelian group's |A|^2 Cayley table is built
         fusion._charged_rank(parse_abelian(name).order + (args.ty is not None))
     if args.ty is not None:

@@ -236,8 +236,6 @@ def interval() -> ChainComplex:
 def sphere(n: int) -> ChainComplex:
     if not 1 <= n <= 5:
         raise ValueError("sphere(n) supports 1 <= n <= 5")
-    if n == 1:
-        return circle()
     cells = [1] + [0] * (n - 1) + [1]
     return ChainComplex(cells, [[()] * c for c in cells[1:]])
 
@@ -252,8 +250,6 @@ def torus(n: int) -> ChainComplex:
 def surface(g: int) -> ChainComplex:
     if not 0 <= g <= 4:
         raise ValueError("surface(g) supports 0 <= g <= 4")
-    if g == 0:
-        return sphere(2)
     # One vertex, 2g loops, one 2-cell along the product of commutators,
     # which abelianizes to zero.
     return ChainComplex((1, 2 * g, 1), ([()] * (2 * g), [()]))
@@ -290,13 +286,13 @@ def pants() -> tuple[ChainComplex, tuple[SubcomplexMap, SubcomplexMap, Subcomple
 
 
 _PRESETS = {
-    "circle": (lambda: circle(), 0),
-    "interval": (lambda: interval(), 0),
+    "circle": (circle, 0),
+    "interval": (interval, 0),
     "sphere": (sphere, 1),
     "torus": (torus, 1),
     "surface": (surface, 1),
     "rp": (real_projective_space, 1),
-    "klein": (lambda: klein_bottle(), 0),
+    "klein": (klein_bottle, 0),
     "disk": (lambda: disk()[0], 0),
     "pants": (lambda: pants()[0], 0),
 }

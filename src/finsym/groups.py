@@ -406,19 +406,18 @@ def parse_abelian(name: str) -> FiniteAbelianGroup:
     return FiniteAbelianGroup.from_cyclic_orders(parse_cyclic_orders(name))
 
 
+NONABELIAN_PRESETS = {"S3": symmetric_group_3, "D4": dihedral_group_4, "Q8": quaternion_group_8}
+
+
 def named_group(name: str) -> FiniteGroup:
     """Group presets for the CLI mini-language and the test suite."""
     name = name.strip()
-    if name == "S3":
-        return symmetric_group_3()
-    if name == "D4":
-        return dihedral_group_4()
-    if name == "Q8":
-        return quaternion_group_8()
+    if name in NONABELIAN_PRESETS:
+        return NONABELIAN_PRESETS[name]()
     return abelian_cayley(parse_abelian(name))
 
 
 def preset_group_documents() -> dict[str, str]:
     """The shipped presets as JSON documents in the Cayley-table schema."""
-    names = ("Z2", "Z3", "Z4", "Z2xZ2", "S3", "D4", "Q8")
+    names = ("Z2", "Z3", "Z4", "Z2xZ2", *NONABELIAN_PRESETS)
     return {name: named_group(name).to_json() for name in names}

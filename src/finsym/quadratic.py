@@ -1,22 +1,26 @@
 """Quadratic refinements q: A -> Q/Z and their polarization bihomomorphisms.
 
 Forms are given by values on generators plus the cross terms b(g_i, g_j),
-where b(x, y) = q(x+y) - q(x) - q(y).  One expander,
-``subgroup_quadratic_table``, turns them into a value table of exact
-fractions mod 1, and one validator checks every table on construction,
-over generators only: q(0) = 0, b(g, g) = 2 q(g), and b(x+g, y) =
-b(x, y) + b(g, y) for all x, y, at O(|gens| * |A|^2).  That suffices:
-additivity in each generator gives bi-additivity by induction on words,
+where b(x, y) = q(x+y) - q(x) - q(y).  One walk over the Cayley graph of
+the subgroup, ``_walk``, turns them into a value table of exact fractions
+mod 1 and checks them on the way, at O(|gens|^2 * |A|): each element x
+carries q(x) and the row b(x, g_j), and every edge x -> x + g_i must agree
+with what is stored where it lands.  A table is checked by walking from its
+own generator data and comparing.  That suffices: agreeing edges make
+x -> b(x, g_j) a homomorphism, and expanding q(x+y+g) along the edge from
+x+y gives b(x+g, y) = b(x, y) + b(g, y) for all x, y and each generator g.
+Additivity in each generator gives bi-additivity by induction on words,
 and then x -> b(x, x) - 2 q(x) is additive and vanishes on generators, so
-it vanishes and q(n*x) = n^2 * q(x).
+it vanishes and q(n*x) = n^2 * q(x).  Conversely every refinement with the
+given data satisfies every edge.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, product
-from math import lcm, prod
+from itertools import combinations
+from math import lcm
 
 from .groups import FiniteAbelianGroup
 from .limits import check_enum
@@ -101,86 +105,65 @@ class QuadraticForm:
 def bihomomorphism(q: QuadraticForm):
     """The polarization b(x, y) as a dict over all pairs.
 
-    Nothing is re-checked here: every QuadraticForm was validated when it
-    was built, over generators only (b(g, g) = 2 q(g) and b additive in each
-    generator g), and additivity in each generator gives bi-additivity by
-    induction on words.
+    Nothing is re-checked here: every QuadraticForm was checked when it was
+    built, by the one walk over its group (see the module docstring).
     """
     elems = list(q.domain.elements())
     return {(x, y): q.polarization(x, y) for x in elems for y in elems}
 
 
-def subgroup_quadratic_table(
-    group: FiniteAbelianGroup, generators, gen_values, cross_terms=None
-):
-    """Expand a quadratic form over the subgroup of ``group`` generated by
-    ``generators``, from values on those generators and cross terms:
-    q(sum c_i g_i) = sum c_i^2 q(g_i) + sum_{i<j} c_i c_j b(g_i, g_j).
-
-    Returns a dict mapping each subgroup element (as an ambient tuple) to
-    its value in Q/Z.  Inconsistent data (two generator words giving the
-    same element but different values) is rejected, as is any table that
-    is not a quadratic refinement on the subgroup.
+def subgroup_quadratic_table(group: FiniteAbelianGroup, generators, gen_values, cross_terms=None):
+    """The quadratic refinement on the subgroup of ``group`` generated by
+    ``generators`` with q(g_i) = gen_values[i] and b(g_i, g_j) =
+    cross_terms[(i, j)] (absent pairs: 0), as a dict from each subgroup
+    element (an ambient tuple) to its value in Q/Z.  Data that no
+    refinement has raises ValueError; see ``_walk``.
     """
     generators = [tuple(g) for g in generators]
     gen_values = tuple(mod1(v) for v in gen_values)
     if len(gen_values) != len(generators):
         raise ValueError("one value per generator required")
-    order = group.subgroup_order(generators)
     cross = {(i, j): mod1(v) for (i, j), v in (cross_terms or {}).items()}
     if not all(0 <= i < j < len(generators) for i, j in cross):
         raise ValueError("cross terms are indexed by pairs i < j")
-    # integers over the common denominator d: exact, and cheaper than Fractions
-    d = lcm(*(v.denominator for v in (*gen_values, *cross.values())))
-    nums = [int(v * d) for v in gen_values]
-    cross = {ij: int(v * d) for ij, v in cross.items()}
-    orders = [group.element_order(g) for g in generators]
-    check_enum(prod(orders), what="quadratic table expansion")
-    # the refinement check of the finished table, charged before any word is expanded
-    check_enum(len(generators) * order**2, what="quadratic refinement check")
-    table: dict[tuple, Fraction] = {}
-    for coeffs in product(*(range(n) for n in orders)):
-        elem = tuple(
-            sum(c * g[k] for c, g in zip(coeffs, generators)) % n
-            for k, n in enumerate(group.invariant_factors)
-        )
-        q = sum(c * c * n for c, n in zip(coeffs, nums))
-        q += sum(coeffs[i] * coeffs[j] * m for (i, j), m in cross.items())
-        q = Fraction(q % d, d)
-        if table.setdefault(elem, q) != q:
-            raise ValueError(f"inconsistent quadratic data at {elem}")
-    # a zero generator only ever enters with coefficient 0, so its data is
-    # never expanded above: compare every given value with the table
-    for g, v in zip(generators, gen_values):
-        if table[g] != v:
-            raise ValueError(f"value {v} given for generator {g} "
-                             f"contradicts q({g}) = {table[g]}")
-    for (i, j), m in cross.items():
-        x, y = generators[i], generators[j]
-        b = polarization(group, table, x, y)
-        if b != Fraction(m, d):
-            raise ValueError(f"cross term {Fraction(m, d)} given for generators {x}, {y} "
-                             f"contradicts b = {b}")
-    _validate(group, generators, table)
-    return table
+    return _walk(group, generators, gen_values, cross)
 
 
 def _validate(group: FiniteAbelianGroup, generators, table) -> None:
     """Check that ``table``, defined on the subgroup that ``generators``
-    generate, is a quadratic refinement; see the module docstring."""
-    check_enum(len(generators) * len(table) ** 2, what="quadratic refinement check")
-    if table[group.zero()] != 0:
-        raise ValueError("q(0) must vanish")
-    for g in generators:
-        if polarization(group, table, g, g) != 2 * table[g] % 1:
-            raise ValueError(f"q(2*{g}) != 2^2 q({g})")
-    # b(x+g, y) - b(x, y) - b(g, y) must vanish; integers over the common denominator
-    d = lcm(*(v.denominator for v in table.values()))
-    t = {x: int(v * d) for x, v in table.items()}
-    for g in generators:
-        for x in t:
-            xg = group.add(x, g)
-            for y in t:
-                defect = t[group.add(xg, y)] - t[xg] - t[group.add(x, y)] - t[group.add(g, y)]
-                if (defect + t[x] + t[g] + t[y]) % d:
-                    raise ValueError("polarization is not bi-additive")
+    generate, is a quadratic refinement: walk from its own generator values
+    and polarizations, then compare."""
+    cross = {(i, j): polarization(group, table, x, y)
+             for (i, x), (j, y) in combinations(enumerate(generators), 2)}
+    if _walk(group, generators, [table[g] for g in generators], cross) != table:
+        raise ValueError("table is not a quadratic refinement: its generator values "
+                         "and polarizations give another one")
+
+
+def _walk(group: FiniteAbelianGroup, generators, gen_values, cross) -> dict:
+    """One walk over the Cayley graph of the subgroup: each element x
+    carries q(x) and the row b(x, g_j), and the edge x -> x + g_i gives
+    q(x + g_i) = q(x) + q(g_i) + b(x, g_i) and b(x + g_i, -) = b(x, -) +
+    b(g_i, -), with b(g_i, g_i) = 2 q(g_i).  Every edge must agree with
+    what is stored where it lands; see the module docstring."""
+    n = len(generators)
+    check_enum(n * n * group.subgroup_order(generators), what="quadratic refinement check")
+    # integers over the common denominator d: exact, and cheaper than Fractions
+    d = lcm(*(v.denominator for v in (*gen_values, *cross.values())))
+    nums = [int(v * d) for v in gen_values]
+    rows = [tuple(2 * nums[i] if i == j else int(cross.get((min(i, j), max(i, j)), 0) * d)
+                  for j in range(n)) for i in range(n)]
+    seen = {group.zero(): (0, (0,) * n)}
+    order = list(seen)
+    for x in order:
+        qx, bx = seen[x]
+        for g, qg, bg, bxg in zip(generators, nums, rows, bx):
+            y = group.add(x, g)
+            new = ((qx + qg + bxg) % d, tuple((s + t) % d for s, t in zip(bx, bg)))
+            old = seen.setdefault(y, new)
+            if old is new:  # y was not yet reached
+                order.append(y)
+            elif old != new:
+                what = f"q({y}) = {Fraction(old[0], d)}" if old[0] != new[0] else f"b({y}, -)"
+                raise ValueError(f"the step from {x} by generator {g} contradicts {what}")
+    return {x: Fraction(qx, d) for x, (qx, _) in sorted(seen.items())}

@@ -79,6 +79,10 @@ class TestPresets:
             preset("moebius")
         with pytest.raises(ValueError):
             preset("sphere", 9)
+        # the general formulas give the lower-dimensional presets themselves:
+        # the surface path integral recognises surfaces by equality
+        assert preset("sphere", 1) == circle() and hash(sphere(1)) == hash(circle())
+        assert preset("surface", 0) == sphere(2) and hash(surface(0)) == hash(sphere(2))
 
     @pytest.mark.parametrize("cx", SMALL_PRESETS + [torus(4), torus(5)])
     def test_boundary_squares_to_zero(self, cx):

@@ -1,0 +1,54 @@
+"""Constructors and entry points reject malformed input with a clear message."""
+
+import re
+
+import pytest
+
+from finsym import ising
+from finsym.complexes import ChainComplex, SubcomplexMap, circle, disk, interval, sphere
+from finsym.fusion import FusionRing
+from finsym.groups import Character, FiniteAbelianGroup, cyclic_group
+from finsym.intmatrix import IntMatrix
+from finsym.pathintegral import PiFiniteTarget, em_partition, surface_gauge_count
+from finsym.tqft2d import Bordism, StateSpace
+
+Z2 = FiniteAbelianGroup([2])
+Z3 = FiniteAbelianGroup([3])
+POINT = ChainComplex((1,), ())
+IDENTITY_RANK2 = ((1, 0), (0, 1))
+
+CASES = [
+    (lambda: IntMatrix([[1]], rows=2), "row count does not match"),
+    (lambda: IntMatrix([[1, 2]], cols=3), "column count does not match"),
+    (lambda: ChainComplex((), ()), "nonempty and nonnegative"),
+    (lambda: ChainComplex((1, 1), ()), "one boundary matrix per dimension"),
+    (lambda: SubcomplexMap(circle(), circle(), ((0,),)), "degree 1 map has wrong length"),
+    (lambda: SubcomplexMap(circle(), circle(), ((1,), (0,))), "degree 0 map goes out of range"),
+    (lambda: SubcomplexMap(interval(), interval(), ((1, 0), (0,))), "does not commute"),
+    (lambda: FusionRing(("1", "a"), 0, (IDENTITY_RANK2,), (0, 1)), "rank^3"),
+    (lambda: FusionRing(("1",), 0, (((-1,),),), (0,)), "nonnegative"),
+    (lambda: FusionRing(("1", "a"), 0, (IDENTITY_RANK2, ((0, 1), (1, 0))), (0, 0)),
+     "involution"),
+    (lambda: FusionRing(("1", "a"), 0, (IDENTITY_RANK2, ((1, 0), (1, 0))), (0, 1)),
+     "right unit law"),
+    (lambda: Bordism(sphere(2), (SubcomplexMap(circle(), circle(), ((0,), (0,))),), ()),
+     "does not land in the bordism"),
+    (lambda: Bordism(disk()[0], (SubcomplexMap(POINT, disk()[0], ((0,),)),), ()),
+     "standard circles"),
+    (lambda: StateSpace(Z2, -1), "circle count must be >= 0"),
+    (lambda: PiFiniteTarget(Z2, 0), "target degree must be >= 1"),
+    (lambda: em_partition(circle(), Z2, 0), "n must be >= 1"),
+    (lambda: surface_gauge_count(cyclic_group(2), -1), "genus must be >= 0"),
+    (lambda: ising.transfer_matrix(2, 0.0), "beta must be positive"),
+    (lambda: ising.kw_dual_beta(-1.0), "beta must be positive"),
+    (lambda: Character(Z2, (0, 0)), "one exponent per invariant factor"),
+    (lambda: Character(Z2, (1,)).value((0, 1)), "is not in Z2"),
+    (lambda: Character(Z2, (1,)) * Character(Z3, (1,)), "characters of different groups"),
+    (lambda: cyclic_group(0), "cyclic order must be >= 1"),
+]
+
+
+@pytest.mark.parametrize("build, fragment", CASES, ids=[f for _, f in CASES])
+def test_malformed_input_is_rejected(build, fragment):
+    with pytest.raises(ValueError, match=re.escape(fragment)):
+        build()

@@ -1,0 +1,31 @@
+"""finsym itself needs only the standard library and numpy: hypothesis,
+sympy and mpmath stay in the ``test`` extra."""
+
+import ast
+import sys
+from pathlib import Path
+
+import pytest
+
+SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "finsym").rglob("*.py"))
+ALLOWED = set(sys.stdlib_module_names) | {"numpy", "finsym"}
+
+
+def absolute_imports(path: Path) -> set[str]:
+    """Top-level names of every absolute import in ``path``, nested ones included."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Import):
+            names.update(alias.name.partition(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.add(node.module.partition(".")[0])
+    return names
+
+
+def test_sources_are_found():
+    assert any(p.name == "quadratic.py" for p in SOURCES)
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=[p.name for p in SOURCES])
+def test_imports_only_stdlib_and_numpy(path):
+    assert absolute_imports(path) <= ALLOWED, absolute_imports(path) - ALLOWED
