@@ -5,8 +5,9 @@ integer columns, the few nonzero entries of each cell's boundary, so that
 building, gluing and checking complexes costs their nonzero entries.  A
 dense matrix is made in one place only, the coboundary an SNF reduces.
 Cohomology with coefficients in A = Z_{n1} x ... x Z_{nk} comes from two
-full Smith normal forms over Z per call, of delta^q and of delta^{q-1} in
-delta^q's coordinates, shared by every cyclic factor.  By the universal
+full Smith normal forms over Z per call, shared by every cyclic factor:
+of delta^q, carrying delta^{q-1} along, then of the block that leaves,
+carrying the first one's transforms (no products).  By the universal
 coefficient theorem each H^q(C; Z_n) is a product of Z_gcd(d, n) over their
 invariant factors d and a free Z_n part; generator representatives, exact
 class coordinates and induced restriction maps come from the same
@@ -505,31 +506,32 @@ def cohomology(cx: ChainComplex, coeffs: FiniteAbelianGroup, q: int) -> Cohomolo
     """H^q(cx; coeffs), exactly, from two full Smith forms shared by every
     cyclic factor of the coefficients.
 
-    The first is U delta^q V = D, of rank r.  d o d = 0 puts the columns of
-    delta^{q-1} in V-coordinates on the c - r nonpivot rows; the second
-    Smith form is of that block W, which has delta^{q-1}'s invariant
-    factors.  Each factor Z_n then needs only gcds (``_cyclic_orders``).
+    The first is U delta^q V = D, of rank r, with V^-1 started as
+    [I | delta^{q-1}].  d o d = 0 puts V^-1 delta^{q-1} on the c - r
+    nonpivot rows; the second is of that block W, which has delta^{q-1}'s
+    invariant factors, with U_W started as V^-1's nonpivot rows and U_W^-1
+    as V's nonpivot columns.  Each Z_n then needs only gcds.
     """
     _check_degree(cx, q)
     c = cx.n_cells(q)
-    snf = smith_normal_form_full(cx.coboundary(q))
-    r = snf.rank
-    # the first r rows vanish: ChainComplex has checked d o d = 0
-    images = snf.v_inv * cx.coboundary(q - 1)
-    w = smith_normal_form_full(IntMatrix(images.data[r:], rows=c - r, cols=images.cols))
-    # diag(I_r, U_W) V^-1 and V diag(I_r, U_W^-1): only the c - r nonpivot
-    # rows of V^-1 and columns of V change
-    v_inv, v = snf.v_inv.data, snf.v.data
-    to_coords = IntMatrix(v_inv[:r] + (w.u * IntMatrix(v_inv[r:], rows=c - r, cols=c)).data,
-                          rows=c, cols=c)
-    tails = IntMatrix([row[r:] for row in v], rows=c, cols=c - r) * w.u_inv
-    lifts = IntMatrix([row[:r] + t for row, t in zip(v, tails.data)], rows=c, cols=c)
+    delta_in = cx.coboundary(q - 1)
+    snf = smith_normal_form_full(cx.coboundary(q), v_inv=IntMatrix(
+        [[1 if i == j else 0 for j in range(c)] + list(row) for i, row in enumerate(delta_in.data)],
+        rows=c, cols=c + delta_in.cols))
+    r, v_inv = snf.rank, snf.v_inv.data
+    w = smith_normal_form_full(
+        IntMatrix([row[c:] for row in v_inv[r:]], rows=c - r, cols=delta_in.cols),
+        u=IntMatrix([row[:c] for row in v_inv[r:]], rows=c - r, cols=c),
+        u_inv=IntMatrix([row[r:] for row in snf.v.data], rows=c, cols=c - r))
+    # diag(I_r, U_W) V^-1 and V diag(I_r, U_W^-1)
+    to_coords = IntMatrix([row[:c] for row in v_inv[:r]] + list(w.u.data), rows=c, cols=c)
+    lifts = [row[:r] + t for row, t in zip(snf.v.data, w.u_inv.data)]
     factors = []
     for n in coeffs.invariant_factors:
         orders = _cyclic_orders(c, snf.diagonal, w.diagonal, n)
         steps = tuple(n // o if i < r else 1 for i, o in enumerate(orders))
         kept = tuple(i for i, o in enumerate(orders) if o > 1)
-        reps = tuple(tuple(steps[i] * v % n for v in lifts.column(i)) for i in kept)
+        reps = tuple(tuple(steps[i] * row[i] % n for row in lifts) for i in kept)
         kept_orders = tuple(orders[i] for i in kept)
         factors.append(_CyclicFactor(n, c, kept_orders, reps, to_coords, steps, kept))
     return CohomologyGroup(

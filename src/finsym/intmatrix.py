@@ -3,9 +3,10 @@
 Entries are Python ints, so all pivoting is overflow-free.  Matrices are
 immutable after construction; every operation returns a new matrix.  The
 Smith normal form is the computational backbone for all cohomology in this
-package, so it is available both in the bare (U, D, V) form and in a rich
-form that carries the inverse transforms needed to solve linear systems
-over Z and Z/n.
+package.  It has one reduction, which applies each row and column operation
+to four carried matrices: the transforms U, V and their exact inverses from
+identity starts, products such as U X or V^-1 X from a given start, and
+nothing at all when only the invariant factors are needed.
 """
 
 from __future__ import annotations
@@ -97,9 +98,10 @@ class IntMatrix:
 class SmithForm:
     """U * m * V = D with U, V unimodular and D diagonal, d1 | d2 | ...
 
-    ``u_inv`` and ``v_inv`` are the exact inverses of ``u`` and ``v``; they
-    are tracked during the reduction so no rational inversion is ever
-    needed.  ``diagonal`` lists the nonzero invariant factors.
+    From identity starts ``u_inv`` and ``v_inv`` are the exact inverses of
+    ``u`` and ``v``, so no rational inversion is ever needed; from a start
+    X (see ``smith_normal_form_full``) the fields hold U X, X U^-1 and
+    V^-1 X instead.  ``diagonal`` lists the nonzero invariant factors.
     """
 
     u: IntMatrix
@@ -120,85 +122,81 @@ def smith_normal_form(m: IntMatrix):
     return full.u, full.d, full.v
 
 
-def smith_normal_form_full(m: IntMatrix) -> SmithForm:
+def smith_normal_form_full(m: IntMatrix, *, u: IntMatrix | None = None,
+                           u_inv: IntMatrix | None = None,
+                           v_inv: IntMatrix | None = None) -> SmithForm:
+    """The Smith form of m with its transforms, each started from the
+    identity or from the given X: ``u=X`` gives U X, ``u_inv=X`` gives
+    X U^-1 and ``v_inv=X`` gives V^-1 X, with no product ever formed."""
     r, c = m.rows, m.cols
-    diag, a, (u, v, u_inv, v_inv) = _smith(m, track=True)
-    return SmithForm(
-        u=IntMatrix(u, rows=r, cols=r),
-        d=IntMatrix(a, rows=r, cols=c),
-        v=IntMatrix(v, rows=c, cols=c),
-        u_inv=IntMatrix(u_inv, rows=r, cols=r),
-        v_inv=IntMatrix(v_inv, rows=c, cols=c),
-        diagonal=diag,
-    )
+    starts = [_start(u, r), _start(u_inv, r), _start(None, c), _start(v_inv, c)]
+    if (starts[0][1], starts[1][2], starts[3][1]) != (r, r, c):
+        raise ValueError("transform start does not fit the matrix shape")
+    diag, a = _smith(m, *(rows for rows, _, _ in starts))
+    u, u_inv, v, v_inv = (IntMatrix(*start) for start in starts)
+    return SmithForm(u, IntMatrix(a, rows=r, cols=c), v, u_inv, v_inv, diag)
+
+
+def _start(x: IntMatrix | None, n: int):
+    """(row lists, rows, cols) of a transform start: x, or the n x n identity."""
+    if x is None:
+        return [[1 if i == j else 0 for j in range(n)] for i in range(n)], n, n
+    return [list(row) for row in x.data], x.rows, x.cols
 
 
 def invariant_factors(m: IntMatrix) -> tuple[int, ...]:
     """The nonzero Smith diagonal d1 | d2 | ... of m, without transforms.
 
-    Same reduction as ``smith_normal_form_full``, with no U, V or inverses
-    carried along; enough wherever only orders are needed.
+    Same reduction as ``smith_normal_form_full`` with empty carries; enough
+    wherever only orders are needed.
     """
-    return _smith(m, track=False)[0]
+    return _smith(m, [()] * m.rows, (), (), [()] * m.cols)[0]
 
 
-def _smith(m: IntMatrix, track: bool):
-    """Reduce a copy of m to Smith form: (diagonal, D rows, transforms).
+def _smith(m: IntMatrix, u, u_inv, v, v_inv):
+    """Reduce a copy of m to Smith form: (diagonal, D rows).
 
-    ``transforms`` is (U, V, U^-1, V^-1) as row lists when ``track`` is set
-    and None otherwise; the pivot choices depend on D alone, so both modes
-    reach the same diagonal.
+    Each row operation E is also applied as u := E u and u_inv := u_inv E^-1,
+    each column operation as v := v E and v_inv := E^-1 v_inv, in place on
+    the four given lists of rows (rows that change must be lists).  The
+    pivot choices depend on D alone, so any carries reach the same diagonal.
     """
     r, c = m.rows, m.cols
     a = [list(row) for row in m.data]
-    if track:
-        u = [[1 if i == j else 0 for j in range(r)] for i in range(r)]
-        u_inv = [[1 if i == j else 0 for j in range(r)] for i in range(r)]
-        v = [[1 if i == j else 0 for j in range(c)] for i in range(c)]
-        v_inv = [[1 if i == j else 0 for j in range(c)] for i in range(c)]
 
-    # Row op a[i] += q*a[k] corresponds to U := E U, Uinv := Uinv E^-1.
     def row_add(i, k, q):
-        ai, ak = a[i], a[k]
-        for j in range(c):
-            ai[j] += q * ak[j]
-        if track:
-            for j in range(r):
-                u[i][j] += q * u[k][j]
-            for s in range(r):
-                u_inv[s][k] -= q * u_inv[s][i]
+        for rows in (a, u):
+            ri, rk = rows[i], rows[k]
+            for j in range(len(ri)):
+                ri[j] += q * rk[j]
+        for row in u_inv:
+            row[k] -= q * row[i]
 
     def row_swap(i, k):
-        a[i], a[k] = a[k], a[i]
-        if track:
-            u[i], u[k] = u[k], u[i]
-            for s in range(r):
-                u_inv[s][i], u_inv[s][k] = u_inv[s][k], u_inv[s][i]
+        for rows in (a, u):
+            rows[i], rows[k] = rows[k], rows[i]
+        for row in u_inv:
+            row[i], row[k] = row[k], row[i]
 
     def row_negate(i):
-        a[i] = [-x for x in a[i]]
-        if track:
-            u[i] = [-x for x in u[i]]
-            for s in range(r):
-                u_inv[s][i] = -u_inv[s][i]
+        for rows in (a, u):
+            rows[i] = [-x for x in rows[i]]
+        for row in u_inv:
+            row[i] = -row[i]
 
-    # Column op col_j += q*col_l corresponds to V := V E, Vinv := E^-1 Vinv.
     def col_add(j, l, q):
-        for row in a:
-            row[j] += q * row[l]
-        if track:
-            for row in v:
+        for rows in (a, v):
+            for row in rows:
                 row[j] += q * row[l]
-            for t in range(c):
-                v_inv[l][t] -= q * v_inv[j][t]
+        vl, vj = v_inv[l], v_inv[j]
+        for t in range(len(vl)):
+            vl[t] -= q * vj[t]
 
     def col_swap(j, l):
-        for row in a:
-            row[j], row[l] = row[l], row[j]
-        if track:
-            for row in v:
+        for rows in (a, v):
+            for row in rows:
                 row[j], row[l] = row[l], row[j]
-            v_inv[j], v_inv[l] = v_inv[l], v_inv[j]
+        v_inv[j], v_inv[l] = v_inv[l], v_inv[j]
 
     def rounded_quotient(x, p):
         # Quotient with minimal-magnitude remainder: |x - q*p| <= |p|/2.
@@ -266,7 +264,7 @@ def _smith(m: IntMatrix, track: bool):
         t += 1
 
     diag = tuple(a[i][i] for i in range(min(r, c)) if a[i][i] != 0)
-    return diag, a, ((u, v, u_inv, v_inv) if track else None)
+    return diag, a
 
 
 def minor_gcd(m: IntMatrix, k: int) -> int:

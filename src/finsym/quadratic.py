@@ -108,6 +108,7 @@ def bihomomorphism(q: QuadraticForm):
     Nothing is re-checked here: every QuadraticForm was checked when it was
     built, by the one walk over its group (see the module docstring).
     """
+    check_enum(q.domain.order**2, what="polarization table (|A|^2 pairs)")
     elems = list(q.domain.elements())
     return {(x, y): q.polarization(x, y) for x in elems for y in elems}
 

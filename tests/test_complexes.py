@@ -1,8 +1,11 @@
+import random
+
 import pytest
 
 from finsym.complexes import (
     ChainComplex,
     SubcomplexMap,
+    _cyclic_orders,
     circle,
     cohomology,
     count_cocycles,
@@ -27,8 +30,9 @@ from finsym.complexes import (
 )
 from finsym import tqft2d
 from finsym.groups import FiniteAbelianGroup
-from finsym.intmatrix import IntMatrix
+from finsym.intmatrix import IntMatrix, smith_normal_form_full
 from finsym.limits import GuardExceeded, max_enum
+from test_random_complexes import random_two_stage_complex
 
 Z2 = FiniteAbelianGroup([2])
 Z3 = FiniteAbelianGroup([3])
@@ -451,3 +455,53 @@ class TestGlue:
     @pytest.mark.parametrize("cx", [torus(2), product(klein_bottle(), interval())])
     def test_json_round_trip(self, cx):
         assert ChainComplex.from_json(cx.to_json()) == cx
+
+
+def _cohomology_by_products(cx, coeffs, q):
+    """Per factor (orders, reps, _coords, _steps) by the dense route: two
+    default Smith forms and three IntMatrix products.  Oracle of the
+    transforms that ``cohomology`` carries through its reductions."""
+    c = cx.n_cells(q)
+    snf = smith_normal_form_full(cx.coboundary(q))
+    r = snf.rank
+    images = snf.v_inv * cx.coboundary(q - 1)
+    w = smith_normal_form_full(IntMatrix(images.data[r:], rows=c - r, cols=images.cols))
+    v_inv, v = snf.v_inv.data, snf.v.data
+    head = IntMatrix(v_inv[r:], rows=c - r, cols=c)
+    to_coords = IntMatrix(v_inv[:r] + (w.u * head).data, rows=c, cols=c)
+    tails = IntMatrix([row[r:] for row in v], rows=c, cols=c - r) * w.u_inv
+    lifts = IntMatrix([row[:r] + t for row, t in zip(v, tails.data)], rows=c, cols=c)
+    out = []
+    for n in coeffs.invariant_factors:
+        orders = _cyclic_orders(c, snf.diagonal, w.diagonal, n)
+        steps = tuple(n // o if i < r else 1 for i, o in enumerate(orders))
+        kept = [i for i, o in enumerate(orders) if o > 1]
+        reps = tuple(tuple(steps[i] * x % n for x in lifts.column(i)) for i in kept)
+        out.append((tuple(orders[i] for i in kept), reps, to_coords, steps))
+    return out
+
+
+def _oracle_complexes():
+    yield from (preset(name) for name in ("circle", "interval", "klein", "disk", "pants"))
+    for name, params in (("sphere", range(1, 6)), ("torus", range(1, 6)),
+                         ("surface", range(5)), ("rp", range(1, 5))):
+        yield from (preset(name, p) for p in params)
+    iterated = circle()
+    for _ in range(4):
+        iterated = product(iterated, circle())
+        yield iterated
+    for b in QUOTIENT_BORDISMS:
+        for sub in (tqft2d._in_boundary_subcomplex(b), *b.in_circles, *b.out_circles):
+            yield quotient(b.w, sub)
+    for base, count in ((31_000, 25), (77_000, 10), (55_000, 10)):
+        yield from (random_two_stage_complex(random.Random(base + s)) for s in range(count))
+
+
+@pytest.mark.parametrize("coeffs", [FiniteAbelianGroup([2, 12]), FiniteAbelianGroup([5])],
+                         ids=str)
+def test_carried_transforms_match_the_dense_products(coeffs):
+    for cx in _oracle_complexes():
+        for q in range(cx.top_dim + 1):
+            got = [(f.orders, f.reps, f._coords, f._steps)
+                   for f in cohomology(cx, coeffs, q).factors]
+            assert got == _cohomology_by_products(cx, coeffs, q), (cx.cells, q)

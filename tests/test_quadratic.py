@@ -235,6 +235,15 @@ def test_refinement_check_is_charged_per_generator_and_pair():
         QuadraticForm(z16, [Fraction(1, 32)])
 
 
+def test_polarization_table_is_charged_per_pair():
+    # the form's own walk is 2^2 * 16 = 64 steps; its table has 16^2 pairs
+    q = QuadraticForm(FiniteAbelianGroup([4, 4]), [0, 0])
+    with max_enum(64), pytest.raises(GuardExceeded, match="polarization table"):
+        bihomomorphism(q)
+    with max_enum(256):
+        assert len(bihomomorphism(q)) == 256
+
+
 def test_refinement_check_is_charged_before_the_expansion():
     # 2^25 walk steps exceed the ceiling; the guard trips before the first step
     start = time.perf_counter()

@@ -8,6 +8,7 @@ cross-check of the invariant factors.
 
 import random
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -83,3 +84,41 @@ def test_invariant_factors_match_sympy(seed):
     snf = smith_normal_form(sympy.Matrix(data), domain=sympy.ZZ)
     theirs = tuple(abs(int(snf[i, i])) for i in range(min(rows, cols)) if snf[i, i] != 0)
     assert invariant_factors(IntMatrix(data)) == theirs
+
+
+@st.composite
+def matrices_with_starts(draw):
+    """m with starts X for u (rows of m), u_inv (cols = rows of m) and v_inv
+    (rows = cols of m), each of a free other side."""
+    m = draw(matrices())
+    r, c = m.rows, m.cols
+
+    def block(rows, cols):
+        data = draw(st.lists(st.lists(st.integers(-9, 9), min_size=cols, max_size=cols),
+                             min_size=rows, max_size=rows))
+        return IntMatrix(data, rows=rows, cols=cols)
+
+    k = draw(st.integers(0, 5))
+    return m, block(r, k), block(k, r), block(c, k)
+
+
+@DETERMINISTIC
+@given(matrices_with_starts())
+def test_started_transforms_are_the_products(case):
+    m, x_u, x_u_inv, x_v_inv = case
+    full = smith_normal_form_full(m)
+    products = {"u": (x_u, full.u * x_u), "u_inv": (x_u_inv, x_u_inv * full.u_inv),
+                "v_inv": (x_v_inv, full.v_inv * x_v_inv)}
+    for name, (start, expected) in products.items():
+        started = smith_normal_form_full(m, **{name: start})
+        assert getattr(started, name) == expected
+        # the other transforms, D and the diagonal do not depend on the start
+        assert replace(started, **{name: getattr(full, name)}) == full
+
+
+def test_start_of_the_wrong_shape_is_rejected():
+    m = IntMatrix([[2, 4, 4], [-6, 6, 12]])
+    for name, start in (("u", IntMatrix.identity(3)), ("u_inv", IntMatrix.identity(3)),
+                        ("v_inv", IntMatrix.identity(2))):
+        with pytest.raises(ValueError, match="transform start"):
+            smith_normal_form_full(m, **{name: start})
