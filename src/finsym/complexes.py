@@ -31,20 +31,21 @@ from itertools import product as iproduct
 from math import comb, gcd, prod
 
 from .groups import FiniteAbelianGroup
-from .intmatrix import IntMatrix, invariant_factors, smith_normal_form_full
+from .intmatrix import IntMatrix, as_int, invariant_factors, smith_normal_form_full
 from .limits import check_enum
 
 
 def _column(entries, rows: int) -> tuple[tuple[int, int], ...]:
-    """Canonical sparse column: (row, coeff) pairs with rows in range and
-    sorted, duplicates summed and zeros dropped."""
+    """Canonical sparse column: (row, coeff) pairs of integers with rows in
+    range and sorted, duplicates summed and zeros dropped."""
     if not entries:
         return ()
     acc = {}
     for i, v in entries:
+        i = as_int(i, "boundary row")
         if not 0 <= i < rows:
             raise ValueError(f"boundary row {i} out of range 0..{rows - 1}")
-        acc[i] = acc.get(i, 0) + int(v)
+        acc[i] = acc.get(i, 0) + as_int(v, "boundary coefficient")
     return tuple((i, acc[i]) for i in sorted(acc) if acc[i])
 
 
@@ -65,7 +66,7 @@ class ChainComplex:
     _factors: dict = field(default_factory=dict, init=False, compare=False)
 
     def __post_init__(self):
-        cells = tuple(int(c) for c in self.cells)
+        cells = tuple(as_int(c, "cell count") for c in self.cells)
         if not cells or any(c < 0 for c in cells):
             raise ValueError("cells_per_dim must be nonempty and nonnegative")
         given = tuple(self.boundaries)
@@ -105,17 +106,21 @@ class ChainComplex:
 
     def boundary(self, k: int) -> IntMatrix:
         """d_k: C_k -> C_{k-1} (zero-shaped outside 1..top_dim)."""
-        return IntMatrix(tuple(zip(*self.coboundary(k - 1).data)),
-                         rows=self.n_cells(k - 1), cols=self.n_cells(k))
+        rows, cols = self.n_cells(k - 1), self.n_cells(k)
+        data = tuple(zip(*self.coboundary(k - 1).data)) if cols else ((),) * rows
+        return IntMatrix._trusted(data, rows, cols)
 
     def coboundary(self, q: int) -> IntMatrix:
         """delta^q: C^q -> C^{q+1}, the transpose of d_{q+1}; the one place a
         complex becomes an IntMatrix."""
-        rows = [[0] * self.n_cells(q) for _ in self.columns(q + 1)]
-        for row, col in zip(rows, self.columns(q + 1)):
+        c = self.n_cells(q)
+        rows = []
+        for col in self.columns(q + 1):
+            row = [0] * c
             for i, v in col:
                 row[i] = v
-        return IntMatrix(rows, rows=len(rows), cols=self.n_cells(q))
+            rows.append(tuple(row))
+        return IntMatrix._trusted(tuple(rows), len(rows), c)
 
     def boundary_factors(self, k: int) -> tuple[int, ...]:
         """Invariant factors of d_k, read off delta^{k-1}; reduced on first use."""
@@ -515,16 +520,17 @@ def cohomology(cx: ChainComplex, coeffs: FiniteAbelianGroup, q: int) -> Cohomolo
     _check_degree(cx, q)
     c = cx.n_cells(q)
     delta_in = cx.coboundary(q - 1)
-    snf = smith_normal_form_full(cx.coboundary(q), v_inv=IntMatrix(
-        [[1 if i == j else 0 for j in range(c)] + list(row) for i, row in enumerate(delta_in.data)],
-        rows=c, cols=c + delta_in.cols))
+    e = delta_in.cols
+    snf = smith_normal_form_full(cx.coboundary(q), v_inv=IntMatrix._trusted(
+        tuple((0,) * i + (1,) + (0,) * (c - 1 - i) + row for i, row in enumerate(delta_in.data)),
+        c, c + e))
     r, v_inv = snf.rank, snf.v_inv.data
     w = smith_normal_form_full(
-        IntMatrix([row[c:] for row in v_inv[r:]], rows=c - r, cols=delta_in.cols),
-        u=IntMatrix([row[:c] for row in v_inv[r:]], rows=c - r, cols=c),
-        u_inv=IntMatrix([row[r:] for row in snf.v.data], rows=c, cols=c - r))
+        IntMatrix._trusted(tuple(row[c:] for row in v_inv[r:]), c - r, e),
+        u=IntMatrix._trusted(tuple(row[:c] for row in v_inv[r:]), c - r, c),
+        u_inv=IntMatrix._trusted(tuple(row[r:] for row in snf.v.data), c, c - r))
     # diag(I_r, U_W) V^-1 and V diag(I_r, U_W^-1)
-    to_coords = IntMatrix([row[:c] for row in v_inv[:r]] + list(w.u.data), rows=c, cols=c)
+    to_coords = IntMatrix._trusted(tuple(row[:c] for row in v_inv[:r]) + w.u.data, c, c)
     lifts = [row[:r] + t for row, t in zip(snf.v.data, w.u_inv.data)]
     factors = []
     for n in coeffs.invariant_factors:
@@ -609,13 +615,9 @@ def restriction_map(
         for rep in f_big.reps:
             pulled = sub.pull_back(rep, q)
             cols.append(f_small.coordinates(pulled))
-        mats.append(
-            IntMatrix(
-                [[col[i] for col in cols] for i in range(len(f_small.orders))],
-                rows=len(f_small.orders),
-                cols=len(f_big.reps),
-            )
-        )
+        mats.append(IntMatrix._trusted(
+            tuple(tuple(col[i] for col in cols) for i in range(len(f_small.orders))),
+            len(f_small.orders), len(f_big.reps)))
     return CohomologyMap(source=big, target=small, matrices=tuple(mats))
 
 

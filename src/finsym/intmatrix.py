@@ -1,7 +1,12 @@
 """Exact integer matrices and the Smith normal form.
 
 Entries are Python ints, so all pivoting is overflow-free.  Matrices are
-immutable after construction; every operation returns a new matrix.  The
+immutable after construction; every operation returns a new matrix.  Data
+from outside the package is validated once, entry by entry, by the public
+constructor: every entry and the shape must be integers (``operator.index``,
+so floats and strings are refused, not truncated) and the shape must not
+be negative.  Matrices the package builds from ints it already holds (Smith
+forms, coboundaries, products) are not re-checked.  The
 Smith normal form is the computational backbone for all cohomology in this
 package.  It has one reduction, which applies each row and column operation
 to four carried matrices: the transforms U, V and their exact inverses from
@@ -13,7 +18,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd
-from operator import mul
+from operator import index, mul
+
+
+def as_int(x, what: str) -> int:
+    """x as an exact int if it is an integer (bools and numpy integers
+    included); a ValueError naming it otherwise."""
+    try:
+        return index(x)
+    except TypeError:
+        raise ValueError(f"{what} {x!r} is not an integer") from None
 
 
 @dataclass(frozen=True, repr=False)
@@ -22,7 +36,10 @@ class IntMatrix:
 
     ``data`` is a sequence of row sequences.  Zero-width shapes are legal
     (boundary maps of empty cell ranks); pass ``rows``/``cols`` explicitly
-    when ``data`` cannot determine them.
+    when ``data`` cannot determine them.  The constructor validates every
+    entry and the shape once: each must be an integer, stored as an exact
+    int, and a non-integer such as 1.7 or "3" raises ValueError.  Matrices
+    built inside the package from exact ints skip that check (``_trusted``).
     """
 
     data: tuple[tuple[int, ...], ...]
@@ -30,8 +47,11 @@ class IntMatrix:
     cols: int | None = None
 
     def __post_init__(self):
-        tup = tuple(tuple(map(int, row)) for row in self.data)
-        r = len(tup) if self.rows is None else int(self.rows)
+        tup = tuple(tuple(as_int(x, "matrix entry") for x in row) for row in self.data)
+        r = len(tup) if self.rows is None else as_int(self.rows, "row count")
+        cols = None if self.cols is None else as_int(self.cols, "column count")
+        if r < 0 or (cols is not None and cols < 0):
+            raise ValueError(f"negative shape {(r, cols)}")
         if len(tup) not in (0, r):
             raise ValueError("row count does not match data")
         if tup:
@@ -39,15 +59,25 @@ class IntMatrix:
             if len(widths) != 1:
                 raise ValueError("ragged rows")
             c = widths.pop()
-            if self.cols is not None and c != int(self.cols):
+            if cols is not None and c != cols:
                 raise ValueError("column count does not match data")
         else:
-            c = 0 if self.cols is None else int(self.cols)
+            c = 0 if cols is None else cols
         if len(tup) < r:
             tup = tup + tuple(tuple(0 for _ in range(c)) for _ in range(r - len(tup)))
         object.__setattr__(self, "data", tup)
         object.__setattr__(self, "rows", r)
         object.__setattr__(self, "cols", c)
+
+    @classmethod
+    def _trusted(cls, data: tuple[tuple[int, ...], ...], rows: int, cols: int) -> "IntMatrix":
+        """A matrix of ``rows`` tuples of ``cols`` exact ints, as given: for
+        data the package built itself, which needs no per-entry check."""
+        m = object.__new__(cls)
+        object.__setattr__(m, "data", data)
+        object.__setattr__(m, "rows", rows)
+        object.__setattr__(m, "cols", cols)
+        return m
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "IntMatrix":
@@ -76,10 +106,11 @@ class IntMatrix:
                     orow = other.data[k]
                     for j in range(other.cols):
                         out[i][j] += a * orow[j]
-        return IntMatrix(out, rows=self.rows, cols=other.cols)
+        return IntMatrix._trusted(tuple(map(tuple, out)), self.rows, other.cols)
 
     def __neg__(self) -> "IntMatrix":
-        return IntMatrix([[-x for x in row] for row in self.data], rows=self.rows, cols=self.cols)
+        return IntMatrix._trusted(tuple(tuple(-x for x in row) for row in self.data),
+                                  self.rows, self.cols)
 
     def apply_vector(self, vec):
         """Matrix times column vector, as a tuple."""
@@ -133,8 +164,9 @@ def smith_normal_form_full(m: IntMatrix, *, u: IntMatrix | None = None,
     if (starts[0][1], starts[1][2], starts[3][1]) != (r, r, c):
         raise ValueError("transform start does not fit the matrix shape")
     diag, a = _smith(m, *(rows for rows, _, _ in starts))
-    u, u_inv, v, v_inv = (IntMatrix(*start) for start in starts)
-    return SmithForm(u, IntMatrix(a, rows=r, cols=c), v, u_inv, v_inv, diag)
+    u, u_inv, v, v_inv = (IntMatrix._trusted(tuple(map(tuple, rows)), nr, nc)
+                          for rows, nr, nc in starts)
+    return SmithForm(u, IntMatrix._trusted(tuple(map(tuple, a)), r, c), v, u_inv, v_inv, diag)
 
 
 def _start(x: IntMatrix | None, n: int):

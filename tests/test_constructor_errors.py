@@ -2,6 +2,7 @@
 
 import re
 
+import numpy as np
 import pytest
 
 from finsym import ising
@@ -20,6 +21,17 @@ IDENTITY_RANK2 = ((1, 0), (0, 1))
 CASES = [
     (lambda: IntMatrix([[1]], rows=2), "row count does not match"),
     (lambda: IntMatrix([[1, 2]], cols=3), "column count does not match"),
+    (lambda: IntMatrix([[1.7, 2]]), "matrix entry 1.7 is not an integer"),
+    (lambda: IntMatrix([["3", 2]]), "matrix entry '3' is not an integer"),
+    (lambda: IntMatrix([], rows=-1, cols=2), "negative shape"),
+    (lambda: IntMatrix([], rows=1, cols=2.5), "column count 2.5 is not an integer"),
+    (lambda: ChainComplex.from_json('{"cells": [1, 1, 1], "boundaries": [[[0]], [[2.5]]]}'),
+     "matrix entry 2.5 is not an integer"),
+    (lambda: ChainComplex.from_json('{"cells": [1.0, 1], "boundaries": [[[0]]]}'),
+     "row count 1.0 is not an integer"),
+    (lambda: ChainComplex((1.9, 1), ([()],)), "cell count 1.9 is not an integer"),
+    (lambda: ChainComplex((2, 1), ([[(0.5, 1)]],)), "boundary row 0.5 is not an integer"),
+    (lambda: ChainComplex((2, 1), ([[(0, 1.0)]],)), "boundary coefficient 1.0 is not an integer"),
     (lambda: ChainComplex((), ()), "nonempty and nonnegative"),
     (lambda: ChainComplex((1, 1), ()), "one boundary matrix per dimension"),
     (lambda: SubcomplexMap(circle(), circle(), ((0,),)), "degree 1 map has wrong length"),
@@ -52,3 +64,10 @@ CASES = [
 def test_malformed_input_is_rejected(build, fragment):
     with pytest.raises(ValueError, match=re.escape(fragment)):
         build()
+
+
+def test_numpy_integers_and_bools_are_stored_as_exact_ints():
+    m = IntMatrix(np.array([[3, -1], [0, 2]]), rows=np.int64(2), cols=np.int32(2))
+    assert m == IntMatrix([[3, -1], [0, 2]])
+    assert all(type(x) is int for x in (m.rows, m.cols, *m.data[0], *m.data[1]))
+    assert IntMatrix([[True, False]]) == IntMatrix([[1, 0]])

@@ -18,7 +18,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.configuration import set_hypothesis_home_dir
 
+from finsym.complexes import cohomology
+from finsym.groups import FiniteAbelianGroup
 from finsym.intmatrix import IntMatrix, invariant_factors, minor_gcd, smith_normal_form_full
+from test_random_complexes import random_two_stage_complex
 
 # Hypothesis's pytest plugin caches the literals of local modules under its
 # home directory while collecting, database or not; keep that out of the
@@ -122,3 +125,38 @@ def test_start_of_the_wrong_shape_is_rejected():
                         ("v_inv", IntMatrix.identity(2))):
         with pytest.raises(ValueError, match="transform start"):
             smith_normal_form_full(m, **{name: start})
+
+
+def assert_as_validated(m):
+    """m is what the validating constructor makes of its own data: tuple rows
+    of exact ints, of the stated shape."""
+    assert m == IntMatrix(m.data, rows=m.rows, cols=m.cols)
+    assert type(m.rows) is int and type(m.cols) is int
+    assert type(m.data) is tuple and len(m.data) == m.rows
+    for row in m.data:
+        assert type(row) is tuple and len(row) == m.cols
+        assert all(type(x) is int for x in row)
+
+
+@DETERMINISTIC
+@given(matrices_with_starts())
+def test_package_built_matrices_match_the_validating_constructor(case):
+    m, x_u, x_u_inv, x_v_inv = case
+    for starts in ({}, {"u": x_u}, {"u_inv": x_u_inv}, {"v_inv": x_v_inv}):
+        full = smith_normal_form_full(m, **starts)
+        for field in (full.u, full.d, full.v, full.u_inv, full.v_inv):
+            assert_as_validated(field)
+    assert_as_validated(-m)
+    assert_as_validated(full.u * m)
+
+
+@DETERMINISTIC
+@given(st.integers(0, 10**6))
+def test_complex_matrices_match_the_validating_constructor(seed):
+    cx = random_two_stage_complex(random.Random(seed))
+    for k in range(-1, cx.top_dim + 2):
+        assert_as_validated(cx.coboundary(k))
+        assert_as_validated(cx.boundary(k + 1))
+    for q in range(cx.top_dim + 1):
+        for f in cohomology(cx, FiniteAbelianGroup([2, 4]), q).factors:
+            assert_as_validated(f._coords)

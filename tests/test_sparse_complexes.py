@@ -199,14 +199,20 @@ class TestColumns:
 
 @pytest.fixture
 def intmatrix_builds(monkeypatch):
+    """Every IntMatrix built, through the public constructor or the trusted one."""
     calls = []
-    init = IntMatrix.__init__
+    init, trusted = IntMatrix.__init__, IntMatrix._trusted
 
     def counting(self, *args, **kwargs):
         calls.append(args)
         init(self, *args, **kwargs)
 
+    def counting_trusted(cls, *args):
+        calls.append(args)
+        return trusted(*args)
+
     monkeypatch.setattr(IntMatrix, "__init__", counting)
+    monkeypatch.setattr(IntMatrix, "_trusted", classmethod(counting_trusted))
     return calls
 
 
