@@ -13,10 +13,11 @@ Subpackages by theme:
   cli          the ``finsym`` command-line tool
 
 All algebraic quantities are exact (ints and fractions); floats appear only
-in Ising weights and Perron-Frobenius dimensions, and only those two load
-numpy: ``ising`` on import, ``fusion`` once it meets a non-invertible
-simple.  Everything is immutable after construction and safe for
-concurrent use.
+in Ising weights and Perron-Frobenius dimensions (the float nearest an
+exact integer enclosure).  Only the brute-force Ising enumeration and its
+dense transfer-matrix oracle load numpy, when they first run; no module
+imports it at the top.  Everything is immutable after construction and
+safe for concurrent use.
 """
 
 __version__ = "0.1.0"

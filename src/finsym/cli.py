@@ -2,7 +2,8 @@
 
 Every run is deterministic: no randomness anywhere, fixed iteration orders,
 and sorted JSON keys.  Exact rationals print as "a/b"; floats print with 15
-significant digits.  Exit codes: 0 success, 2 input error, 3 guard exceeded.
+significant digits.  Exit codes: 0 success, 1 stdout closed before the
+output was written, 2 input error, 3 guard exceeded.
 """
 
 from __future__ import annotations
@@ -10,12 +11,13 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from fractions import Fraction
 
 # Only stdlib, groups and limits at module level: each parser and runner
-# imports the one finsym module it calls, so a cold process of an exact
-# subcommand never loads numpy.
+# imports the one finsym module it calls, and only a brute-force `ising`
+# run loads numpy (inside its enumeration kernel).
 from .groups import (NONABELIAN_PRESETS, FiniteAbelianGroup, named_group, parse_abelian,
                      parse_cyclic_orders)
 from .limits import GuardExceeded, check_enum, max_enum
@@ -437,18 +439,28 @@ def main(argv=None) -> int:
         return 2
 
     if args.format == "json":
-        print(json.dumps(doc, sort_keys=True, indent=2))
+        lines = [json.dumps(doc, sort_keys=True, indent=2)]
     elif args.format == "plain":
-        for line in _emit_plain(doc):
-            print(line)
+        lines = _emit_plain(doc)
     elif args.command != "ising":
         print("error: CSV output is only available for ising runs", file=sys.stderr)
         return 2
     else:
         # one row per beta: the sweep's rows, or the document without L and T
         rows = doc.get("sweep") or [{k: v for k, v in doc.items() if k not in ("L", "T")}]
-        for row in [list(rows[0]), *(r.values() for r in rows)]:
-            print(",".join(row))
+        lines = [",".join(row) for row in [list(rows[0]), *(r.values() for r in rows)]]
+    try:
+        for line in lines:
+            print(line)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed the pipe (`finsym ... | head`); as the signal
+        # module's docs advise, point stdout at devnull so that the flush at
+        # exit stays silent
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
     return 0
 
 

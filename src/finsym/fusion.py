@@ -11,13 +11,16 @@ obstructs writing a theory as T* x T.  Both verdicts are one-sided
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
+from math import ceil, floor, isqrt
+from operator import truediv
 
 from .groups import FiniteGroup
+from .intmatrix import _det
 from .limits import check_enum
 
-PF_TOL = 1e-12  # power iteration stops when a step moves the vector by PF_TOL / 100
 PF_MAX_ITER = 10**5
-INTEGRALITY_TOL = 1e-9  # a PF dimension this close to an integer counts as one
+_PF_BITS = 128  # bits of the smallest entry that a rescaled iterate keeps
 
 
 def _charged_rank(rank: int) -> int:
@@ -99,17 +102,6 @@ class FusionRing:
     @property
     def rank(self) -> int:
         return len(self.labels)
-
-    def fusion_matrix(self, i: int):
-        """Left multiplication by simple i as a float numpy array: entry
-        (k, j) = N_ij^k."""
-        import numpy as np
-
-        rank = self.rank
-        return np.array(
-            [[self.n_tensor[i][j][k] for j in range(rank)] for k in range(rank)],
-            dtype=float,
-        )
 
     def multiply(self, coeffs_a, coeffs_b):
         out = [0] * self.rank
@@ -232,34 +224,49 @@ def _is_invertible(ring: FusionRing, i: int) -> bool:
     return len({row.index(1) for row in rows}) == len(rows)
 
 
-def pf_dimensions(ring: FusionRing):
-    """Perron-Frobenius dimension of each simple object.
+def _pf_enclosure(ring: FusionRing, i: int) -> tuple[Fraction, Fraction]:
+    """Rationals lo <= d_i <= hi that round to the same float.
 
-    Invertible simples (permutation fusion matrices) give exactly 1 without
-    touching numpy; otherwise power iteration on N_i + I, which is primitive
-    on the relevant block, to ``PF_TOL``.
+    Invertible simples give exactly (1, 1).  Otherwise the exact positive
+    integer vector v, from (1, ..., 1), is iterated as v <- (N_i + c I) v.
+    The integer c >= 1 is about half the current estimate of d_i: any c > 0
+    makes the iteration converge when N_i has the eigenvalues d_i and -d_i
+    (TY rings), and c = d_i / 2 damps TY's spectrum {d_i, -d_i, 0} fastest.
+    For every positive v the Collatz-Wielandt bound
+    min_k (N_i v)_k / v_k <= rho(N_i) <= max_k (N_i v)_k / v_k holds
+    (Collatz, Math. Z. 48, 221 (1942); Wielandt, Math. Z. 52, 642 (1950)),
+    and it closes on d_i because the dimension vector d is a common positive
+    eigenvector (N_i d = d_i d).  The iterate is shifted right once its
+    smallest entry passes 2 * _PF_BITS bits, which keeps it positive and
+    the bound valid.
     """
-    dims = []
-    for i in range(ring.rank):
-        if _is_invertible(ring, i):
-            dims.append(1.0)
-            continue
-        import numpy as np
+    if _is_invertible(ring, i):
+        return Fraction(1), Fraction(1)
+    rank, plane = ring.rank, ring.n_tensor[i]
+    # row k of N_i: the nonzero (j, N_ij^k)
+    rows = [tuple((j, plane[j][k]) for j in range(rank) if plane[j][k]) for k in range(rank)]
+    v = [1] * rank
+    for _ in range(PF_MAX_ITER):
+        w = [sum(x * v[j] for j, x in row) for row in rows]
+        # int / int rounds correctly, and rounding is monotone: the exact
+        # ratios round to one float exactly when these floats are all equal
+        ratios = list(map(truediv, w, v))
+        lo, hi = min(ratios), max(ratios)
+        if lo == hi:
+            exact = [Fraction(a, b) for a, b in zip(w, v)]
+            return min(exact), max(exact)
+        c = max(1, round((lo + hi) / 4))
+        v = [a + c * b for a, b in zip(w, v)]
+        shift = min(v).bit_length() - _PF_BITS
+        if shift > _PF_BITS:
+            v = [x >> shift for x in v]
+    raise RuntimeError(f"PF enclosure did not close for {ring.labels[i]}")
 
-        mat = ring.fusion_matrix(i)
-        shifted = mat + np.eye(ring.rank)
-        vec = np.ones(ring.rank) / np.sqrt(ring.rank)
-        for _ in range(PF_MAX_ITER):
-            nxt = shifted @ vec
-            nxt = nxt / np.linalg.norm(nxt)
-            if np.linalg.norm(nxt - vec) <= PF_TOL * 1e-2:
-                vec = nxt
-                break
-            vec = nxt
-        else:
-            raise RuntimeError(f"power iteration did not converge for {ring.labels[i]}")
-        dims.append(float(np.linalg.norm(mat @ vec)))
-    return dims
+
+def pf_dimensions(ring: FusionRing):
+    """Perron-Frobenius dimension of each simple object, as the float
+    nearest the exact value (see ``_pf_enclosure``)."""
+    return [float(_pf_enclosure(ring, i)[0]) for i in range(ring.rank)]
 
 
 @dataclass(frozen=True)
@@ -273,33 +280,36 @@ def fiber_functor_obstruction(ring: FusionRing) -> Obstruction:
     """'impossible' when some PF dimension is non-integral (necessary
     condition only; 'possible' is inconclusive).
 
-    When the witness object squares into invertibles (as in TY rings),
-    d^2 is the exact integer sum of those multiplicities, and the verdict
-    is confirmed by an exact perfect-square test on it.
+    The enclosure lo <= d_i <= hi of ``_pf_enclosure`` is exact when
+    lo = hi (its iterate is then a positive eigenvector).  Otherwise it is
+    narrower than one float step, so d_i can only be the one integer k in
+    it: det(N_i - k I) != 0 (Bareiss) proves d_i != k, and d_i counts as
+    integral when k is an eigenvalue of N_i inside the enclosure.  When the
+    witness object squares into invertibles (as in TY rings), d^2 is the
+    exact integer sum of those multiplicities, and the detail says it is
+    not a perfect square.
     """
-    dims = pf_dimensions(ring)
-    for i, d in enumerate(dims):
-        nearest = round(d)
-        if abs(d - nearest) <= INTEGRALITY_TOL:
+    rank = ring.rank
+    for i in range(rank):
+        lo, hi = _pf_enclosure(ring, i)
+        plane = ring.n_tensor[i]
+        if lo == hi:
+            if lo.denominator == 1:
+                continue
+        elif any(
+            _det([[plane[j][k] - c * (j == k) for j in range(rank)] for k in range(rank)]) == 0
+            for c in range(ceil(lo), floor(hi) + 1)
+        ):
             continue
-        detail = f"d({ring.labels[i]}) = {d:.12f} is not an integer"
-        square_row = ring.n_tensor[i][ring.dual[i]]
-        supports_invertible = all(
-            square_row[k] == 0 or _is_invertible(ring, k)
-            for k in range(ring.rank)
-        )
-        if supports_invertible:
-            d_squared = sum(square_row)
-            if _is_perfect_square(d_squared):
-                continue  # float noise; d really is integral
-            detail += f"; exactly, d^2 = {d_squared} is not a perfect square"
+        detail = f"d({ring.labels[i]}) = {float(lo):.12f} is not an integer"
+        square_row = plane[ring.dual[i]]
+        if all(square_row[k] == 0 or _is_invertible(ring, k) for k in range(rank)):
+            detail += f"; exactly, d^2 = {sum(square_row)} is not a perfect square"
         return Obstruction("impossible", witness=ring.labels[i], detail=detail)
     return Obstruction("possible", detail="all PF dimensions integral (inconclusive)")
 
 
 def _is_perfect_square(n: int) -> bool:
-    from math import isqrt
-
     return n >= 0 and isqrt(n) ** 2 == n
 
 

@@ -17,7 +17,9 @@ Conventions, fixed for golden values:
 Every brute-force histogram, of one background or of all four holonomy
 sectors, comes from one grouped-edge kernel that enumerates the spin
 configurations once (a twisted edge is frustrated exactly when the
-untwisted one is not).
+untwisted one is not).  numpy is imported only when that kernel or the
+dense ``transfer_matrix`` oracle runs, after the enumeration guard, so the
+transfer route, a tripped guard and rejected input never load it.
 
 The transfer route evaluates the exact spectrum of the row-to-row transfer
 matrix (Kaufman, Phys. Rev. 76, 1232 (1949); twisted boundaries from
@@ -60,8 +62,6 @@ from dataclasses import dataclass
 from decimal import MAX_EMAX, MIN_EMIN, Context, Decimal, Overflow, localcontext
 from functools import lru_cache
 from math import asinh, ceil, exp, expm1, isfinite, log, log10, sinh, sqrt
-
-import numpy as np
 
 from .limits import check_enum
 
@@ -174,11 +174,13 @@ def enumeration_size(lat: IsingLattice) -> int:
     return 2**lat.sites
 
 
-def _spin_bits(lat: IsingLattice) -> list[np.ndarray]:
+def _spin_bits(lat: IsingLattice) -> list:
     """Bit s of every configuration index, one uint8 array per site: one
     enumeration of all 2^(L*T) spin configurations (guarded)."""
     size = enumeration_size(lat)
     check_enum(size, what="spin configuration enumeration")
+    import numpy as np
+
     bits = []
     for s in range(lat.sites):
         bit = np.zeros((size >> (s + 1), 2, 1 << s), dtype=np.uint8)
@@ -187,7 +189,7 @@ def _spin_bits(lat: IsingLattice) -> list[np.ndarray]:
     return bits
 
 
-def _histograms(lat: IsingLattice, backgrounds) -> list[np.ndarray]:
+def _histograms(lat: IsingLattice, backgrounds) -> list:
     """The frustration histogram of every background from one enumeration.
 
     Edges are grouped by their twist in every background, and each group's
@@ -198,6 +200,8 @@ def _histograms(lat: IsingLattice, backgrounds) -> list[np.ndarray]:
     if any(bg.lattice != lat for bg in backgrounds):
         raise ValueError("background belongs to a different lattice")
     bits = _spin_bits(lat)
+    import numpy as np
+
     size = len(bits[0])
     groups = {}
     for edge, twists in zip(edges(lat), zip(*(bg.twists for bg in backgrounds))):
@@ -222,8 +226,9 @@ def _histograms(lat: IsingLattice, backgrounds) -> list[np.ndarray]:
     return hists
 
 
-def frustration_histogram(lat: IsingLattice, bg: Background | None = None) -> np.ndarray:
-    """counts[k] = number of spin configurations with k frustrated edges.
+def frustration_histogram(lat: IsingLattice, bg: Background | None = None):
+    """counts[k] = number of spin configurations with k frustrated edges, as
+    a numpy integer array.
 
     Exhaustive over all 2^(L*T) configurations (guarded); exact integers.
     """
@@ -236,15 +241,19 @@ def sector_histograms(lat: IsingLattice) -> dict:
     return dict(zip(SECTORS, _histograms(lat, backgrounds)))
 
 
-def _weights(beta: float, count: int) -> np.ndarray:
-    """exp(-2*beta*k) for k < count.  beta*k is formed first, so k = 0 gives
-    1 at any finite beta (not exp(-inf * 0)); doubling is exact, so the
-    values equal exp(-2.0*beta*k) wherever that one is finite."""
+def _weights(beta: float, count: int):
+    """exp(-2*beta*k) for k < count, as a numpy array.  beta*k is formed
+    first, so k = 0 gives 1 at any finite beta (not exp(-inf * 0)); doubling
+    is exact, so the values equal exp(-2.0*beta*k) wherever that one is finite."""
+    import numpy as np
+
     with np.errstate(over="ignore"):
         return np.exp(-2.0 * (beta * np.arange(count, dtype=np.float64)))
 
 
-def _partition_from_histogram(hist: np.ndarray, beta: float) -> float:
+def _partition_from_histogram(hist, beta: float) -> float:
+    import numpy as np
+
     return float(np.sum(hist * _weights(beta, len(hist))))
 
 
@@ -253,9 +262,10 @@ def partition_bruteforce(lat: IsingLattice, bg: Background | None = None) -> flo
     return _partition_from_histogram(frustration_histogram(lat, bg), lat.beta)
 
 
-def transfer_matrix(length: int, beta: float, spatial_twist: int = 0) -> np.ndarray:
-    """Row-to-row transfer matrix on 2^L row configurations: the dense
-    oracle of the closed-form transfer route, which never builds it.
+def transfer_matrix(length: int, beta: float, spatial_twist: int = 0):
+    """Row-to-row transfer matrix on 2^L row configurations, as a numpy
+    array: the dense oracle of the closed-form transfer route, which never
+    builds it.
 
     M[next, cur] = H(cur) * V(cur, next), where H carries the row's spatial
     edges (with the optional wrap twist) and V the vertical edges to the
@@ -270,6 +280,8 @@ def transfer_matrix(length: int, beta: float, spatial_twist: int = 0) -> np.ndar
         raise ValueError(f"transfer width must be in 1..{TRANSFER_MAX_WIDTH}")
     if not beta > 0:
         raise ValueError("beta must be positive")
+    import numpy as np
+
     rows = np.arange(2**length)
     bits = [(rows >> x) & 1 for x in range(length)]
     ones = sum(bits)

@@ -329,21 +329,25 @@ class TestSubprocess:
         assert completed.stdout == in_process
 
 
-def numpy_loaded_after(*argvs) -> bool:
-    """Run ``cli.main`` on each argv in one fresh interpreter; report
-    whether numpy was imported by the end."""
-    code = (
+def child_env() -> dict:
+    """The environment of a child interpreter that imports this finsym."""
+    src = os.path.dirname(os.path.dirname(finsym.__file__))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+
+
+def numpy_loaded_after(*argvs, code=0) -> bool:
+    """Run ``cli.main`` on each argv in one fresh interpreter, each expected
+    to exit with ``code``; report whether numpy was imported by the end."""
+    program = (
         "import sys\n"
         "from finsym.cli import main\n"
         f"for argv in {argvs!r}:\n"
-        "    assert main(list(argv)) == 0, argv\n"
+        f"    assert main(list(argv)) == {code!r}, argv\n"
         "print('numpy' in sys.modules)\n"
     )
-    src = os.path.dirname(os.path.dirname(finsym.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    completed = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                               text=True, check=True, env=env)
+    completed = subprocess.run([sys.executable, "-c", program], capture_output=True,
+                               text=True, check=True, env=child_env())
     return {"True": True, "False": False}[completed.stdout.splitlines()[-1]]
 
 
@@ -359,14 +363,41 @@ class TestLazyImports:
             ("anomaly", "--ym-theta-pi", "5", "--fractional-instanton", "2", "1"),
             ("gauss", "--N", "5", "--p", "2"),
             ("fusion", "--group-ring", "D4"),
+            ("fusion", "--ty", "Z2"),
         )
 
-    @pytest.mark.parametrize("argv", [
-        ("ising", "--L", "2", "--T", "2", "--beta", "0.3"),
-        ("fusion", "--ty", "Z2"),
-    ])
-    def test_float_subcommands_load_numpy(self, argv):
-        assert numpy_loaded_after(argv)
+    def test_transfer_ising_never_loads_numpy(self):
+        assert not numpy_loaded_after(
+            ("ising", "--L", "3", "--T", "3", "--beta", "0.44", "--method", "transfer"),
+            ("ising", "--L", "2", "--T", "2", "--method", "transfer",
+             "--sweep", "0.1", "1.0", "4", "--format", "csv"),
+        )
+
+    def test_tripped_guard_never_loads_numpy(self):
+        assert not numpy_loaded_after(
+            ("ising", "--L", "4", "--T", "4", "--beta", "0.4", "--max-enum", "1000"), code=3)
+
+    def test_bad_input_never_loads_numpy(self):
+        assert not numpy_loaded_after(("ising", "--L", "2", "--T", "2"), code=2)
+
+    def test_brute_force_ising_loads_numpy(self):
+        assert numpy_loaded_after(("ising", "--L", "2", "--T", "2", "--beta", "0.3"))
+
+
+class TestClosedPipe:
+    def test_early_close_exits_1_without_a_traceback(self):
+        # about 0.5 MB of JSON, far more than a pipe buffers, so the writer
+        # is still writing when the reader goes away
+        with subprocess.Popen(
+            [sys.executable, "-m", "finsym.cli", "fusion", "--ty", "Z2xZ2xZ2xZ4",
+             "--report", "table"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=child_env(),
+        ) as proc:
+            first = proc.stdout.readline()
+            proc.stdout.close()
+            err = proc.stderr.read()
+            code = proc.wait(timeout=60)
+        assert (first, code, err) == (b"{\n", 1, b"")
 
 
 class TestExitCodes:

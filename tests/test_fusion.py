@@ -1,12 +1,17 @@
+import json
 import math
+from decimal import Context, Decimal
 
 import numpy as np
 import pytest
 
+from finsym.cli import fmt_float, main
 from finsym.fusion import (
     FusionRing,
+    Obstruction,
     RingElement,
     _is_invertible,
+    _pf_enclosure,
     fiber_functor_obstruction,
     group_ring,
     pf_dimensions,
@@ -113,10 +118,70 @@ class TestRingValidation:
             FusionRing(["1", "a", "b"], 0, n, [0, 1, 2])
 
 
+def fusion_matrix(ring, i: int):
+    """Left multiplication by simple i as a float numpy array: entry
+    (k, j) = N_ij^k."""
+    rank = ring.rank
+    return np.array(
+        [[ring.n_tensor[i][j][k] for j in range(rank)] for k in range(rank)],
+        dtype=float,
+    )
+
+
+def float_power_iteration(ring):
+    """The former float PF dimensions, kept as the oracle for the exact
+    enclosure: power iteration on N_i + I to 1e-14, 1 for invertibles."""
+    dims = []
+    for i in range(ring.rank):
+        if _is_invertible(ring, i):
+            dims.append(1.0)
+            continue
+        mat = fusion_matrix(ring, i)
+        shifted = mat + np.eye(ring.rank)
+        vec = np.ones(ring.rank) / np.sqrt(ring.rank)
+        for _ in range(10**5):
+            nxt = shifted @ vec
+            nxt = nxt / np.linalg.norm(nxt)
+            if np.linalg.norm(nxt - vec) <= 1e-14:
+                vec = nxt
+                break
+            vec = nxt
+        else:
+            raise RuntimeError(f"power iteration did not converge for {ring.labels[i]}")
+        dims.append(float(np.linalg.norm(mat @ vec)))
+    return dims
+
+
+def fibonacci_ring():
+    # t x t = 1 + t
+    return FusionRing(["1", "t"], 0, [[[1, 0], [0, 1]], [[0, 1], [1, 1]]], [0, 1])
+
+
+def product_ring(a, b):
+    """The Deligne product: simples (i, i'), N = N_ij^k N'_i'j'^k'."""
+    pairs = [(i, j) for i in range(a.rank) for j in range(b.rank)]
+    return FusionRing(
+        [f"{a.labels[i]}.{b.labels[j]}" for i, j in pairs],
+        pairs.index((a.unit, b.unit)),
+        [[[a.n_tensor[i][k][m] * b.n_tensor[j][l][n] for m, n in pairs]
+          for k, l in pairs] for i, j in pairs],
+        [pairs.index((a.dual[i], b.dual[j])) for i, j in pairs],
+    )
+
+
+def nearest_double_to_sqrt(n: int) -> float:
+    """The float nearest sqrt(n), n >= 1, from math.isqrt: s = floor of
+    sqrt(n) with one bit more than the 53 kept, rounded up on that bit (a
+    tie would need sqrt(n) to have exactly 54 bits, so it is never one)."""
+    e = (n.bit_length() - 1) // 2  # 2^e <= sqrt(n) < 2^(e+1)
+    s = math.isqrt(n << 2 * (53 - e))  # floor(sqrt(n) * 2^(53-e)), 54 bits
+    return math.ldexp((s + 1) >> 1, e - 52)
+
+
 def float_permutation_test(ring, i) -> bool:
     """The former float check on the fusion matrix, kept as the oracle for
     the exact invertibility test."""
-    mat = ring.fusion_matrix(i)
+    mat = fusion_matrix(ring, i)
     return bool(
         np.all((mat == 0) | (mat == 1))
         and np.all(mat.sum(axis=0) == 1)
@@ -137,17 +202,21 @@ class TestInvertibility:
             assert exact == [label != "N" for label in ring.labels]
 
     def test_fibonacci_object_is_not_invertible(self):
-        # t x t = 1 + t: the row of t x t sums to 2
-        ring = FusionRing(["1", "t"], 0, [[[1, 0], [0, 1]], [[0, 1], [1, 1]]], [0, 1])
+        # the row of t x t sums to 2
+        ring = fibonacci_ring()
         assert [_is_invertible(ring, i) for i in range(2)] == [True, False]
         assert [float_permutation_test(ring, i) for i in range(2)] == [True, False]
 
 
+TY_SQRT_GROUPS = [f"Z{n}" for n in range(2, 60)] + ["Z2xZ2", "Z2xZ4", "Z2xZ6", "Z2xZ2xZ2xZ4"]
+
+
 class TestDimensions:
-    def test_group_ring_dims_are_one(self):
-        for name in ("Z2", "S3", "Q8"):
-            dims = pf_dimensions(group_ring(named_group(name)))
-            assert all(d == 1.0 for d in dims)
+    @pytest.mark.parametrize("name", sorted(preset_group_documents()))
+    def test_group_ring_dims_are_one(self, name):
+        ring = group_ring(named_group(name))
+        assert pf_dimensions(ring) == [1.0] * ring.rank
+        assert {_pf_enclosure(ring, i) for i in range(ring.rank)} == {(1, 1)}
 
     def test_ty_z2_dims(self):
         dims = pf_dimensions(tambara_yamagami(named_group("Z2")))
@@ -158,11 +227,16 @@ class TestDimensions:
         dims = pf_dimensions(tambara_yamagami(named_group("Z4")))
         assert abs(dims[-1] - 2.0) <= 1e-12
 
-    @pytest.mark.parametrize("name", ["Z2", "Z3", "Z4", "Z5", "Z2xZ2", "Z2xZ4"])
+    @pytest.mark.parametrize("name", TY_SQRT_GROUPS)
     def test_duality_dim_is_sqrt_group_order(self, name):
-        group = named_group(name)
-        dims = pf_dimensions(tambara_yamagami(group))
-        assert abs(dims[-1] - math.sqrt(group.order)) <= 1e-12
+        order = named_group(name).order
+        ring = tambara_yamagami(named_group(name))
+        lo, hi = _pf_enclosure(ring, ring.rank - 1)
+        assert lo * lo <= order <= hi * hi
+        d = pf_dimensions(ring)[-1]
+        assert d == float(lo) == float(hi) == nearest_double_to_sqrt(order)
+        # the printed digits, from a 60-digit decimal square root
+        assert fmt_float(d) == format(float(Decimal(order).sqrt(Context(prec=60))), ".15g")
 
     @pytest.mark.parametrize(
         "ring_builder",
@@ -171,6 +245,10 @@ class TestDimensions:
             lambda: tambara_yamagami(named_group("Z2")),
             lambda: tambara_yamagami(named_group("Z3")),
             lambda: tambara_yamagami(named_group("Z4")),
+            fibonacci_ring,
+            lambda: product_ring(tambara_yamagami(named_group("Z2")), fibonacci_ring()),
+            lambda: product_ring(tambara_yamagami(named_group("Z3")),
+                                 tambara_yamagami(named_group("Z2"))),
         ],
     )
     def test_dims_multiplicative(self, ring_builder):
@@ -185,6 +263,37 @@ class TestDimensions:
                 assert abs(lhs - rhs) <= 1e-9
 
 
+class TestCertifiedDimensions:
+    @pytest.mark.parametrize("name,printed", [
+        ("Z12", "3.46410161513775"), ("Z24", "4.89897948556636"),
+        ("Z26", "5.09901951359278"), ("Z2xZ6", "3.46410161513775"),
+    ])
+    def test_cli_prints_the_correct_fifteenth_digit(self, capsys, name, printed):
+        assert main(["fusion", "--ty", name, "--report", "dims"]) == 0
+        assert json.loads(capsys.readouterr().out)["dims"][-1] == printed
+
+    def test_fibonacci_gives_the_golden_ratio(self):
+        ring = fibonacci_ring()
+        lo, hi = _pf_enclosure(ring, 1)
+        assert (2 * lo - 1) ** 2 <= 5 <= (2 * hi - 1) ** 2
+        golden = (1 + Decimal(5).sqrt(Context(prec=60))) / 2
+        assert pf_dimensions(ring) == [1.0, float(golden)]
+
+    @pytest.mark.parametrize("ring_builder", [
+        fibonacci_ring,
+        lambda: product_ring(fibonacci_ring(), fibonacci_ring()),
+        lambda: product_ring(tambara_yamagami(named_group("Z3")),
+                             tambara_yamagami(named_group("Z2"))),
+        lambda: tambara_yamagami(named_group("Z3xZ3")),
+        lambda: tambara_yamagami(named_group("Z59")),
+        lambda: group_ring(named_group("S3")),
+    ])
+    def test_float_power_iteration_agrees(self, ring_builder):
+        ring = ring_builder()
+        exact, floats = pf_dimensions(ring), float_power_iteration(ring)
+        assert all(abs(d - f) <= 1e-12 * d for d, f in zip(exact, floats))
+
+
 class TestObstructions:
     def test_ty_z2_has_no_fiber_functor(self):
         verdict = fiber_functor_obstruction(tambara_yamagami(named_group("Z2")))
@@ -196,6 +305,25 @@ class TestObstructions:
 
     def test_ty_z4_inconclusive_by_dims_alone(self):
         assert fiber_functor_obstruction(tambara_yamagami(named_group("Z4"))).verdict == "possible"
+
+    @pytest.mark.parametrize("name", ["Z4", "Z2xZ2", "Z9", "Z3xZ3", "Z16", "Z4xZ4", "Z2xZ8"])
+    def test_square_orders_have_integral_dims(self, name):
+        ring = tambara_yamagami(named_group(name))
+        assert fiber_functor_obstruction(ring) == Obstruction(
+            "possible", detail="all PF dimensions integral (inconclusive)")
+
+    @pytest.mark.parametrize("name,detail", [
+        ("Z2", "d(N) = 1.414213562373 is not an integer; exactly, d^2 = 2 is not a perfect square"),
+        ("Z3", "d(N) = 1.732050807569 is not an integer; exactly, d^2 = 3 is not a perfect square"),
+        ("Z8", "d(N) = 2.828427124746 is not an integer; exactly, d^2 = 8 is not a perfect square"),
+    ])
+    def test_non_square_orders_name_the_duality_line(self, name, detail):
+        ring = tambara_yamagami(named_group(name))
+        assert fiber_functor_obstruction(ring) == Obstruction("impossible", "N", detail)
+
+    def test_fibonacci_object_obstructs_without_a_square_count(self):
+        assert fiber_functor_obstruction(fibonacci_ring()) == Obstruction(
+            "impossible", "t", "d(t) = 1.618033988750 is not an integer")
 
     def test_square_root_obstruction(self):
         assert square_root_obstruction(group_ring(named_group("Z2"))).verdict == "no_sqrt"
