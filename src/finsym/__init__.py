@@ -14,10 +14,10 @@ Subpackages by theme:
 
 All algebraic quantities are exact (ints and fractions); floats appear only
 in Ising weights and Perron-Frobenius dimensions (the float nearest an
-exact integer enclosure).  Only the brute-force Ising enumeration and its
-dense transfer-matrix oracle load numpy, when they first run; no module
-imports it at the top.  Everything is immutable after construction and
-safe for concurrent use.
+exact integer enclosure).  The runtime is the standard library; numpy is
+only imported by the dense Ising transfer-matrix oracle, which no
+computation calls.  Everything is immutable after construction and safe
+for concurrent use.
 """
 
 __version__ = "0.1.0"

@@ -15,7 +15,7 @@ from fractions import Fraction
 from math import gcd, sqrt
 
 from .groups import FiniteAbelianGroup, characters, dual_group
-from .limits import check_enum
+from .limits import as_int, check_enum
 from .quadratic import QuadraticForm, _validate, mod1, polarization, subgroup_quadratic_table
 
 
@@ -122,6 +122,8 @@ class MinimalTFT:
     p: int
 
     def __post_init__(self):
+        object.__setattr__(self, "n", as_int(self.n, "N"))
+        object.__setattr__(self, "p", as_int(self.p, "p"))
         if self.n < 1:
             raise ValueError("N must be >= 1")
         if gcd(self.p, self.n) != 1:

@@ -16,8 +16,7 @@ import sys
 from fractions import Fraction
 
 # Only stdlib, groups and limits at module level: each parser and runner
-# imports the one finsym module it calls, and only a brute-force `ising`
-# run loads numpy (inside its enumeration kernel).
+# imports the one finsym module it calls.
 from .groups import (NONABELIAN_PRESETS, FiniteAbelianGroup, named_group, parse_abelian,
                      parse_cyclic_orders)
 from .limits import GuardExceeded, check_enum, max_enum

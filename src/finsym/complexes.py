@@ -31,8 +31,8 @@ from itertools import product as iproduct
 from math import comb, gcd, prod
 
 from .groups import FiniteAbelianGroup
-from .intmatrix import IntMatrix, as_int, invariant_factors, smith_normal_form_full
-from .limits import check_enum
+from .intmatrix import IntMatrix, invariant_factors, smith_normal_form_full
+from .limits import as_int, check_enum
 
 
 def _column(entries, rows: int) -> tuple[tuple[int, int], ...]:
@@ -170,7 +170,8 @@ class SubcomplexMap:
         source, target, cell_maps = self.source, self.target, self.cell_maps
         maps = []
         for k in range(source.top_dim + 1):
-            m = tuple(int(i) for i in (cell_maps[k] if k < len(cell_maps) else ()))
+            given = cell_maps[k] if k < len(cell_maps) else ()
+            m = tuple(as_int(i, "cell index") for i in given)
             if len(m) != source.n_cells(k):
                 raise ValueError(f"degree {k} map has wrong length")
             if len(set(m)) != len(m):

@@ -17,7 +17,7 @@ from operator import truediv
 
 from .groups import FiniteGroup
 from .intmatrix import _det
-from .limits import check_enum
+from .limits import as_int, check_enum
 
 PF_MAX_ITER = 10**5
 _PF_BITS = 128  # bits of the smallest entry that a rescaled iterate keeps
@@ -47,11 +47,10 @@ class FusionRing:
     dual: tuple[int, ...]
 
     def __post_init__(self):
-        labels, unit = tuple(str(l) for l in self.labels), self.unit
+        labels, unit = tuple(str(l) for l in self.labels), as_int(self.unit, "unit index")
         rank = len(labels)
-        n = tuple(
-            tuple(tuple(int(x) for x in row) for row in plane) for plane in self.n_tensor
-        )
+        n = tuple(tuple(tuple(as_int(x, "fusion multiplicity") for x in row) for row in plane)
+                  for plane in self.n_tensor)
         if len(n) != rank or any(
             len(plane) != rank or any(len(row) != rank for row in plane)
             for plane in n
@@ -59,7 +58,7 @@ class FusionRing:
             raise ValueError("fusion tensor must be rank^3")
         if any(x < 0 for plane in n for row in plane for x in row):
             raise ValueError("fusion multiplicities must be nonnegative")
-        dual = tuple(int(d) for d in self.dual)
+        dual = tuple(as_int(d, "dual index") for d in self.dual)
         if sorted(dual) != list(range(rank)) or any(dual[dual[i]] != i for i in range(rank)):
             raise ValueError("dual must be an involution on labels")
         basis = [tuple(int(a == b) for b in range(rank)) for a in range(rank)]
@@ -69,7 +68,7 @@ class FusionRing:
             if n[j][unit] != basis[j]:
                 raise ValueError("right unit law fails")
         object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "unit", int(unit))
+        object.__setattr__(self, "unit", unit)
         object.__setattr__(self, "n_tensor", n)
         object.__setattr__(self, "dual", dual)
         _charged_rank(rank)

@@ -18,7 +18,7 @@ from fractions import Fraction
 from itertools import product
 from math import gcd, lcm, prod
 
-from .limits import check_enum
+from .limits import as_int, check_enum
 
 
 @dataclass(frozen=True, repr=False)
@@ -32,7 +32,7 @@ class FiniteAbelianGroup:
     invariant_factors: tuple[int, ...] = ()
 
     def __post_init__(self):
-        factors = tuple(int(n) for n in self.invariant_factors)
+        factors = tuple(as_int(n, "invariant factor") for n in self.invariant_factors)
         for n in factors:
             if n < 2:
                 raise ValueError(f"invariant factor {n} < 2")
@@ -52,7 +52,7 @@ class FiniteAbelianGroup:
         """
         chain: list[int] = []
         for n in orders:
-            n = int(n)
+            n = as_int(n, "cyclic order")
             if n < 1:
                 raise ValueError("cyclic order must be >= 1")
             i = len(chain)
@@ -171,7 +171,8 @@ class Character:
         given = tuple(self.exponents)
         if len(given) != self.group.rank:
             raise ValueError("one exponent per invariant factor required")
-        exps = tuple(int(t) % n for t, n in zip(given, self.group.invariant_factors))
+        exps = tuple(as_int(t, "character exponent") % n
+                     for t, n in zip(given, self.group.invariant_factors))
         object.__setattr__(self, "exponents", exps)
 
     def value(self, element) -> Fraction:
@@ -226,12 +227,12 @@ class FiniteGroup:
     inverses: tuple[int, ...] = field(init=False, compare=False)
 
     def __post_init__(self):
-        table = tuple(tuple(int(x) for x in row) for row in self.cayley)
+        table = tuple(tuple(as_int(x, "Cayley entry") for x in row) for row in self.cayley)
         n = len(table)
         for row in table:
             if len(row) != n or set(row) != set(range(n)):
                 raise ValueError("Cayley table rows must be permutations")
-        e = int(self.identity)
+        e = as_int(self.identity, "identity index")
         if not 0 <= e < n:
             raise ValueError("identity index out of range")
         for i in range(n):

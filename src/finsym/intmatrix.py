@@ -18,16 +18,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd
-from operator import index, mul
+from operator import mul
 
-
-def as_int(x, what: str) -> int:
-    """x as an exact int if it is an integer (bools and numpy integers
-    included); a ValueError naming it otherwise."""
-    try:
-        return index(x)
-    except TypeError:
-        raise ValueError(f"{what} {x!r} is not an integer") from None
+from .limits import as_int
 
 
 @dataclass(frozen=True, repr=False)

@@ -8,18 +8,16 @@ Conventions, fixed for golden values:
     (self-edges when L or T is 1);
   * the edge weight is 1 on agreeing spins and exp(-2*beta) on frustrated
     ones, so all weights are <= 1 and partition sums never overflow; the
-    per-configuration data is the integer frustration count, and sums run
-    over its histogram in fixed ascending order (deterministic, and stable
-    for large beta);
+    per-configuration data is the integer frustration count, and a sum over
+    its histogram rounds once (``math.fsum`` of the weighted counts);
   * a background is a Z_2 twist per edge; the holonomy sector (h_x, h_t)
     twists the wrap-around edges.
 
 Every brute-force histogram, of one background or of all four holonomy
-sectors, comes from one grouped-edge kernel that enumerates the spin
-configurations once (a twisted edge is frustrated exactly when the
-untwisted one is not).  numpy is imported only when that kernel or the
-dense ``transfer_matrix`` oracle runs, after the enumeration guard, so the
-transfer route, a tripped guard and rejected input never load it.
+sectors, comes from an exact site-by-site transfer over Python ints that
+counts the 2^(L*T) spin configurations without listing them (a twisted edge
+is frustrated exactly when the untwisted one is not).  Only the dense
+``transfer_matrix`` oracle imports numpy, when it runs.
 
 The transfer route evaluates the exact spectrum of the row-to-row transfer
 matrix (Kaufman, Phys. Rev. 76, 1232 (1949); twisted boundaries from
@@ -61,9 +59,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from decimal import MAX_EMAX, MIN_EMIN, Context, Decimal, Overflow, localcontext
 from functools import lru_cache
-from math import asinh, ceil, exp, expm1, isfinite, log, log10, sinh, sqrt
+from math import asinh, ceil, exp, expm1, fsum, isfinite, log, log10, sinh, sqrt
 
-from .limits import check_enum
+from .limits import as_int, check_enum
 
 BETA_C = 0.5 * log(1.0 + sqrt(2.0))
 
@@ -89,6 +87,8 @@ class IsingLattice:
     beta: float
 
     def __post_init__(self):
+        for side in ("length", "time_steps"):
+            object.__setattr__(self, side, as_int(getattr(self, side), "lattice side"))
         if self.length < 1 or self.time_steps < 1:
             raise ValueError("lattice sides must be >= 1")
         if not self.beta > 0:
@@ -174,87 +174,80 @@ def enumeration_size(lat: IsingLattice) -> int:
     return 2**lat.sites
 
 
-def _spin_bits(lat: IsingLattice) -> list:
-    """Bit s of every configuration index, one uint8 array per site: one
-    enumeration of all 2^(L*T) spin configurations (guarded)."""
-    size = enumeration_size(lat)
-    check_enum(size, what="spin configuration enumeration")
-    import numpy as np
-
-    bits = []
-    for s in range(lat.sites):
-        bit = np.zeros((size >> (s + 1), 2, 1 << s), dtype=np.uint8)
-        bit[:, 1] = 1  # index a * 2^(s+1) + b * 2^s + r has bit s = b
-        bits.append(bit.reshape(-1))
-    return bits
+@lru_cache(maxsize=None)  # width <= 4 and slot <= 21 under BRUTE_FORCE_MAX_SITES
+def _site_step(width: int, x: int, across: int, up: int, slot: int) -> tuple:
+    """(p0, p1, shift0, shift1) per window w with a new spin in bit x: w with
+    the replaced spin above it 0 or 1, and ``slot`` times the frustrated
+    edges the spin closes, above it (twist ``up``) and in its row, where bit
+    i of w ^ (w turned by one) ^ ``across`` marks edge i, i + 1 mod width."""
+    closes = 1 << x >> 1 | (x == width - 1) << (width - 1)  # edges x - 1 and width - 1
+    out = []
+    for w in range(1 << width):
+        s, row = w >> x & 1, ((w ^ (w >> 1 | w << (width - 1)) ^ across) & closes).bit_count()
+        out.append((w & ~(1 << x), w | 1 << x,
+                    slot * (row + (s ^ up)), slot * (row + (s ^ up ^ 1))))
+    return tuple(out)
 
 
 def _histograms(lat: IsingLattice, backgrounds) -> list:
-    """The frustration histogram of every background from one enumeration.
-
-    Edges are grouped by their twist in every background, and each group's
-    untwisted frustration count c is taken once: a twisted edge is
-    frustrated exactly when the untwisted one is not, so a background counts
-    k - c over each group of k edges it twists and c over the others.
-    """
+    """The frustration histogram of every background, as a tuple of ints, by
+    an exact site-by-site transfer along the longer side (Bhanot, J. Stat.
+    Phys. 60, 55 (1990)): each window of the last min(L, T) spins carries,
+    per first row with bit 0 clear, the histogram so far packed into one int,
+    so placing a spin is a shift and an add.  The closing edges back to the
+    first row come last, so backgrounds that differ only there share a
+    sweep; a global spin flip keeps every count and doubles the result."""
     if any(bg.lattice != lat for bg in backgrounds):
         raise ValueError("background belongs to a different lattice")
-    bits = _spin_bits(lat)
-    import numpy as np
+    check_enum(enumeration_size(lat), what="spin configuration enumeration")
+    length, sites = lat.length, lat.sites
+    transpose = lat.time_steps < length  # sweep along x: rows are columns of the torus
+    width, rows = (lat.time_steps, length) if transpose else (length, lat.time_steps)
+    slot, firsts = sites + 1, range(0, 1 << width, 2)
+    field = slot * (2 * sites + 1)  # one histogram
 
-    size = len(bits[0])
-    groups = {}
-    for edge, twists in zip(edges(lat), zip(*(bg.twists for bg in backgrounds))):
-        groups.setdefault(twists, []).append(edge)
-    partial = []
-    for twists, group in groups.items():
-        count = np.zeros(size, dtype=np.uint8)
-        for i, j in group:
-            count += bits[i] ^ bits[j]
-        partial.append((twists, len(group), count))
-    del bits  # the sums below and bincount's int64 copy reuse its memory
-    hists = []
-    for b in range(len(backgrounds)):
-        total = np.zeros(size, dtype=np.uint8)
-        for twists, k, count in partial:
-            if twists[b] < 0:  # k - c, in place; uint8 wraps back into range
-                total -= count
-                total += k
-            else:
-                total += count
-        hists.append(np.bincount(total, minlength=2 * lat.sites + 1))
-    return hists
+    def masks(twists, first):  # per sweep row, bit x for a twisted edge
+        return tuple(sum(1 << x for x in range(width) if twists[
+            first + (x * length + r if transpose else r * length + x)] < 0) for r in range(rows))
+
+    sweeps, hists = {}, {}
+    for b, bg in enumerate(backgrounds):
+        across = masks(bg.twists, sites * transpose)
+        down = masks(bg.twists, sites * (not transpose))
+        sweeps.setdefault((across, down[:-1]), []).append((b, down[-1]))
+    for (across, down), closings in sweeps.items():
+        state = [0] * (1 << width)
+        for f in firsts:  # f >> 1 is the first row f turned by one column
+            state[f] = 1 << (field * (f >> 1) + slot * (f ^ f >> 1 ^ across[0]).bit_count())
+        for r in range(1, rows):
+            for x in range(width):
+                step = _site_step(width, x, across[r], down[r - 1] >> x & 1, slot)
+                state = [(state[p0] << s0) + (state[p1] << s1) for p0, p1, s0, s1 in step]
+        parts = [(w ^ f, packed >> field * (f >> 1) & (1 << field) - 1)
+                 for w, packed in enumerate(state) for f in firsts]
+        for b, closing in closings:
+            total = sum(part << slot * (diff ^ closing).bit_count() for diff, part in parts)
+            hists[b] = tuple(2 * (total >> slot * k & (1 << slot) - 1)
+                             for k in range(2 * sites + 1))
+    return [hists[b] for b in range(len(backgrounds))]
 
 
-def frustration_histogram(lat: IsingLattice, bg: Background | None = None):
+def frustration_histogram(lat: IsingLattice, bg: Background | None = None) -> tuple:
     """counts[k] = number of spin configurations with k frustrated edges, as
-    a numpy integer array.
-
-    Exhaustive over all 2^(L*T) configurations (guarded); exact integers.
-    """
+    a tuple of exact ints over k = 0 .. 2*L*T (guarded at 2^(L*T) states)."""
     return _histograms(lat, [Background.trivial(lat) if bg is None else bg])[0]
 
 
 def sector_histograms(lat: IsingLattice) -> dict:
-    """The frustration histogram of every holonomy sector from one enumeration."""
+    """The frustration histogram of every holonomy sector, from two sweeps."""
     backgrounds = [Background.from_holonomies(lat, *sector) for sector in SECTORS]
     return dict(zip(SECTORS, _histograms(lat, backgrounds)))
 
 
-def _weights(beta: float, count: int):
-    """exp(-2*beta*k) for k < count, as a numpy array.  beta*k is formed
-    first, so k = 0 gives 1 at any finite beta (not exp(-inf * 0)); doubling
-    is exact, so the values equal exp(-2.0*beta*k) wherever that one is finite."""
-    import numpy as np
-
-    with np.errstate(over="ignore"):
-        return np.exp(-2.0 * (beta * np.arange(count, dtype=np.float64)))
-
-
 def _partition_from_histogram(hist, beta: float) -> float:
-    import numpy as np
-
-    return float(np.sum(hist * _weights(beta, len(hist))))
+    """sum_k hist[k] exp(-2 beta k), the terms summed by ``fsum`` with one rounding;
+    beta*k is formed first, so k = 0 gives 1 at any finite beta (not exp(-inf * 0))."""
+    return fsum(c * exp(-2.0 * (beta * k)) for k, c in enumerate(hist))
 
 
 def partition_bruteforce(lat: IsingLattice, bg: Background | None = None) -> float:
@@ -288,7 +281,7 @@ def transfer_matrix(length: int, beta: float, spatial_twist: int = 0):
     horiz = sum(bits[x] ^ bits[x + 1] for x in range(length - 1)) + (
         bits[-1] ^ bits[0] ^ spatial_twist % 2
     )
-    w = _weights(beta, 2 * length + 1)
+    w = np.exp(-2.0 * (beta * np.arange(2 * length + 1, dtype=np.float64)))
     return w[ones[rows[:, np.newaxis] ^ rows] + horiz]
 
 
@@ -406,7 +399,7 @@ def partition_transfer(lat: IsingLattice, sector=(0, 0)) -> float:
 
 
 def sector_partitions(lat: IsingLattice, method: str = "bruteforce") -> dict:
-    """Z in all four holonomy sectors: one spin enumeration (brute force), or
+    """Z in all four holonomy sectors: two exact sweeps (brute force), or
     Kaufman's closed-form transfer spectrum at the precision that the
     sectors' cancellation needs (transfer; see ``partition_transfer``)."""
     if method == "bruteforce":

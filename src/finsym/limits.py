@@ -1,4 +1,4 @@
-"""Enumeration guards.
+"""Enumeration guards, and the integer check of outside input.
 
 Brute-force enumerations (cochain assignments, group tuples, spin
 configurations) are bounded so that a typo never launches an overnight
@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from contextvars import ContextVar
+from operator import index
 
 HARD_CEILING = 2**24
 
@@ -33,6 +34,15 @@ def max_enum(limit: int | None):
 def effective_limit(explicit: int | None = None) -> int:
     bounds = (HARD_CEILING, _max_enum.get(), explicit)
     return min(int(b) for b in bounds if b is not None)
+
+
+def as_int(x, what: str) -> int:
+    """x as an exact int if it is an integer (bools and numpy integers
+    included); a ValueError naming it otherwise, so 1.7 is never truncated."""
+    try:
+        return index(x)
+    except TypeError:
+        raise ValueError(f"{what} {x!r} is not an integer") from None
 
 
 def check_enum(size: int, what: str = "enumeration") -> None:

@@ -380,8 +380,47 @@ class TestLazyImports:
     def test_bad_input_never_loads_numpy(self):
         assert not numpy_loaded_after(("ising", "--L", "2", "--T", "2"), code=2)
 
-    def test_brute_force_ising_loads_numpy(self):
-        assert numpy_loaded_after(("ising", "--L", "2", "--T", "2", "--beta", "0.3"))
+    def test_brute_force_ising_never_loads_numpy(self):
+        assert not numpy_loaded_after(
+            ("ising", "--L", "2", "--T", "2", "--beta", "0.3"),
+            ("ising", "--L", "4", "--T", "5", "--beta", "0.4", "--sectors", "all", "--gauge"),
+        )
+
+
+# the bench's cold-CLI brute-force ising argvs, with their exit codes
+BRUTE_FORCE_ISING = [
+    *(["ising", "--L", length, "--T", steps, "--beta", beta, "--sectors", "all", "--gauge",
+       "--method", "bruteforce"]
+      for length, steps, beta in (("2", "2", "0.2"), ("2", "3", "0.44068679"), ("3", "3", "0.6"),
+                                  ("3", "4", "0.3"), ("4", "4", "1.1"))),
+    ["ising", "--L", "2", "--T", "2", "--sweep", "0.1", "1.0", "10", "--method", "bruteforce",
+     "--format", "csv"],
+    ["ising", "--L", "2", "--T", "2"],
+    ["ising", "--L", "4", "--T", "4", "--beta", "0.4", "--max-enum", "1000"],
+    ["ising", "--L", "3", "--T", "3", "--beta", "0.44", "--sectors", "trivial",
+     "--max-enum", "100"],
+]
+
+
+def test_runs_without_numpy(capsys):
+    """Every README command and brute-force ising argv prints the same in a
+    child where ``import numpy`` fails as in this process."""
+    argvs = [argv for argv, _ in _readme_cli_examples()] + BRUTE_FORCE_ISING
+    program = (
+        "import contextlib, io, json, sys\n"
+        "sys.modules['numpy'] = None\n"
+        "from finsym.cli import main\n"
+        "results = []\n"
+        f"for argv in {argvs!r}:\n"
+        "    out, err = io.StringIO(), io.StringIO()\n"
+        "    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):\n"
+        "        code = main(argv)\n"
+        "    results.append([code, out.getvalue(), err.getvalue()])\n"
+        "print(json.dumps(results))\n"
+    )
+    completed = subprocess.run([sys.executable, "-c", program], capture_output=True,
+                               text=True, check=True, env=child_env())
+    assert json.loads(completed.stdout) == [list(run(capsys, *argv)) for argv in argvs]
 
 
 class TestClosedPipe:

@@ -6,15 +6,17 @@ import numpy as np
 import pytest
 
 from finsym import ising
+from finsym.anomaly import MinimalTFT
 from finsym.complexes import ChainComplex, SubcomplexMap, circle, disk, interval, sphere
 from finsym.fusion import FusionRing
-from finsym.groups import Character, FiniteAbelianGroup, cyclic_group
+from finsym.groups import Character, FiniteAbelianGroup, FiniteGroup, cyclic_group
 from finsym.intmatrix import IntMatrix
 from finsym.pathintegral import PiFiniteTarget, em_partition, surface_gauge_count
 from finsym.tqft2d import Bordism, StateSpace
 
 Z2 = FiniteAbelianGroup([2])
 Z3 = FiniteAbelianGroup([3])
+Z4 = FiniteAbelianGroup([4])
 POINT = ChainComplex((1,), ())
 IDENTITY_RANK2 = ((1, 0), (0, 1))
 
@@ -35,10 +37,14 @@ CASES = [
     (lambda: ChainComplex((), ()), "nonempty and nonnegative"),
     (lambda: ChainComplex((1, 1), ()), "one boundary matrix per dimension"),
     (lambda: SubcomplexMap(circle(), circle(), ((0,),)), "degree 1 map has wrong length"),
+    (lambda: SubcomplexMap(circle(), circle(), ((0.7,), (0,))), "cell index 0.7 is not an integer"),
     (lambda: SubcomplexMap(circle(), circle(), ((1,), (0,))), "degree 0 map goes out of range"),
     (lambda: SubcomplexMap(interval(), interval(), ((1, 0), (0,))), "does not commute"),
     (lambda: FusionRing(("1", "a"), 0, (IDENTITY_RANK2,), (0, 1)), "rank^3"),
     (lambda: FusionRing(("1",), 0, (((-1,),),), (0,)), "nonnegative"),
+    (lambda: FusionRing.from_json('{"labels": ["1", "a"], "unit": 0, "dual": [0, 1], '
+                                  '"N": [[[1, 0], [0, 1]], [[0, 1], [1.5, 0]]]}'),
+     "fusion multiplicity 1.5 is not an integer"),
     (lambda: FusionRing(("1", "a"), 0, (IDENTITY_RANK2, ((0, 1), (1, 0))), (0, 0)),
      "involution"),
     (lambda: FusionRing(("1", "a"), 0, (IDENTITY_RANK2, ((1, 0), (1, 0))), (0, 1)),
@@ -53,7 +59,13 @@ CASES = [
     (lambda: surface_gauge_count(cyclic_group(2), -1), "genus must be >= 0"),
     (lambda: ising.transfer_matrix(2, 0.0), "beta must be positive"),
     (lambda: ising.kw_dual_beta(-1.0), "beta must be positive"),
+    (lambda: ising.IsingLattice(2.0, 2, 0.4), "lattice side 2.0 is not an integer"),
+    (lambda: MinimalTFT(4.0, 1), "N 4.0 is not an integer"),
     (lambda: Character(Z2, (0, 0)), "one exponent per invariant factor"),
+    (lambda: Character(Z4, (1.9,)), "character exponent 1.9 is not an integer"),
+    (lambda: FiniteAbelianGroup([2.7, 4.2]), "invariant factor 2.7 is not an integer"),
+    (lambda: FiniteGroup.from_json('{"order": 2, "cayley": [[0, 1], [1.9, 0]], "identity": 0}'),
+     "Cayley entry 1.9 is not an integer"),
     (lambda: Character(Z2, (1,)).value((0, 1)), "is not in Z2"),
     (lambda: Character(Z2, (1,)) * Character(Z3, (1,)), "characters of different groups"),
     (lambda: cyclic_group(0), "cyclic order must be >= 1"),
@@ -71,3 +83,20 @@ def test_numpy_integers_and_bools_are_stored_as_exact_ints():
     assert m == IntMatrix([[3, -1], [0, 2]])
     assert all(type(x) is int for x in (m.rows, m.cols, *m.data[0], *m.data[1]))
     assert IntMatrix([[True, False]]) == IntMatrix([[1, 0]])
+
+
+def test_numpy_integers_and_bools_pass_every_constructor():
+    one, two = np.int64(1), np.int32(2)
+    group = FiniteGroup([[0, one], np.array([1, 0])], identity=np.int16(0))
+    ring = FusionRing(("1", "a"), False, (((one, 0), (0, True)), ((0, 1), (1, 0))), (0, one))
+    lattice, tft = ising.IsingLattice(two, True, 0.4), MinimalTFT(np.int64(4), True)
+    values = [
+        *FiniteAbelianGroup([two, np.int64(4)]).invariant_factors,
+        *Character(Z4, (np.int8(3),)).exponents,
+        *group.cayley[0], group.identity,
+        *ring.n_tensor[0][0], *ring.dual, ring.unit,
+        *SubcomplexMap(circle(), circle(), ((np.int64(0),), (False,))).cell_maps[0],
+        lattice.length, lattice.time_steps, tft.n, tft.p,
+    ]
+    assert all(type(x) is int for x in values), [type(x) for x in values]
+    assert FiniteAbelianGroup([two, np.int64(4)]) == FiniteAbelianGroup([2, 4])

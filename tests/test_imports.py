@@ -1,6 +1,6 @@
-"""finsym itself needs only the standard library and numpy: hypothesis,
-sympy and mpmath stay in the ``test`` extra.  numpy is imported only inside
-functions, so importing a module never loads it."""
+"""finsym itself needs only the standard library: numpy, hypothesis, sympy
+and mpmath stay in the ``test`` extra.  The one numpy import is inside the
+dense oracle ``ising.transfer_matrix``, which no finsym computation calls."""
 
 import ast
 import sys
@@ -9,25 +9,24 @@ from pathlib import Path
 import pytest
 
 SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "finsym").rglob("*.py"))
-ALLOWED = set(sys.stdlib_module_names) | {"numpy", "finsym"}
+ALLOWED = set(sys.stdlib_module_names) | {"finsym"}
 
 
-def absolute_imports(path: Path, *, in_functions: bool = True) -> set[str]:
-    """Top-level names of every absolute import in ``path``; without
-    ``in_functions``, only those outside a function body, which run when the
-    module is imported."""
-    names, todo = set(), [ast.parse(path.read_text(), filename=str(path))]
+def absolute_imports(path: Path) -> set[tuple[str | None, str]]:
+    """(innermost enclosing function or None, top-level module name) of every
+    absolute import in ``path``."""
+    found = set()
+    todo = [(ast.parse(path.read_text(), filename=str(path)), None)]
     while todo:
-        node = todo.pop()
-        if not in_functions and isinstance(
-                node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
-            continue
+        node, function = todo.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
         if isinstance(node, ast.Import):
-            names.update(alias.name.partition(".")[0] for alias in node.names)
+            found.update((function, alias.name.partition(".")[0]) for alias in node.names)
         elif isinstance(node, ast.ImportFrom) and node.level == 0:
-            names.add(node.module.partition(".")[0])
-        todo.extend(ast.iter_child_nodes(node))
-    return names
+            found.add((function, node.module.partition(".")[0]))
+        todo.extend((child, function) for child in ast.iter_child_nodes(node))
+    return found
 
 
 def test_sources_are_found():
@@ -35,10 +34,13 @@ def test_sources_are_found():
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=[p.name for p in SOURCES])
-def test_imports_only_stdlib_and_numpy(path):
-    assert absolute_imports(path) <= ALLOWED, absolute_imports(path) - ALLOWED
+def test_imports_only_stdlib(path):
+    names = {name for function, name in absolute_imports(path)
+             if (path.name, function, name) != ("ising.py", "transfer_matrix", "numpy")}
+    assert names <= ALLOWED, names - ALLOWED
 
 
-@pytest.mark.parametrize("path", SOURCES, ids=[p.name for p in SOURCES])
-def test_numpy_is_imported_only_inside_functions(path):
-    assert "numpy" not in absolute_imports(path, in_functions=False)
+def test_numpy_is_imported_only_by_the_dense_transfer_oracle():
+    assert {(path.name, function) for path in SOURCES
+            for function, name in absolute_imports(path)
+            if name == "numpy"} == {("ising.py", "transfer_matrix")}

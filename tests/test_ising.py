@@ -1,5 +1,7 @@
 import math
+import random
 import time
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -68,7 +70,7 @@ class TestBruteForce:
 
     def test_histogram_total(self):
         lat = IsingLattice(2, 3, 1.0)
-        assert int(frustration_histogram(lat).sum()) == 2**6
+        assert sum(frustration_histogram(lat)) == 2**6
 
     def test_2x2_histogram_by_hand(self):
         # the 8 edges are 4 doubled pairs forming a 4-cycle of sites; the
@@ -237,14 +239,14 @@ class TestKramersWannier:
 
 def spin_product_histogram(lat, bg):
     """Oracle: an edge is frustrated when s_i * s_j * eps_e = -1, summed over
-    +-1 spins of every configuration in int64."""
+    the int8 +-1 spins of every one of the 2^(L*T) configurations."""
     n = lat.sites
-    configs = np.arange(2**n, dtype=np.int64)
-    spins = [1 - 2 * ((configs >> s) & 1) for s in range(n)]
-    frustrated = np.zeros(2**n, dtype=np.int64)
+    configs = np.arange(2**n, dtype=np.int32)
+    spins = [(1 - 2 * ((configs >> s) & 1)).astype(np.int8) for s in range(n)]
+    frustrated = np.zeros(2**n, dtype=np.int8)
     for (i, j), eps in zip(edges(lat), bg.twists):
         frustrated += (1 - spins[i] * spins[j] * eps) // 2
-    return np.bincount(frustrated, minlength=2 * n + 1)
+    return tuple(int(c) for c in np.bincount(frustrated, minlength=2 * n + 1))
 
 
 def outer_product_counts(length, spatial_twist):
@@ -266,37 +268,68 @@ SMALL_LATTICES = [(length, steps) for length in range(1, 17) for steps in range(
                   if length * steps <= 16]
 
 
+def random_background(lat, seed):
+    rng = random.Random(seed)
+    return Background(lat, tuple(rng.choice((-1, 1)) for _ in range(2 * lat.sites)))
+
+
+def transposed(bg):
+    """The same twists on the T x L torus: spatial and temporal edges swap."""
+    lat = bg.lattice
+    flipped = IsingLattice(lat.time_steps, lat.length, lat.beta)
+    spatial, temporal = bg.twists[:lat.sites], bg.twists[lat.sites:]
+    order = [x * lat.length + t for t in range(lat.length) for x in range(lat.time_steps)]
+    return Background(flipped, tuple(temporal[i] for i in order) + tuple(spatial[i] for i in order))
+
+
 class TestOnePassSectors:
-    @pytest.mark.parametrize("shape", SMALL_LATTICES)
+    @pytest.mark.parametrize("shape", SMALL_LATTICES + [(4, 5), (5, 4), (2, 10)])
     def test_histograms_match_spin_products(self, shape):
         lat = IsingLattice(*shape, 1.0)
         hists = sector_histograms(lat)
         assert list(hists) == list(SECTORS)
-        rng = np.random.default_rng(shape[0] * 17 + shape[1])
-        arbitrary = Background(lat, tuple(int(t) for t in rng.choice((-1, 1), 2 * lat.sites)))
         for sector in SECTORS:
             bg = Background.from_holonomies(lat, *sector)
             expected = spin_product_histogram(lat, bg)
-            assert np.array_equal(hists[sector], expected)
-            assert np.array_equal(frustration_histogram(lat, bg), expected)
+            assert hists[sector] == expected
+            assert frustration_histogram(lat, bg) == expected
+            assert sum(expected) == 2**lat.sites
         gauge_moved = Background.from_holonomies(lat, 1, 1).flip_site(0, 0)
-        for bg in (arbitrary, gauge_moved):
-            assert np.array_equal(frustration_histogram(lat, bg),
-                                  spin_product_histogram(lat, bg))
+        for bg in (random_background(lat, shape[0] * 17 + shape[1]), gauge_moved):
+            assert frustration_histogram(lat, bg) == spin_product_histogram(lat, bg)
+
+    @pytest.mark.parametrize("shape", [(1, 1), (1, 7), (2, 3), (3, 5), (4, 5), (2, 10)])
+    def test_transposed_torus_has_the_same_histogram(self, shape):
+        lat = IsingLattice(*shape, 1.0)
+        for bg in [random_background(lat, 100 * lat.sites + seed) for seed in range(3)] + [
+                Background.from_holonomies(lat, *sector) for sector in SECTORS]:
+            flipped = transposed(bg)
+            assert frustration_histogram(flipped.lattice, flipped) == \
+                frustration_histogram(lat, bg)
+            assert sum(frustration_histogram(lat, bg)) == 2**lat.sites
+
+    @pytest.mark.parametrize("shape", [(1, 1), (2, 2), (3, 3), (2, 5), (4, 4), (5, 4)])
+    def test_partition_sum_is_the_exact_sum_rounded(self, shape):
+        for beta in (1e-300, 0.05, 0.3, BETA_C, 0.6, 1.1, 5.0, 372.0):
+            lat = IsingLattice(*shape, beta)
+            zs = sector_partitions(lat)
+            for sector, hist in sector_histograms(lat).items():
+                exact = sum(Fraction(c) * Fraction(math.exp(-2.0 * (beta * k)))
+                            for k, c in enumerate(hist))
+                assert abs(zs[sector] - exact) <= Fraction(1, 10**15) * exact
 
     @pytest.mark.parametrize("shape", SMALL_LATTICES)
     def test_one_kernel_call_serves_every_background(self, shape, monkeypatch):
         lat = IsingLattice(*shape, 1.0)
-        rng = np.random.default_rng(shape[0] * 31 + shape[1])
-        bgs = [Background(lat, tuple(int(t) for t in rng.choice((-1, 1), 2 * lat.sites)))
-               for _ in range(2)] + [Background.from_holonomies(lat, 1, 0)]
+        bgs = [random_background(lat, shape[0] * 31 + shape[1] + seed) for seed in range(2)] + [
+            Background.from_holonomies(lat, 1, 0)]
         charges, check_enum = [], ising.check_enum
         monkeypatch.setattr(ising, "check_enum",
                             lambda size, what: charges.append(size) or check_enum(size, what))
         hists = _histograms(lat, bgs)
         assert charges == [2**lat.sites]
         for bg, hist in zip(bgs, hists):
-            assert np.array_equal(hist, spin_product_histogram(lat, bg))
+            assert hist == spin_product_histogram(lat, bg)
 
     @pytest.mark.parametrize("length", range(1, 11))
     def test_transfer_matrix_matches_outer_products(self, length):
