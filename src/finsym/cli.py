@@ -341,12 +341,8 @@ def _run_ising(args) -> dict:
         start, stop, count = float(args.sweep[0]), float(args.sweep[1]), int(args.sweep[2])
         if count < 2 or not (start > 0 and stop > start):
             raise ValueError("sweep needs 0 < start < stop and count >= 2")
-        # guard units per point: each spin configuration (brute force), or
-        # L x the closed form's first working precision in digits (transfer)
         lat = ising.IsingLattice(args.length, args.time_steps, start)
-        per_point = (ising.enumeration_size(lat) if args.method == "bruteforce"
-                     else lat.length * ising.transfer_digits(lat))
-        check_enum(count * per_point, what="beta sweep")
+        check_enum(count * ising.evaluation_cost(lat, args.method), what="beta sweep")
         # the grid below multiplies before it divides; keep its bits, reject overflow
         if not math.isfinite((count - 1) * (stop - start)):
             raise ValueError(

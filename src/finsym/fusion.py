@@ -61,6 +61,8 @@ class FusionRing:
         dual = tuple(as_int(d, "dual index") for d in self.dual)
         if sorted(dual) != list(range(rank)) or any(dual[dual[i]] != i for i in range(rank)):
             raise ValueError("dual must be an involution on labels")
+        if not 0 <= unit < rank:
+            raise ValueError(f"unit index {unit} is out of range for {rank} simples")
         basis = [tuple(int(a == b) for b in range(rank)) for a in range(rank)]
         for j in range(rank):
             if n[unit][j] != basis[j]:

@@ -44,6 +44,10 @@ float is a ValueError.  When exp(-2b) underflows, every excited weight is
 0 and the sectors are the ground-state count (2, 0, 0, 0).  The dense
 matrix ``transfer_matrix`` is kept as the oracle of this route.
 
+Neither route has a size limit of its own: each four-sector evaluation
+charges the guard ``evaluation_cost`` (the transfer route once per precision
+it runs at), and the dense oracle its 4^L entries.
+
 Kramers-Wannier: sinh(2*beta) * sinh(2*beta_dual) = 1.  In the weight
 convention above the finite-torus duality reads
 
@@ -59,14 +63,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from decimal import MAX_EMAX, MIN_EMIN, Context, Decimal, Overflow, localcontext
 from functools import lru_cache
-from math import asinh, ceil, exp, expm1, fsum, isfinite, log, log10, sinh, sqrt
+from math import asinh, ceil, exp, expm1, fsum, isfinite, log, log10, sqrt
 
 from .limits import as_int, check_enum
 
 BETA_C = 0.5 * log(1.0 + sqrt(2.0))
-
-BRUTE_FORCE_MAX_SITES = 20
-TRANSFER_MAX_WIDTH = 12
 
 SECTORS = ((0, 0), (0, 1), (1, 0), (1, 1))
 
@@ -167,14 +168,7 @@ def weight(beta: float, s: int) -> float:
     raise ValueError("spin product must be +1 or -1")
 
 
-def enumeration_size(lat: IsingLattice) -> int:
-    """2^(L*T) spin configurations; ValueError past BRUTE_FORCE_MAX_SITES."""
-    if lat.sites > BRUTE_FORCE_MAX_SITES:
-        raise ValueError(f"brute force is limited to {BRUTE_FORCE_MAX_SITES} sites")
-    return 2**lat.sites
-
-
-@lru_cache(maxsize=None)  # width <= 4 and slot <= 21 under BRUTE_FORCE_MAX_SITES
+@lru_cache(maxsize=None)  # width <= 4 and slot <= 25 under the 2^24 ceiling
 def _site_step(width: int, x: int, across: int, up: int, slot: int) -> tuple:
     """(p0, p1, shift0, shift1) per window w with a new spin in bit x: w with
     the replaced spin above it 0 or 1, and ``slot`` times the frustrated
@@ -199,7 +193,7 @@ def _histograms(lat: IsingLattice, backgrounds) -> list:
     sweep; a global spin flip keeps every count and doubles the result."""
     if any(bg.lattice != lat for bg in backgrounds):
         raise ValueError("background belongs to a different lattice")
-    check_enum(enumeration_size(lat), what="spin configuration enumeration")
+    check_enum(evaluation_cost(lat, "bruteforce"), what="spin configuration enumeration")
     length, sites = lat.length, lat.sites
     transpose = lat.time_steps < length  # sweep along x: rows are columns of the torus
     width, rows = (lat.time_steps, length) if transpose else (length, lat.time_steps)
@@ -269,10 +263,11 @@ def transfer_matrix(length: int, beta: float, spatial_twist: int = 0):
     Built by table lookup: the entry is w[k] = exp(-2*beta*k) with k the
     frustrated count popcount(next ^ cur) + horiz(cur), k <= 2L.
     """
-    if not 1 <= length <= TRANSFER_MAX_WIDTH:
-        raise ValueError(f"transfer width must be in 1..{TRANSFER_MAX_WIDTH}")
+    if length < 1:
+        raise ValueError("transfer width must be >= 1")
     if not beta > 0:
         raise ValueError("beta must be positive")
+    check_enum(4 ** min(length, 1 << 15), what="transfer matrix entries")  # as evaluation_cost
     import numpy as np
 
     rows = np.arange(2**length)
@@ -358,15 +353,24 @@ def transfer_digits(lat: IsingLattice) -> int:
     return _KAUFMAN_DIGITS + int(log10(lat.time_steps)) + 1 + max(0, ceil(-log10(lat.beta)))
 
 
+def evaluation_cost(lat: IsingLattice, method: str, digits: int | None = None) -> int:
+    """Guard units of one four-sector evaluation: 2^(L*T) spin configurations
+    (brute force; not built past 2^65536, which no guard allows), or L x the
+    working precision in digits (``transfer_digits`` unless given) x the bits
+    of T, for the T-th powers (transfer)."""
+    if method == "bruteforce":
+        return 2 ** min(lat.sites, 1 << 16)
+    return lat.length * (digits or transfer_digits(lat)) * lat.time_steps.bit_length()
+
+
 def _transfer_sectors(lat: IsingLattice) -> dict:
     """Z in the four holonomy sectors from Kaufman's products, as floats.
     A first pass that kept fewer than 5 digits of a sector shows only noise,
     so the second pass then adds the bound log10(max_i P|Z_i| / 2^-1075)."""
-    if not 1 <= lat.length <= TRANSFER_MAX_WIDTH:
-        raise ValueError(f"transfer width must be in 1..{TRANSFER_MAX_WIDTH}")
+    digits = transfer_digits(lat)
+    check_enum(evaluation_cost(lat, "transfer", digits), what="transfer evaluation")
     if exp(-2.0 * lat.beta) == 0.0:  # every excited weight underflows
         return {(0, 0): 2.0, (0, 1): 0.0, (1, 0): 0.0, (1, 1): 0.0}
-    digits = transfer_digits(lat)
     extra = digits - _KAUFMAN_DIGITS
     zs, top = _kaufman(lat, digits)
     if not isfinite(float(zs[(0, 0)])):
@@ -378,7 +382,9 @@ def _transfer_sectors(lat: IsingLattice) -> dict:
     if lost > digits - extra - 20:
         if lost > digits - extra - 5:
             lost = top.adjusted() - _FLOAT_TINY_EXP
-        zs, _ = _kaufman(lat, extra + lost + 25)
+        digits = extra + lost + 25
+        check_enum(evaluation_cost(lat, "transfer", digits), what="transfer evaluation")
+        zs, _ = _kaufman(lat, digits)
     # a value below the float range may come out as noise of either sign
     return {sector: float(z.copy_abs()) for sector, z in zs.items()}
 
@@ -391,8 +397,8 @@ def partition_transfer(lat: IsingLattice, sector=(0, 0)) -> float:
     docstring), evaluated in ``decimal`` at 40 digits plus log10(1/beta)
     and log10(T), and once more with the cancelled digits added when a
     sector kept fewer than 20.  The value is the sector's entry of
-    ``sector_partitions(lat, "transfer")``.  A width past
-    TRANSFER_MAX_WIDTH, or a Z[0,0] that overflows a float, is a ValueError.
+    ``sector_partitions(lat, "transfer")``, at any width.  A Z[0,0] that
+    overflows a float is a ValueError.
     """
     h_x, h_t = sector
     return _transfer_sectors(lat)[(h_x % 2, h_t % 2)]
@@ -436,16 +442,10 @@ def gauged_partition(
 
 
 def kw_dual_beta(beta: float) -> float:
-    """The dual inverse temperature: sinh(2*beta) * sinh(2*dual) = 1.
-
-    Past 2*beta = 700, where sinh nears overflow, 1/sinh(2*beta) is taken
-    as 2*exp(-2*beta) / (1 - exp(-4*beta)); below, the direct form is kept
-    so that existing values do not move by an ulp.
-    """
+    """The dual inverse temperature: sinh(2*beta) * sinh(2*dual) = 1, with
+    1/sinh(2*beta) as 2*exp(-2*beta) / (1 - exp(-4*beta)), which never overflows."""
     if not beta > 0:
         raise ValueError("beta must be positive")
-    if 2.0 * beta <= 700.0:
-        return 0.5 * asinh(1.0 / sinh(2.0 * beta))
     dual = 0.5 * asinh(2.0 * exp(-2.0 * beta) / -expm1(-4.0 * beta))
     if dual == 0.0:
         raise ValueError(f"the dual of beta = {beta} underflows to 0")

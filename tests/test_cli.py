@@ -568,12 +568,50 @@ class TestExitCodes:
                          "--q", "0,0", "--max-enum", str(limit))
         assert code == expected
 
-    @pytest.mark.parametrize("sectors", ["all", "trivial"])
-    def test_transfer_width_is_input_error(self, capsys, sectors):
-        code, out, err = run(capsys, "ising", "--L", "13", "--T", "2", "--beta", "0.4",
-                             "--method", "transfer", "--sectors", sectors)
-        assert code == 2 and out == ""
-        assert err == "error: transfer width must be in 1..12\n"
+    def test_wide_transfer_answers(self, capsys):
+        # any width runs; 13 x 2 equals the transposed 2 x 13 torus
+        docs = []
+        for length, steps in (("13", "2"), ("2", "13")):
+            code, out, err = run(capsys, "ising", "--L", length, "--T", steps,
+                                 "--beta", "0.4", "--method", "transfer")
+            assert code == 0 and err == ""
+            docs.append(json.loads(out))
+        assert [docs[0][f"Z{h}"] for h in ("00", "01", "10", "11")] == \
+            [docs[1][f"Z{h}"] for h in ("00", "10", "01", "11")]
+
+    @pytest.mark.parametrize("length,steps", [("4", "6"), ("2", "12"), ("1", "24")])
+    def test_bruteforce_up_to_24_sites(self, capsys, length, steps):
+        docs = []
+        for method in ("bruteforce", "transfer"):
+            code, out, err = run(capsys, "ising", "--L", length, "--T", steps,
+                                 "--beta", "0.4", "--method", method)
+            assert code == 0 and err == ""
+            docs.append(json.loads(out))
+        for h in ("00", "01", "10", "11"):
+            assert float(docs[0][f"Z{h}"]) == pytest.approx(float(docs[1][f"Z{h}"]), rel=1e-13)
+
+    def test_bruteforce_past_the_ceiling_trips_the_guard(self, capsys):
+        code, out, err = run(capsys, "ising", "--L", "5", "--T", "5", "--beta", "0.4")
+        assert code == 3 and out == ""
+        assert err == ("guard exceeded: spin configuration enumeration needs 33554432 "
+                       "states, guard allows 16777216\n")
+
+    def test_transfer_digits_of_t_trip_the_guard(self, capsys):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "ising", "--L", "12", "--T", "1" + "0" * 1000,
+                             "--beta", "300", "--method", "transfer")
+        assert time.perf_counter() - start < 1.0
+        assert code == 3 and out == ""
+        assert err.startswith("guard exceeded: transfer evaluation needs ")
+
+    def test_sweep_over_a_huge_torus_is_quick(self, capsys):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "ising", "--L", "1000000", "--T", "1000000",
+                             "--sweep", "0.1", "1.0", "2")
+        assert time.perf_counter() - start < 1.0
+        assert code == 3 and out == ""
+        assert err == ("guard exceeded: beta sweep needs at least 2^65537 states, "
+                       f"guard allows {HARD_CEILING}\n")
 
     def test_transfer_overflow_is_input_error(self, capsys):
         code, out, err = run(capsys, "ising", "--L", "4", "--T", "300", "--beta", "0.05",

@@ -49,6 +49,10 @@ CASES = [
      "involution"),
     (lambda: FusionRing(("1", "a"), 0, (IDENTITY_RANK2, ((1, 0), (1, 0))), (0, 1)),
      "right unit law"),
+    (lambda: FusionRing(("1", "a"), 5, (IDENTITY_RANK2, ((0, 1), (1, 0))), (0, 1)),
+     "unit index 5 is out of range for 2 simples"),
+    (lambda: FusionRing(("a", "1"), -1, (((0, 1), (1, 0)), IDENTITY_RANK2), (0, 1)),
+     "unit index -1 is out of range for 2 simples"),
     (lambda: Bordism(sphere(2), (SubcomplexMap(circle(), circle(), ((0,), (0,))),), ()),
      "does not land in the bordism"),
     (lambda: Bordism(disk()[0], (SubcomplexMap(POINT, disk()[0], ((0,),)),), ()),

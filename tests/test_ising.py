@@ -90,9 +90,13 @@ class TestBruteForce:
         expected = {2: 4, 4: 8, 6: 4}
         assert {k: int(v) for k, v in enumerate(hist) if v} == expected
 
-    def test_guard(self):
-        with pytest.raises(ValueError):
-            partition_bruteforce(IsingLattice(7, 3, 1.0))
+    def test_guard_is_the_only_size_limit(self):
+        # 21-24 sites are exact; 25 sites exceed the 2^24 ceiling
+        assert sum(frustration_histogram(IsingLattice(7, 3, 1.0))) == 2**21
+        with pytest.raises(GuardExceeded) as exc:
+            partition_bruteforce(IsingLattice(5, 5, 1.0))
+        assert str(exc.value) == ("spin configuration enumeration needs 33554432 states, "
+                                  "guard allows 16777216")
 
 
 class TestTransferMatrix:
@@ -131,9 +135,14 @@ class TestTransferMatrix:
                 zb = partition_bruteforce(b, Background.from_holonomies(b, h_t, h_x))
                 assert za == pytest.approx(zb, rel=1e-13)
 
-    def test_width_guard(self):
-        with pytest.raises(ValueError):
+    def test_entries_are_guarded(self):
+        # 4^12 = 2^24 entries is the ceiling itself
+        with pytest.raises(GuardExceeded, match="transfer matrix entries needs 67108864 states"):
             transfer_matrix(13, 0.5)
+        with pytest.raises(GuardExceeded, match="needs at least 2\\^65536 states"):
+            transfer_matrix(10**100, 0.5)
+        with pytest.raises(ValueError, match="transfer width must be >= 1"):
+            transfer_matrix(0, 0.5)
 
 
 class TestBackgrounds:
@@ -185,6 +194,15 @@ class TestKramersWannier:
         assert math.isfinite(dual) and dual > 0
         assert dual == pytest.approx(math.exp(-720.0), rel=1e-9)
         assert kw_dual_beta(349.0) > kw_dual_beta(351.0) > dual
+
+    def test_dual_is_within_three_ulps(self):
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(60):
+            for i in range(241):
+                beta = 10.0 ** (-12 + i * (12 + math.log10(316.0)) / 240)
+                exact = mpmath.asinh(1 / mpmath.sinh(2 * mpmath.mpf(beta))) / 2
+                dual = kw_dual_beta(beta)
+                assert abs(mpmath.mpf(dual) - exact) <= 3 * math.ulp(dual), beta
 
     def test_dual_underflow_is_value_error(self):
         with pytest.raises(ValueError, match="underflows"):
@@ -442,6 +460,49 @@ class TestClosedForm:
         assert best < 0.01
 
 
+THIN_TORI = [(13, 1), (20, 1), (21, 1), (22, 1), (24, 1), (11, 2), (12, 2), (8, 3), (6, 4),
+             (4, 6), (3, 8), (2, 12), (1, 24)]
+
+
+class TestGuardIsTheOnlyLimit:
+    @pytest.mark.parametrize("shape", THIN_TORI)
+    def test_bruteforce_matches_transfer_up_to_24_sites(self, shape):
+        for beta in (0.05, 0.3, BETA_C, 0.9, 2.5):
+            lat = IsingLattice(*shape, beta)
+            assert_sectors_close(sector_partitions(lat, "transfer"), sector_partitions(lat),
+                                 rel=1e-14)
+
+    @pytest.mark.parametrize("shape", [(30, 5), (50, 3), (100, 2), (17, 4)])
+    def test_orientation_swap_of_wide_tori(self, shape):
+        for beta in (0.3, BETA_C, 1.2, 3.0):
+            a = sector_partitions(IsingLattice(*shape, beta), "transfer")
+            b = sector_partitions(IsingLattice(*shape[::-1], beta), "transfer")
+            assert_sectors_close(a, {(h_x, h_t): b[(h_t, h_x)] for h_x, h_t in SECTORS},
+                                 rel=1e-14)
+
+    def test_transfer_charge_counts_the_bits_of_t(self):
+        lat = IsingLattice(12, 10**1000, 300.0)
+        assert ising.evaluation_cost(lat, "transfer") == 12 * ising.transfer_digits(lat) * 3322
+        start = time.perf_counter()
+        with pytest.raises(GuardExceeded, match="^transfer evaluation needs "):
+            sector_partitions(lat, "transfer")
+        assert time.perf_counter() - start < 1.0
+
+    def test_second_pass_is_charged_at_its_precision(self):
+        # the twisted sectors lie below 2^-1075, so the second pass runs at
+        # about 350 digits where the first ran at 42
+        lat = IsingLattice(12, 12, 372.0)
+        first = ising.evaluation_cost(lat, "transfer")
+        with max_enum(first), pytest.raises(GuardExceeded, match="transfer evaluation"):
+            sector_partitions(lat, "transfer")
+        with max_enum(10 * first):
+            assert sector_partitions(lat, "transfer")[(0, 0)] == 2.0
+
+    def test_brute_force_charge_builds_no_huge_power(self):
+        lat = IsingLattice(10**6, 10**6, 0.4)
+        assert ising.evaluation_cost(lat, "bruteforce") == 2**65536
+
+
 class TestTransferEdgeBetas:
     @pytest.mark.parametrize("beta", [5e-324, 1e-300])
     @pytest.mark.parametrize("shape", [(4, 4), (2, 8), (1, 16), (3, 5)])
@@ -489,7 +550,7 @@ class TestTransferOverflow:
         # inside the closed form becomes the same ValueError
         start = time.perf_counter()
         with pytest.raises(ValueError, match="Z overflows a float"):
-            sector_partitions(IsingLattice(12, 10**1500, 300.0), "transfer")
+            sector_partitions(IsingLattice(12, 10**19, BETA_C), "transfer")
         assert time.perf_counter() - start < 1.0
 
     def test_long_finite_torus_still_returns(self):
