@@ -109,32 +109,34 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True,
                                 parser_class=_Parser)
 
-    def add_parser(name, **kwargs):
-        return sub.add_parser(name, parents=[common], **kwargs)
+    def add_parser(name, run, **kwargs):
+        p = sub.add_parser(name, parents=[common], **kwargs)
+        p.set_defaults(run=run)
+        return p
 
-    p = add_parser("cohomology", help="H^q(manifold; A) for a preset manifold")
+    p = add_parser("cohomology", _run_cohomology, help="H^q(manifold; A) for a preset manifold")
     p.add_argument("--manifold", required=True)
     p.add_argument("--coefficients", required=True)
     p.add_argument("--degree", type=int, required=True)
 
-    p = add_parser("partition", help="finite homotopy partition function")
+    p = add_parser("partition", _run_partition, help="finite homotopy partition function")
     p.add_argument("--target", required=True, help="e.g. B2:Z2, B1:S3")
     p.add_argument("--manifold", required=True, help="e.g. torus:5, surface:2")
 
-    p = add_parser("bordism", help="exact bordism matrix of the 2d gauge theory")
+    p = add_parser("bordism", _run_bordism, help="exact bordism matrix of the 2d gauge theory")
     p.add_argument("--group", required=True)
     p.add_argument("--shape", required=True,
                    choices=sorted(("cylinder", "pants", "copants", "cap", "cup",
                                    "torus", "sphere")))
 
-    p = add_parser("fusion", help="fusion-ring reports and obstructions")
+    p = add_parser("fusion", _run_fusion, help="fusion-ring reports and obstructions")
     src = p.add_mutually_exclusive_group(required=True)
     src.add_argument("--ty", help="Tambara-Yamagami ring of an abelian group")
     src.add_argument("--group-ring", help="group ring of a preset group")
     p.add_argument("--report", default="dims,obstructions",
                    help="comma list from: dims, obstructions, table")
 
-    p = add_parser("lines", help="line lattice selected by (A', q)")
+    p = add_parser("lines", _run_lines, help="line lattice selected by (A', q)")
     p.add_argument("--A", required=True, dest="ambient")
     p.add_argument("--Aprime", required=True, dest="sub",
                    help="'0', 'full', or generators like '1,0;0,2'")
@@ -142,11 +144,11 @@ def build_parser() -> _Parser:
     p.add_argument("--q-cross", default="", dest="q_cross",
                    help="cross terms like '0,1:1/2;0,2:1/4'")
 
-    p = add_parser("anyons", help="anyon data of the minimal Z_N theory")
+    p = add_parser("anyons", _run_anyons, help="anyon data of the minimal Z_N theory")
     p.add_argument("--N", type=int, required=True, dest="n")
     p.add_argument("--p", type=int, required=True)
 
-    p = add_parser("anomaly", help="anomaly arithmetic")
+    p = add_parser("anomaly", _run_anomaly, help="anomaly arithmetic")
     p.add_argument("--ym-theta-pi", type=int, dest="ym", default=None,
                    help="time reversal at theta = pi for SU(N)")
     p.add_argument("--fractional-instanton", nargs=2, type=int, default=None,
@@ -154,11 +156,11 @@ def build_parser() -> _Parser:
     p.add_argument("--spin", action="store_true",
                    help="restrict the Pontryagin input to spin manifolds")
 
-    p = add_parser("gauss", help="Z_N Gauss-sum self-duality scalar")
+    p = add_parser("gauss", _run_gauss, help="Z_N Gauss-sum self-duality scalar")
     p.add_argument("--N", type=int, required=True, dest="n")
     p.add_argument("--p", type=int, required=True)
 
-    p = add_parser("ising", help="square-torus Ising partition functions")
+    p = add_parser("ising", _run_ising, help="square-torus Ising partition functions")
     p.add_argument("--L", type=int, required=True, dest="length")
     p.add_argument("--T", type=int, required=True, dest="time_steps")
     p.add_argument("--beta", type=float, default=None)
@@ -170,7 +172,7 @@ def build_parser() -> _Parser:
                    metavar=("START", "STOP", "COUNT"),
                    help="beta grid for CSV export")
 
-    p = add_parser("problem1", help="the d=2 pair-of-pants exercise")
+    p = add_parser("problem1", _run_problem1, help="the d=2 pair-of-pants exercise")
     p.add_argument("--group", default="Z2")
     return parser
 
@@ -411,21 +413,9 @@ def main(argv=None) -> int:
         print("--threads must be >= 1", file=sys.stderr)
         return 2
 
-    runners = {
-        "cohomology": _run_cohomology,
-        "partition": _run_partition,
-        "bordism": _run_bordism,
-        "fusion": _run_fusion,
-        "lines": _run_lines,
-        "anyons": _run_anyons,
-        "anomaly": _run_anomaly,
-        "gauss": _run_gauss,
-        "ising": _run_ising,
-        "problem1": _run_problem1,
-    }
     try:
         with max_enum(args.max_enum):
-            doc = runners[args.command](args)
+            doc = args.run(args)
     except GuardExceeded as exc:
         print(f"guard exceeded: {exc}", file=sys.stderr)
         return 3

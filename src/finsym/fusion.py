@@ -35,10 +35,13 @@ class FusionRing:
     ``n_tensor[i][j][k]`` is the multiplicity of simple k inside i x j.
     Validated on construction: unit laws, associativity, and the duality
     pairing N_ij^1 = delta_{j, i*}.  Associativity is checked as
-    (i x j) x k = i x (j x k) on simples only, with sparse products over
-    the nonzero N_ij^k: the product is bilinear and the simples span the
-    ring, so that suffices.  The rank^3 triples are charged to the
-    enumeration guard.
+    (i x j) x k = i x (j x k) with sparse products over the nonzero N_ij^k,
+    on simples i, k and on the middles j: the simples other than the unit
+    that are not one simple x x y of earlier simples (Light's test, as in
+    ``FiniteGroup``).  By bilinearity the b with (ab)c = a(bc) for all a, c
+    are closed under products, (a(xy))c = ((ax)y)c = (ax)(yc) = a(x(yc)) =
+    a((xy)c), so by induction on the index every simple has it, and then
+    the whole ring.  The rank^3 triples are charged to the enumeration guard.
     """
 
     labels: tuple[str, ...]
@@ -80,8 +83,11 @@ class FusionRing:
             [tuple((k, x) for k, x in enumerate(row) if x) for row in plane]
             for plane in n
         ]
+        products = {xy[0][0] for x, row in enumerate(terms) for y, xy in enumerate(row)
+                    if len(xy) == 1 and xy[0][1] == 1 and xy[0][0] > max(x, y)}
+        middles = [j for j in range(rank) if j != unit and j not in products]
         for i in range(rank):
-            for j in range(rank):
+            for j in middles:
                 ij = terms[i][j]
                 for k in range(rank):
                     left = {}

@@ -190,10 +190,12 @@ def _histograms(lat: IsingLattice, backgrounds) -> list:
     per first row with bit 0 clear, the histogram so far packed into one int,
     so placing a spin is a shift and an add.  The closing edges back to the
     first row come last, so backgrounds that differ only there share a
-    sweep; a global spin flip keeps every count and doubles the result."""
+    sweep; a global spin flip keeps every count and doubles the result.
+    The guard is charged before the backgrounds (None: trivial) are built."""
+    check_enum(evaluation_cost(lat, "bruteforce"), what="spin configuration enumeration")
+    backgrounds = [Background.trivial(lat) if bg is None else bg for bg in backgrounds]
     if any(bg.lattice != lat for bg in backgrounds):
         raise ValueError("background belongs to a different lattice")
-    check_enum(evaluation_cost(lat, "bruteforce"), what="spin configuration enumeration")
     length, sites = lat.length, lat.sites
     transpose = lat.time_steps < length  # sweep along x: rows are columns of the torus
     width, rows = (lat.time_steps, length) if transpose else (length, lat.time_steps)
@@ -229,12 +231,12 @@ def _histograms(lat: IsingLattice, backgrounds) -> list:
 def frustration_histogram(lat: IsingLattice, bg: Background | None = None) -> tuple:
     """counts[k] = number of spin configurations with k frustrated edges, as
     a tuple of exact ints over k = 0 .. 2*L*T (guarded at 2^(L*T) states)."""
-    return _histograms(lat, [Background.trivial(lat) if bg is None else bg])[0]
+    return _histograms(lat, [bg])[0]
 
 
 def sector_histograms(lat: IsingLattice) -> dict:
     """The frustration histogram of every holonomy sector, from two sweeps."""
-    backgrounds = [Background.from_holonomies(lat, *sector) for sector in SECTORS]
+    backgrounds = (Background.from_holonomies(lat, *sector) for sector in SECTORS)
     return dict(zip(SECTORS, _histograms(lat, backgrounds)))
 
 
@@ -443,10 +445,12 @@ def gauged_partition(
 
 def kw_dual_beta(beta: float) -> float:
     """The dual inverse temperature: sinh(2*beta) * sinh(2*dual) = 1, with
-    1/sinh(2*beta) as 2*exp(-2*beta) / (1 - exp(-4*beta)), which never overflows."""
+    t = 1/sinh(2*beta) as 2*exp(-2*beta) / (1 - exp(-4*beta)), and asinh t
+    as log 2t where t overflows a float (beta below about 2.8e-309)."""
     if not beta > 0:
         raise ValueError("beta must be positive")
-    dual = 0.5 * asinh(2.0 * exp(-2.0 * beta) / -expm1(-4.0 * beta))
+    t = 2.0 * exp(-2.0 * beta) / -expm1(-4.0 * beta)
+    dual = 0.5 * (asinh(t) if isfinite(t) else log(4.0) - 2.0 * beta - log(-expm1(-4.0 * beta)))
     if dual == 0.0:
         raise ValueError(f"the dual of beta = {beta} underflows to 0")
     return dual

@@ -613,6 +613,14 @@ class TestExitCodes:
         assert err == ("guard exceeded: beta sweep needs at least 2^65537 states, "
                        f"guard allows {HARD_CEILING}\n")
 
+    def test_bruteforce_over_a_huge_torus_is_guarded(self, capsys):
+        # the guard is charged before the 2*L*T twists of a background are built
+        code, out, err = run(capsys, "ising", "--L", "1", "--T", "100000000000000000000",
+                             "--beta", "0.4")
+        assert code == 3 and out == ""
+        assert err == ("guard exceeded: spin configuration enumeration needs at least "
+                       f"2^65536 states, guard allows {HARD_CEILING}\n")
+
     def test_transfer_overflow_is_input_error(self, capsys):
         code, out, err = run(capsys, "ising", "--L", "4", "--T", "300", "--beta", "0.05",
                              "--method", "transfer")

@@ -1,5 +1,7 @@
 import json
 import math
+import random
+import re
 from decimal import Context, Decimal
 
 import numpy as np
@@ -91,7 +93,9 @@ class TestRingValidation:
 
     def test_first_failing_triple_is_named(self):
         # x*x = 1 + 2y, x*y = y*x = x, y*y = 1 + y: (x*x)*y = 2 + 3y but
-        # x*(x*y) = 1 + 2y; (x, x, y) is the first failing triple in i, j, k order
+        # x*(x*y) = 1 + 2y; neither x nor y is one simple of earlier ones, so
+        # both are middles, and (x, x, y) is the first failing triple in
+        # i, j, k order with j over the middles
         n = [
             [[1, 0, 0], [0, 1, 0], [0, 0, 1]],
             [[0, 1, 0], [1, 0, 2], [0, 1, 0]],
@@ -99,6 +103,21 @@ class TestRingValidation:
         ]
         with pytest.raises(ValueError, match="^associativity fails at x,x,y$"):
             FusionRing(["1", "x", "y"], 0, n, [0, 1, 2])
+
+    def test_simples_found_only_inside_sums_are_middles(self):
+        # unit listed last; x*x = b + c + 1, x*b = x*c = x, b*b = c + 1,
+        # b*c = 0, c*c = b + 1.  b and c are the first terms of sums of
+        # earlier simples, never one simple, so both are middles: every
+        # triple with middle x passes, and (x, b, b) fails
+        n = [
+            [[0, 1, 1, 1], [1, 0, 0, 0], [1, 0, 0, 0], [1, 0, 0, 0]],
+            [[1, 0, 0, 0], [0, 0, 1, 1], [0, 0, 0, 0], [0, 1, 0, 0]],
+            [[1, 0, 0, 0], [0, 0, 0, 0], [0, 1, 0, 1], [0, 0, 1, 0]],
+            [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]],
+        ]
+        assert {j for _, j, _ in all_triples_failures(n)} == {1, 2}
+        with pytest.raises(ValueError, match="^associativity fails at x,b,b$"):
+            FusionRing(["x", "b", "c", "1"], 3, n, [0, 1, 2, 3])
 
     def test_associativity_check_is_guarded(self):
         z6 = named_group("Z6")
@@ -116,6 +135,112 @@ class TestRingValidation:
         ]
         with pytest.raises(ValueError):
             FusionRing(["1", "a", "b"], 0, n, [0, 1, 2])
+
+
+def all_triples_failures(n):
+    """The former validator's loop over all rank^3 triples, kept as the
+    oracle for Light's test: every (i, j, k) with (i x j) x k != i x (j x k)."""
+    rank = len(n)
+    terms = [[tuple((k, x) for k, x in enumerate(row) if x) for row in plane] for plane in n]
+    failures = set()
+    for i in range(rank):
+        for j in range(rank):
+            ij = terms[i][j]
+            for k in range(rank):
+                left = {}
+                for m, c in ij:
+                    for l, x in terms[m][k]:
+                        left[l] = left.get(l, 0) + c * x
+                right = {}
+                for m, c in terms[j][k]:
+                    for l, x in terms[i][m]:
+                        right[l] = right.get(l, 0) + c * x
+                if left != right:
+                    failures.add((i, j, k))
+    return failures
+
+
+def random_table(rng, rank):
+    """A random fusion tensor on simples 0..rank-1 that obeys the unit and
+    duality laws, with a random involution as dual and the unit at a random
+    index; every other multiplicity is drawn from 0..2."""
+    order = list(range(rank))
+    rng.shuffle(order)  # order[0] is the unit
+    dual = list(range(rank))
+    for a, b in zip(order[1::2], order[2::2]):
+        if rng.random() < 0.5:
+            dual[a], dual[b] = b, a
+    n = [[[0] * rank for _ in range(rank)] for _ in range(rank)]
+    for i in range(rank):
+        for j in range(rank):
+            if order[0] in (i, j):
+                n[i][j][i if j == order[0] else j] = 1
+                continue
+            for k in range(rank):
+                n[i][j][k] = int(j == dual[i]) if k == order[0] else rng.choice((0, 0, 1, 1, 2))
+    return order[0], n, dual
+
+
+def perturbed_tables(rng, ring, count):
+    """``count`` copies of the ring's tensor with one or two multiplicities
+    N_ij^k changed, i, j, k all other than the unit, so that the unit and
+    duality laws still hold."""
+    others = [i for i in range(ring.rank) if i != ring.unit]
+    for _ in range(count):
+        n = [[list(row) for row in plane] for plane in ring.n_tensor]
+        for _ in range(rng.choice((1, 2))):
+            i, j, k = (rng.choice(others) for _ in range(3))
+            n[i][j][k] = rng.choice([v for v in range(3) if v != n[i][j][k]])
+        yield n
+
+
+def relabeled(rng, unit, n, dual):
+    """The same table with its simples listed in a random order."""
+    rank = len(n)
+    new = list(range(rank))
+    rng.shuffle(new)  # simple i becomes new[i]
+    old = sorted(range(rank), key=new.__getitem__)
+    table = [[[n[old[a]][old[b]][old[c]] for c in range(rank)] for b in range(rank)]
+             for a in range(rank)]
+    return new[unit], table, [new[dual[old[a]]] for a in range(rank)]
+
+
+ORACLE_RINGS = [(group_ring, name) for name in ("S3", "D4", "Q8", "Z6", "Z2xZ4")] + [
+    (tambara_yamagami, name) for name in ("Z3", "Z2xZ2", "Z4", "Z5")]
+
+
+class TestLightsTestOracle:
+    def assert_verdict_matches(self, unit, n, dual):
+        """FusionRing accepts the table exactly when the all-triples oracle
+        finds no failing triple, and a rejection names a failing triple."""
+        labels = [f"s{i}" for i in range(len(n))]
+        failures = all_triples_failures(n)
+        try:
+            FusionRing(labels, unit, n, dual)
+        except ValueError as exc:
+            named = re.fullmatch(r"associativity fails at s(\d+),s(\d+),s(\d+)", str(exc))
+            assert named, exc
+            assert tuple(map(int, named.groups())) in failures
+            return False
+        assert not failures
+        return True
+
+    def test_random_tables(self):
+        rng = random.Random(2024)
+        verdicts = [self.assert_verdict_matches(*random_table(rng, rank))
+                    for rank in range(1, 6) for _ in range(300)]
+        assert 0 < sum(verdicts) < len(verdicts)
+
+    @pytest.mark.parametrize("build,name", ORACLE_RINGS)
+    def test_perturbed_group_and_ty_rings(self, build, name):
+        # listed in random orders, so that the middles vary
+        ring = build(named_group(name))
+        rng = random.Random(name)
+        for _ in range(10):
+            assert self.assert_verdict_matches(*relabeled(rng, ring.unit, ring.n_tensor,
+                                                          ring.dual))
+        for n in perturbed_tables(rng, ring, 120):
+            self.assert_verdict_matches(*relabeled(rng, ring.unit, n, ring.dual))
 
 
 def fusion_matrix(ring, i: int):

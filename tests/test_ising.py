@@ -204,6 +204,16 @@ class TestKramersWannier:
                 dual = kw_dual_beta(beta)
                 assert abs(mpmath.mpf(dual) - exact) <= 3 * math.ulp(dual), beta
 
+    @pytest.mark.parametrize("beta", [1e-309, 1e-320, 5e-324])
+    def test_subnormal_beta_has_a_finite_dual(self, beta):
+        # 1/sinh(2 beta) overflows a float here, its asinh does not
+        mpmath = pytest.importorskip("mpmath")
+        dual = kw_dual_beta(beta)
+        assert math.isfinite(dual)
+        with mpmath.workdps(60):
+            exact = mpmath.asinh(1 / mpmath.sinh(2 * mpmath.mpf(beta))) / 2
+            assert abs(mpmath.mpf(dual) - exact) <= 3 * math.ulp(dual)
+
     def test_dual_underflow_is_value_error(self):
         with pytest.raises(ValueError, match="underflows"):
             kw_dual_beta(400.0)
@@ -501,6 +511,17 @@ class TestGuardIsTheOnlyLimit:
     def test_brute_force_charge_builds_no_huge_power(self):
         lat = IsingLattice(10**6, 10**6, 0.4)
         assert ising.evaluation_cost(lat, "bruteforce") == 2**65536
+
+    @pytest.mark.parametrize("shape", [(1000, 1000), (1, 10**20)])
+    def test_brute_force_charges_before_building_backgrounds(self, shape):
+        # a background holds 2*L*T twists: 2e6 here, or more than a tuple can
+        lat = IsingLattice(*shape, 0.4)
+        for compute in (sector_partitions, frustration_histogram):
+            start = time.perf_counter()
+            with pytest.raises(GuardExceeded, match="^spin configuration enumeration needs "
+                                                    "at least 2\\^65536 states"):
+                compute(lat)
+            assert time.perf_counter() - start < 0.1
 
 
 class TestTransferEdgeBetas:
