@@ -242,7 +242,8 @@ def _run_fusion(args) -> dict:
     wanted = [w.strip() for w in args.report.split(",") if w.strip()]
     for item in wanted:
         if item == "dims":
-            doc["dims"] = [fmt_float(d) for d in fusion.pf_dimensions(ring)]
+            doc["dims"] = [fmt_float(fusion._rounded(fusion._pf_enclosure(ring, i)[0])[0])
+                           for i in range(ring.rank)]
         elif item == "obstructions":
             ff = fusion.fiber_functor_obstruction(ring)
             sq = fusion.square_root_obstruction(ring)

@@ -516,29 +516,33 @@ def cohomology(cx: ChainComplex, coeffs: FiniteAbelianGroup, q: int) -> Cohomolo
     [I | delta^{q-1}].  d o d = 0 puts V^-1 delta^{q-1} on the c - r
     nonpivot rows; the second is of that block W, which has delta^{q-1}'s
     invariant factors, with U_W started as V^-1's nonpivot rows and U_W^-1
-    as V's nonpivot columns.  Each Z_n then needs only gcds.
+    as V's nonpivot columns; the unread U, U^-1 and V_W^-1 start empty.
+    Each Z_n then needs only gcds.
     """
     _check_degree(cx, q)
     c = cx.n_cells(q)
     delta_in = cx.coboundary(q - 1)
-    e = delta_in.cols
-    snf = smith_normal_form_full(cx.coboundary(q), v_inv=IntMatrix._trusted(
-        tuple((0,) * i + (1,) + (0,) * (c - 1 - i) + row for i, row in enumerate(delta_in.data)),
-        c, c + e))
+    e, rows = delta_in.cols, cx.n_cells(q + 1)
+    snf = smith_normal_form_full(
+        cx.coboundary(q), u=IntMatrix._trusted(((),) * rows, rows, 0),
+        u_inv=IntMatrix._trusted((), 0, rows), v_inv=IntMatrix._trusted(tuple(
+            (0,) * i + (1,) + (0,) * (c - 1 - i) + row for i, row in enumerate(delta_in.data)
+        ), c, c + e))
     r, v_inv = snf.rank, snf.v_inv.data
     w = smith_normal_form_full(
         IntMatrix._trusted(tuple(row[c:] for row in v_inv[r:]), c - r, e),
         u=IntMatrix._trusted(tuple(row[:c] for row in v_inv[r:]), c - r, c),
-        u_inv=IntMatrix._trusted(tuple(row[r:] for row in snf.v.data), c, c - r))
-    # diag(I_r, U_W) V^-1 and V diag(I_r, U_W^-1)
+        u_inv=IntMatrix._trusted(tuple(row[r:] for row in snf.v.data), c, c - r),
+        v_inv=IntMatrix._trusted(((),) * e, e, 0))
+    # diag(I_r, U_W) V^-1, and the columns of V diag(I_r, U_W^-1)
     to_coords = IntMatrix._trusted(tuple(row[:c] for row in v_inv[:r]) + w.u.data, c, c)
-    lifts = [row[:r] + t for row, t in zip(snf.v.data, w.u_inv.data)]
+    lifts = tuple(zip(*snf.v.data))[:r] + tuple(zip(*w.u_inv.data))
     factors = []
     for n in coeffs.invariant_factors:
         orders = _cyclic_orders(c, snf.diagonal, w.diagonal, n)
         steps = tuple(n // o if i < r else 1 for i, o in enumerate(orders))
         kept = tuple(i for i, o in enumerate(orders) if o > 1)
-        reps = tuple(tuple(steps[i] * row[i] % n for row in lifts) for i in kept)
+        reps = tuple(tuple(steps[i] * x % n for x in lifts[i]) for i in kept)
         kept_orders = tuple(orders[i] for i in kept)
         factors.append(_CyclicFactor(n, c, kept_orders, reps, to_coords, steps, kept))
     return CohomologyGroup(

@@ -11,6 +11,7 @@ obstructs writing a theory as T* x T.  Both verdicts are one-sided
 from __future__ import annotations
 
 from dataclasses import dataclass
+from decimal import Context, Decimal
 from fractions import Fraction
 from math import ceil, floor, isqrt
 from operator import truediv
@@ -231,8 +232,16 @@ def _is_invertible(ring: FusionRing, i: int) -> bool:
     return len({row.index(1) for row in rows}) == len(rows)
 
 
+def _rounded(x: Fraction) -> tuple[Decimal, str]:
+    """x > 0 correctly rounded to the 15 significant digits that the CLI's
+    dims print, and to the 12 decimals of the fiber-functor detail."""
+    q = round(x * 10**12)
+    return Context(prec=15).divide(x.numerator, x.denominator), f"{q // 10**12}.{q % 10**12:012d}"
+
+
 def _pf_enclosure(ring: FusionRing, i: int) -> tuple[Fraction, Fraction]:
-    """Rationals lo <= d_i <= hi that round to the same float.
+    """Rationals lo <= d_i <= hi that round to the same float, and alike
+    under ``_rounded`` (an irrational d_i is never on a decimal boundary).
 
     Invertible simples give exactly (1, 1).  Otherwise the exact positive
     integer vector v, from (1, ..., 1), is iterated as v <- (N_i + c I) v.
@@ -261,7 +270,8 @@ def _pf_enclosure(ring: FusionRing, i: int) -> tuple[Fraction, Fraction]:
         lo, hi = min(ratios), max(ratios)
         if lo == hi:
             exact = [Fraction(a, b) for a, b in zip(w, v)]
-            return min(exact), max(exact)
+            if _rounded(min(exact)) == _rounded(max(exact)):
+                return min(exact), max(exact)
         c = max(1, round((lo + hi) / 4))
         v = [a + c * b for a, b in zip(w, v)]
         shift = min(v).bit_length() - _PF_BITS
@@ -308,7 +318,7 @@ def fiber_functor_obstruction(ring: FusionRing) -> Obstruction:
             for c in range(ceil(lo), floor(hi) + 1)
         ):
             continue
-        detail = f"d({ring.labels[i]}) = {float(lo):.12f} is not an integer"
+        detail = f"d({ring.labels[i]}) = {_rounded(lo)[1]} is not an integer"
         square_row = plane[ring.dual[i]]
         if all(square_row[k] == 0 or _is_invertible(ring, k) for k in range(rank)):
             detail += f"; exactly, d^2 = {sum(square_row)} is not a perfect square"

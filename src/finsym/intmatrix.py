@@ -6,12 +6,12 @@ from outside the package is validated once, entry by entry, by the public
 constructor: every entry and the shape must be integers (``operator.index``,
 so floats and strings are refused, not truncated) and the shape must not
 be negative.  Matrices the package builds from ints it already holds (Smith
-forms, coboundaries, products) are not re-checked.  The
+forms, coboundaries) are not re-checked.  The
 Smith normal form is the computational backbone for all cohomology in this
 package.  It has one reduction, which applies each row and column operation
 to four carried matrices: the transforms U, V and their exact inverses from
 identity starts, products such as U X or V^-1 X from a given start, and
-nothing at all when only the invariant factors are needed.
+nothing from an empty start or when only the invariant factors are needed.
 """
 
 from __future__ import annotations
@@ -87,24 +87,6 @@ class IntMatrix:
     def column(self, j: int):
         return tuple(self.data[i][j] for i in range(self.rows))
 
-    def __mul__(self, other: "IntMatrix") -> "IntMatrix":
-        if self.cols != other.rows:
-            raise ValueError("shape mismatch in matrix product")
-        out = [[0] * other.cols for _ in range(self.rows)]
-        for i in range(self.rows):
-            row = self.data[i]
-            for k in range(self.cols):
-                a = row[k]
-                if a:
-                    orow = other.data[k]
-                    for j in range(other.cols):
-                        out[i][j] += a * orow[j]
-        return IntMatrix._trusted(tuple(map(tuple, out)), self.rows, other.cols)
-
-    def __neg__(self) -> "IntMatrix":
-        return IntMatrix._trusted(tuple(tuple(-x for x in row) for row in self.data),
-                                  self.rows, self.cols)
-
     def apply_vector(self, vec):
         """Matrix times column vector, as a tuple."""
         if len(vec) != self.cols:
@@ -151,7 +133,9 @@ def smith_normal_form_full(m: IntMatrix, *, u: IntMatrix | None = None,
                            v_inv: IntMatrix | None = None) -> SmithForm:
     """The Smith form of m with its transforms, each started from the
     identity or from the given X: ``u=X`` gives U X, ``u_inv=X`` gives
-    X U^-1 and ``v_inv=X`` gives V^-1 X, with no product ever formed."""
+    X U^-1 and ``v_inv=X`` gives V^-1 X, with no product ever formed.  An
+    empty X (no columns for ``u`` and ``v_inv``, no rows for ``u_inv``)
+    carries nothing."""
     r, c = m.rows, m.cols
     starts = [_start(u, r), _start(u_inv, r), _start(None, c), _start(v_inv, c)]
     if (starts[0][1], starts[1][2], starts[3][1]) != (r, r, c):

@@ -129,7 +129,7 @@ def _count_calls(monkeypatch, module, name):
     original = getattr(module, name)
 
     def counted(*args, **kwargs):
-        calls.append(args)
+        calls.append((args, kwargs))
         return original(*args, **kwargs)
 
     monkeypatch.setattr(module, name, counted)
@@ -148,14 +148,24 @@ def test_em_partition_makes_no_full_smith_form(monkeypatch):
 
 def test_cohomology_reduces_the_coboundary_once(monkeypatch):
     full = _count_calls(monkeypatch, complexes, "smith_normal_form_full")
+
+    def assert_unread_transforms_start_empty():
+        # delta^1 and the block W, whatever the factor count
+        ((delta,), first), ((w,), second) = full
+        # U and U^-1 of delta^1 and V_W^-1 of W are never read: empty starts
+        assert (first["u"].rows, first["u"].cols) == (delta.rows, 0)
+        assert (first["u_inv"].rows, first["u_inv"].cols) == (0, delta.rows)
+        assert (second["v_inv"].rows, second["v_inv"].cols) == (w.cols, 0)
+        assert "v_inv" in first and {"u", "u_inv"} <= second.keys()
+
     for coeffs, order in [("Z2", 2**3), ("Z2xZ4xZ8", 64**3)]:
         full.clear()
         assert cohomology(torus(3), parse_abelian(coeffs), 1).order == order
-        assert len(full) == 2  # delta^1 and the block W, whatever the factor count
+        assert_unread_transforms_start_empty()
     b = tqft2d.pants_bordism()
     full.clear()
     relative_cohomology(b.w, b.in_circles[0], parse_abelian("Z2xZ4xZ8"), 1)
-    assert len(full) == 2
+    assert_unread_transforms_start_empty()
 
 
 def test_bordism_matrix_asks_for_h1_once(monkeypatch):

@@ -32,6 +32,7 @@ from finsym import tqft2d
 from finsym.groups import FiniteAbelianGroup
 from finsym.intmatrix import IntMatrix, smith_normal_form_full
 from finsym.limits import GuardExceeded, max_enum
+from test_intmatrix import matmul
 from test_random_complexes import random_two_stage_complex
 
 Z2 = FiniteAbelianGroup([2])
@@ -91,7 +92,7 @@ class TestPresets:
     @pytest.mark.parametrize("cx", SMALL_PRESETS + [torus(4), torus(5)])
     def test_boundary_squares_to_zero(self, cx):
         for k in range(2, cx.top_dim + 1):
-            assert (cx.boundary(k - 1) * cx.boundary(k)).is_zero()
+            assert matmul(cx.boundary(k - 1), cx.boundary(k)).is_zero()
 
     def test_broken_complex_rejected(self):
         with pytest.raises(ValueError):
@@ -464,12 +465,12 @@ def _cohomology_by_products(cx, coeffs, q):
     c = cx.n_cells(q)
     snf = smith_normal_form_full(cx.coboundary(q))
     r = snf.rank
-    images = snf.v_inv * cx.coboundary(q - 1)
+    images = matmul(snf.v_inv, cx.coboundary(q - 1))
     w = smith_normal_form_full(IntMatrix(images.data[r:], rows=c - r, cols=images.cols))
     v_inv, v = snf.v_inv.data, snf.v.data
     head = IntMatrix(v_inv[r:], rows=c - r, cols=c)
-    to_coords = IntMatrix(v_inv[:r] + (w.u * head).data, rows=c, cols=c)
-    tails = IntMatrix([row[r:] for row in v], rows=c, cols=c - r) * w.u_inv
+    to_coords = IntMatrix(v_inv[:r] + matmul(w.u, head).data, rows=c, cols=c)
+    tails = matmul(IntMatrix([row[r:] for row in v], rows=c, cols=c - r), w.u_inv)
     lifts = IntMatrix([row[:r] + t for row, t in zip(v, tails.data)], rows=c, cols=c)
     out = []
     for n in coeffs.invariant_factors:

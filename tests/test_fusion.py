@@ -14,6 +14,7 @@ from finsym.fusion import (
     RingElement,
     _is_invertible,
     _pf_enclosure,
+    _rounded,
     fiber_functor_obstruction,
     group_ring,
     pf_dimensions,
@@ -360,8 +361,8 @@ class TestDimensions:
         assert lo * lo <= order <= hi * hi
         d = pf_dimensions(ring)[-1]
         assert d == float(lo) == float(hi) == nearest_double_to_sqrt(order)
-        # the printed digits, from a 60-digit decimal square root
-        assert fmt_float(d) == format(float(Decimal(order).sqrt(Context(prec=60))), ".15g")
+        # the printed digits: the correctly rounded 15-digit decimal square root
+        assert _rounded(lo)[0] == _rounded(hi)[0] == Decimal(order).sqrt(Context(prec=15))
 
     @pytest.mark.parametrize(
         "ring_builder",
@@ -392,10 +393,35 @@ class TestCertifiedDimensions:
     @pytest.mark.parametrize("name,printed", [
         ("Z12", "3.46410161513775"), ("Z24", "4.89897948556636"),
         ("Z26", "5.09901951359278"), ("Z2xZ6", "3.46410161513775"),
+        # sqrt 18 = 4.24264068711928514..., its nearest float 4.24264068711928477...
+        ("Z18", "4.24264068711929"), ("Z2xZ9", "4.24264068711929"),
+        ("Z3xZ6", "4.24264068711929"), ("Z211", "14.525839046334"),
     ])
     def test_cli_prints_the_correct_fifteenth_digit(self, capsys, name, printed):
         assert main(["fusion", "--ty", name, "--report", "dims"]) == 0
         assert json.loads(capsys.readouterr().out)["dims"][-1] == printed
+
+    @pytest.mark.parametrize("n", range(2, 61))
+    def test_cli_dims_are_the_rounded_square_root(self, capsys, n):
+        assert main(["fusion", "--ty", f"Z{n}", "--report", "dims"]) == 0
+        dims = json.loads(capsys.readouterr().out)["dims"]
+        assert dims[:-1] == ["1"] * n
+        assert Decimal(dims[-1]) == Decimal(n).sqrt(Context(prec=15))
+
+    def test_printed_digits_round_the_enclosure_not_the_float(self):
+        # x (x) x = 1 + 2x: d = 1 + sqrt 2 = 2.41421356237309505..., while its
+        # nearest float is 2.41421356237309492...
+        ring = FusionRing(["1", "x"], 0, [[[1, 0], [0, 1]], [[0, 1], [1, 2]]], [0, 1])
+        lo, hi = _pf_enclosure(ring, 1)
+        assert fmt_float(pf_dimensions(ring)[1]) == "2.41421356237309"
+        assert fmt_float(_rounded(lo)[0]) == fmt_float(_rounded(hi)[0]) == "2.4142135623731"
+
+    def test_detail_rounds_the_enclosure_not_the_float(self):
+        # x (x) x = 1 + 74x: d = 37 + sqrt 1370 = 74.01351104664349..., while its
+        # nearest float is 74.01351104664350...
+        ring = FusionRing(["1", "x"], 0, [[[1, 0], [0, 1]], [[0, 1], [1, 74]]], [0, 1])
+        assert fiber_functor_obstruction(ring) == Obstruction(
+            "impossible", "x", "d(x) = 74.013511046643 is not an integer")
 
     def test_fibonacci_gives_the_golden_ratio(self):
         ring = fibonacci_ring()
