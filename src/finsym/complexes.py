@@ -2,22 +2,26 @@
 
 A ChainComplex stores each boundary map of a finite CW complex as sparse
 integer columns, the few nonzero entries of each cell's boundary, so that
-building, gluing and checking complexes costs their nonzero entries.  A
-dense matrix is made in one place only, the coboundary an SNF reduces.
-Cohomology with coefficients in A = Z_{n1} x ... x Z_{nk} comes from two
-full Smith normal forms over Z per call, shared by every cyclic factor:
-of delta^q, carrying delta^{q-1} along, then of the block that leaves,
-carrying the first one's transforms (no products).  By the universal
-coefficient theorem each H^q(C; Z_n) is a product of Z_gcd(d, n) over their
-invariant factors d and a free Z_n part; generator representatives, exact
-class coordinates and induced restriction maps come from the same
-transforms.  Where only the group type or |H^q| is needed, the same
-formula runs on invariant factors alone (``cohomology_cyclic_orders``,
-``cohomology_order``); a complex reduces each boundary matrix once and
-keeps its invariant factors for every later degree and coefficient group.
+building, gluing and checking complexes costs their nonzero entries.  Each
+complex is reduced once, on first use, by unit-pivot elimination straight
+from those columns: every entry +-1 of a boundary map removes its two cells
+(the Gaussian-elimination lemma), and what is left, the residual, has no
+unit entry.  Cohomology with coefficients in A = Z_{n1} x ... x Z_{nk}
+reads that one reduction at every degree.  Per call it runs two full Smith
+normal forms over Z, shared by every cyclic factor, on the residual block
+only: of delta^q, carrying delta^{q-1} along, then of the block that
+leaves, carrying the first one's transforms (no products).  A cell that
+touches no residual entry is a free Z_n summand as it stands.  By the
+universal coefficient theorem each H^q(C; Z_n) is a product of
+Z_gcd(d, n) over their invariant factors d and a free Z_n part; generator
+representatives are lifted through the recorded pivots, and exact class
+coordinates and induced restriction maps come from the same transforms.
+Where only the group type or |H^q| is needed, the same formula runs on
+invariant factors alone (``cohomology_cyclic_orders``,
+``cohomology_order``): the unit pivots and those of the residual.
 Relative cohomology is that of the quotient complex C(W)/C(S)
-(``quotient``).  A brute-force cochain enumerator doubles as the
-independent oracle for all of this.
+(``quotient``).  The dense ``coboundary`` serves the brute-force cochain
+enumerator, the independent oracle for all of this.
 
 Cell structures for the preset manifolds are the minimal standard ones
 (one-vertex surfaces, standard RP^n); their boundary columns are spelled
@@ -57,13 +61,13 @@ class ChainComplex:
     nonzero entries (row, coeff) of column j of d_k, for k = 1..top_dim.
     Each degree may be given as such columns (in any order, with duplicates
     or zeros) or as an IntMatrix; either is stored as canonical columns.
-    d o d = 0 is checked exactly, over the nonzero entries.  The invariant
-    factors of each d_k are kept once computed; they are not part of equality.
+    d o d = 0 is checked exactly, over the nonzero entries.  The unit-pivot
+    reduction (``_Reduction``) is kept once made; it is not part of equality.
     """
 
     cells: tuple[int, ...]
     boundaries: tuple
-    _factors: dict = field(default_factory=dict, init=False, compare=False)
+    _reduction: object = field(default=None, init=False, compare=False)
 
     def __post_init__(self):
         cells = tuple(as_int(c, "cell count") for c in self.cells)
@@ -122,11 +126,22 @@ class ChainComplex:
             rows.append(tuple(row))
         return IntMatrix._trusted(tuple(rows), len(rows), c)
 
+    def _reduced(self) -> "_Reduction":
+        """The unit-pivot reduction of this complex, made on first use."""
+        if self._reduction is None:
+            object.__setattr__(self, "_reduction", _Reduction(self))
+        return self._reduction
+
     def boundary_factors(self, k: int) -> tuple[int, ...]:
-        """Invariant factors of d_k, read off delta^{k-1}; reduced on first use."""
-        if k not in self._factors:
-            self._factors[k] = invariant_factors(self.coboundary(k - 1))
-        return self._factors[k]
+        """Invariant factors of d_k: a 1 per unit pivot, then the residual's."""
+        red = self._reduced()
+        if k not in red.factors:
+            residual, factors = red.columns.get(k), ()
+            if residual:
+                rows = sorted({i for col in residual.values() for i in col})
+                factors = invariant_factors(_dense(residual, sorted(residual), rows))
+            red.factors[k] = (1,) * red.units.get(k, 0) + factors
+        return red.factors[k]
 
     def euler_characteristic(self) -> int:
         return sum((-1) ** k * c for k, c in enumerate(self.cells))
@@ -151,6 +166,119 @@ class ChainComplex:
             for k, rows in enumerate(doc["boundaries"])
         ]
         return cls(cells, bnds)
+
+
+class _Reduction:
+    """A ChainComplex reduced by unit pivots, with what lifts and projects
+    cochains between the two.
+
+    Each step takes an entry p = +-1 of some d_k at (i, j), a (k-1)-cell i
+    in the boundary of a k-cell j, and removes both cells: d_k loses row i
+    and column j and gets the rank-1 update d_k[c][d] -= d_k[c][j] p
+    d_k[i][d]; d_{k-1} loses column i and d_{k+1} row j, unchanged
+    otherwise.  The result is chain-homotopy equivalent to the complex
+    (Bar-Natan, J. Knot Theory Ramif. 16 (2007) 243, Lemma 4.2; Kaczynski,
+    Mrozek and Slusarek, Comput. Math. Appl. 35 (1998) 59).  The scan is
+    fixed, so the result is deterministic: degree by degree from d_1, the
+    columns in index order until no unit is left, each taking its unit in
+    the row with the fewest entries (the sparse-first pivot order of Dumas,
+    Saunders and Villard, J. Symb. Comput. 32 (2001) 71).  A unit pivot
+    contributes an invariant factor 1 to its d_k and changes none of the
+    others.
+
+    Per degree (a missing key: none): ``gone[k]`` is the set of removed
+    k-cells; ``columns[k]`` maps each k-cell whose residual boundary is
+    nonzero to that boundary {row: coeff}; ``units[k]`` counts the pivots
+    of d_k.  Cochains move by the homotopy equivalence, in cell indices of
+    the complex.  ``fills[q]`` holds (i, p, ((c, v), ...)) for each q-cell
+    i removed as a pivot row: a lifted cocycle takes -p sum v x_c there,
+    over the cells c of the pivot's column.  ``folds[q]`` holds
+    (j, p, ((d, v), ...)) for each q-cell j removed as a pivot column: a
+    projected cochain moves its value onto the cells d of the pivot's row
+    as x_d -= v p x_j.  Fills apply in reverse order, folds in order.
+    ``factors`` caches ``boundary_factors``.
+    """
+
+    __slots__ = ("gone", "columns", "units", "fills", "folds", "factors")
+
+    def __init__(self, cx: ChainComplex):
+        cols = [{}] + [{j: dict(col) for j, col in enumerate(b) if col} if any(b) else {}
+                       for b in cx.boundaries] + [{}]
+        rows = [{} for _ in cols]
+        for ck, rk in zip(cols, rows):
+            for j, col in ck.items():
+                for i, v in col.items():
+                    rk.setdefault(i, {})[j] = v
+        self.columns = dict(enumerate(cols))
+        self.gone, self.units, self.fills, self.folds, self.factors = {}, {}, {}, {}, {}
+        for k in range(1, cx.top_dim + 1):
+            ck, rk = cols[k], rows[k]
+            todo = sorted(ck)
+            while todo:
+                touched = set()
+                for j in todo:
+                    col = ck.get(j, {})
+                    pivots = [i for i, v in col.items() if v == 1 or v == -1]
+                    if pivots:
+                        i = min(pivots, key=lambda i: (len(rk[i]), i))
+                        touched.update(self._eliminate(cols, rows, k, i, j))
+                todo = sorted(touched.intersection(ck))
+
+    def _eliminate(self, cols: list, rows: list, k: int, i: int, j: int) -> dict:
+        """Remove the (k-1)-cell i and the k-cell j at the unit d_k[i][j] of
+        the matrices held both ways, ``cols[k][j][i]`` = ``rows[k][i][j]``;
+        returns the rest of row i, whose columns the update changed."""
+        ck, rk = cols[k], rows[k]
+        col, row = ck.pop(j), rk.pop(i)
+        p = col.pop(i)
+        del row[j]
+        for d in row:
+            del ck[d][i]
+        for c in col:
+            del rk[c][j]
+        for d, w in row.items():
+            cd = ck[d]
+            for c, v in col.items():
+                x = cd.get(c, 0) - v * p * w
+                if x:
+                    cd[c] = rk[c][d] = x
+                else:
+                    del cd[c], rk[c][d]
+            if not cd:
+                del ck[d]
+        for c in col:
+            if not rk[c]:
+                del rk[c]
+        _drop(cols[k - 1], rows[k - 1], i)
+        _drop(rows[k + 1], cols[k + 1], j)
+        self.fills.setdefault(k - 1, []).append((i, p, tuple(col.items())))
+        self.folds.setdefault(k, []).append((j, p, tuple(row.items())))
+        self.gone.setdefault(k - 1, set()).add(i)
+        self.gone.setdefault(k, set()).add(j)
+        self.units[k] = self.units.get(k, 0) + 1
+        return row
+
+
+def _drop(lines: dict, cross: dict, x) -> None:
+    """Remove line x (a column or a row) from a sparse matrix held both ways."""
+    for y in lines.pop(x, ()):
+        line = cross[y]
+        del line[x]
+        if not line:
+            del cross[y]
+
+
+def _dense(lines: dict, rows, cols) -> IntMatrix:
+    """rows x cols matrix whose row r spreads the sparse line ``lines[r]``
+    ({col: value}, absent: zero) over ``cols``."""
+    pos = {c: t for t, c in enumerate(cols)}
+    data = []
+    for r in rows:
+        row = [0] * len(cols)
+        for c, v in lines.get(r, {}).items():
+            row[pos[c]] = v
+        data.append(tuple(row))
+    return IntMatrix._trusted(tuple(data), len(data), len(cols))
 
 
 @dataclass(frozen=True, eq=False)
@@ -233,7 +361,12 @@ def quotient(w: ChainComplex, sub: SubcomplexMap) -> ChainComplex:
 
 
 def circle() -> ChainComplex:
-    return ChainComplex((1, 1), ([()],))
+    """The standard circle, one shared instance: every boundary circle of a
+    bordism is checked against it."""
+    return _CIRCLE
+
+
+_CIRCLE = ChainComplex((1, 1), ([()],))
 
 
 def interval() -> ChainComplex:
@@ -399,35 +532,41 @@ def glue_complexes(a: ChainComplex, b: ChainComplex, identifications):
 class _CyclicFactor:
     """H^q(C; Z_n) with generator representatives and class coordinates.
 
-    ``_coords`` is diag(I_r, U_W) V^-1, shared by every n: V is the column
-    transform of delta^q's Smith form (rank r), U_W the row transform of the
-    Smith form of W (see ``cohomology``).
-    Coordinate i of a cocycle is divisible by ``_steps[i]`` (n / gcd(d_i, n)
-    on the r pivot rows, 1 elsewhere); its class coordinate is the quotient
-    modulo the order, so ``coordinates`` is a group homomorphism from
-    cocycles (mod n) onto prod Z_{orders}.
+    ``coordinates`` checks delta^q x = 0 mod n on the sparse columns
+    ``_cocycle`` of d_{q+1}, moves x onto the reduced complex through the
+    recorded ``_folds`` (see ``_Reduction``) and then reads class coordinate
+    i as the functional ``_coords[i] = (((cell, coeff), ...), step)``: its
+    value on a cocycle is divisible by step (n / gcd(d, n) for a pivot of
+    invariant factor d, 1 elsewhere), and the quotient taken modulo the
+    order is the coordinate.  So ``coordinates`` is a group homomorphism
+    from cocycles (mod n) onto prod Z_{orders}, and it maps rep i to e_i.
     """
 
     n: int
     ncells: int
     orders: tuple[int, ...]
     reps: tuple[tuple[int, ...], ...]
-    _coords: IntMatrix
-    _steps: tuple[int, ...]
-    _kept: tuple[int, ...]
+    _cocycle: tuple
+    _folds: tuple
+    _coords: tuple
 
     @property
     def order(self) -> int:
         return prod(self.orders)
 
     def coordinates(self, cochain) -> tuple[int, ...]:
-        x = tuple(int(v) % self.n for v in cochain)
+        n = self.n
+        x = [int(v) % n for v in cochain]
         if len(x) != self.ncells:
             raise ValueError("cochain length mismatch")
-        y = self._coords.apply_vector(x)
-        if any(yi % s for yi, s in zip(y, self._steps)):
+        if any(sum(v * x[i] for i, v in col) % n for col in self._cocycle):
             raise ValueError("not a cocycle mod n")
-        return tuple(y[i] // self._steps[i] % f for i, f in zip(self._kept, self.orders))
+        for j, p, row in self._folds:
+            t = p * x[j]
+            for d, v in row:
+                x[d] = (x[d] - v * t) % n
+        return tuple(sum(v * x[i] for i, v in line) // step % order
+                     for (line, step), order in zip(self._coords, self.orders))
 
     def representative(self, coords) -> tuple[int, ...]:
         if len(coords) != len(self.orders):
@@ -509,22 +648,31 @@ def _check_degree(cx: ChainComplex, q: int) -> None:
 
 
 def cohomology(cx: ChainComplex, coeffs: FiniteAbelianGroup, q: int) -> CohomologyGroup:
-    """H^q(cx; coeffs), exactly, from two full Smith forms shared by every
-    cyclic factor of the coefficients.
+    """H^q(cx; coeffs), exactly, from the complex's unit-pivot reduction and
+    two full Smith forms of its residual block, shared by every cyclic
+    factor of the coefficients.
 
-    The first is U delta^q V = D, of rank r, with V^-1 started as
+    The block is the q-cells that touch a residual entry of delta^q or
+    delta^{q-1}; every other kept q-cell is a free Z_n summand with itself
+    as representative and its value as coordinate.  On the block the first
+    Smith form is U delta^q V = D, of rank r, with V^-1 started as
     [I | delta^{q-1}].  d o d = 0 puts V^-1 delta^{q-1} on the c - r
     nonpivot rows; the second is of that block W, which has delta^{q-1}'s
     invariant factors, with U_W started as V^-1's nonpivot rows and U_W^-1
     as V's nonpivot columns; the unread U, U^-1 and V_W^-1 start empty.
-    Each Z_n then needs only gcds.
+    Coordinates are diag(I_r, U_W) V^-1, representatives the columns of
+    V diag(I_r, U_W^-1), lifted through the recorded pivots.  Each Z_n then
+    needs only gcds.
     """
     _check_degree(cx, q)
-    c = cx.n_cells(q)
-    delta_in = cx.coboundary(q - 1)
-    e, rows = delta_in.cols, cx.n_cells(q + 1)
+    red = cx._reduced()
+    up, down = red.columns[q + 1], red.columns[q]
+    block = sorted({i for col in up.values() for i in col}.union(down))
+    inner = sorted({i for col in down.values() for i in col})
+    c, e, rows = len(block), len(inner), len(up)
+    delta_in = _dense(down, block, inner)
     snf = smith_normal_form_full(
-        cx.coboundary(q), u=IntMatrix._trusted(((),) * rows, rows, 0),
+        _dense(up, sorted(up), block), u=IntMatrix._trusted(((),) * rows, rows, 0),
         u_inv=IntMatrix._trusted((), 0, rows), v_inv=IntMatrix._trusted(tuple(
             (0,) * i + (1,) + (0,) * (c - 1 - i) + row for i, row in enumerate(delta_in.data)
         ), c, c + e))
@@ -534,23 +682,43 @@ def cohomology(cx: ChainComplex, coeffs: FiniteAbelianGroup, q: int) -> Cohomolo
         u=IntMatrix._trusted(tuple(row[:c] for row in v_inv[r:]), c - r, c),
         u_inv=IntMatrix._trusted(tuple(row[r:] for row in snf.v.data), c, c - r),
         v_inv=IntMatrix._trusted(((),) * e, e, 0))
-    # diag(I_r, U_W) V^-1, and the columns of V diag(I_r, U_W^-1)
-    to_coords = IntMatrix._trusted(tuple(row[:c] for row in v_inv[:r]) + w.u.data, c, c)
-    lifts = tuple(zip(*snf.v.data))[:r] + tuple(zip(*w.u_inv.data))
+    # per class coordinate, block first and then the free cells: its
+    # functional and its lift, sparse
+    lines = [tuple((i, v) for i, v in zip(block, row) if v) for row in v_inv[:r] + w.u.data]
+    lifted = [{i: v for i, v in zip(block, col) if v}
+              for col in tuple(zip(*snf.v.data))[:r] + tuple(zip(*w.u_inv.data))]
+    ncells = cx.n_cells(q)
+    taken = red.gone.get(q, set()).union(block)
+    for i in range(ncells):
+        if i not in taken:
+            lines.append(((i, 1),))
+            lifted.append({i: 1})
+    fills = red.fills.get(q, ())
+    for x in lifted:
+        for i, p, col in reversed(fills):
+            x[i] = -p * sum(v * x.get(t, 0) for t, v in col)
+    cocycle, folds = cx.columns(q + 1), tuple(red.folds.get(q, ()))
     factors = []
     for n in coeffs.invariant_factors:
-        orders = _cyclic_orders(c, snf.diagonal, w.diagonal, n)
-        steps = tuple(n // o if i < r else 1 for i, o in enumerate(orders))
-        kept = tuple(i for i, o in enumerate(orders) if o > 1)
-        reps = tuple(tuple(steps[i] * x % n for x in lifts[i]) for i in kept)
-        kept_orders = tuple(orders[i] for i in kept)
-        factors.append(_CyclicFactor(n, c, kept_orders, reps, to_coords, steps, kept))
+        orders, reps, coords = [], [], []
+        for i, o in enumerate(_cyclic_orders(c, snf.diagonal, w.diagonal, n)
+                              + [n] * (len(lifted) - c)):
+            if o > 1:
+                step = n // o if i < r else 1
+                rep = [0] * ncells
+                for t, v in lifted[i].items():
+                    rep[t] = step * v % n
+                orders.append(o)
+                reps.append(tuple(rep))
+                coords.append((lines[i], step))
+        factors.append(_CyclicFactor(n, ncells, tuple(orders), tuple(reps), cocycle, folds,
+                                     tuple(coords)))
     return CohomologyGroup(
         degree=q,
         coefficients=coeffs,
         group=FiniteAbelianGroup.from_cyclic_orders(o for f in factors for o in f.orders),
         factors=tuple(factors),
-        ncells=c,
+        ncells=ncells,
     )
 
 
@@ -562,8 +730,9 @@ def cohomology_cyclic_orders(cx: ChainComplex, coeffs: FiniteAbelianGroup,
     No transforms and no representatives:
     ``FiniteAbelianGroup.from_cyclic_orders`` of the list is
     ``cohomology(...).group`` at a fraction of the cost.  The complex keeps
-    the invariant factors of each boundary matrix, so every degree and
-    coefficient group of one complex reduces each matrix once.
+    its unit-pivot reduction and the invariant factors of each boundary
+    matrix, so every degree and coefficient group of one complex reduces
+    it once.
     """
     _check_degree(cx, q)
     factors = (cx.boundary_factors(q + 1), cx.boundary_factors(q))

@@ -10,7 +10,7 @@ obstructs writing a theory as T* x T.  Both verdicts are one-sided
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from decimal import Context, Decimal
 from fractions import Fraction
 from math import ceil, floor, isqrt
@@ -43,12 +43,15 @@ class FusionRing:
     are closed under products, (a(xy))c = ((ax)y)c = (ax)(yc) = a(x(yc)) =
     a((xy)c), so by induction on the index every simple has it, and then
     the whole ring.  The rank^3 triples are charged to the enumeration guard.
+    The PF enclosure of each simple is kept once computed; it is not part
+    of equality.
     """
 
     labels: tuple[str, ...]
     unit: int
     n_tensor: tuple[tuple[tuple[int, ...], ...], ...]
     dual: tuple[int, ...]
+    _enclosures: dict = field(default_factory=dict, init=False, compare=False)
 
     def __post_init__(self):
         labels, unit = tuple(str(l) for l in self.labels), as_int(self.unit, "unit index")
@@ -241,7 +244,15 @@ def _rounded(x: Fraction) -> tuple[Decimal, str]:
 
 def _pf_enclosure(ring: FusionRing, i: int) -> tuple[Fraction, Fraction]:
     """Rationals lo <= d_i <= hi that round to the same float, and alike
-    under ``_rounded`` (an irrational d_i is never on a decimal boundary).
+    under ``_rounded`` (an irrational d_i is never on a decimal boundary);
+    computed once per ring and simple."""
+    if i not in ring._enclosures:
+        ring._enclosures[i] = _pf_iterate(ring, i)
+    return ring._enclosures[i]
+
+
+def _pf_iterate(ring: FusionRing, i: int) -> tuple[Fraction, Fraction]:
+    """The enclosure of ``_pf_enclosure``, computed.
 
     Invertible simples give exactly (1, 1).  Otherwise the exact positive
     integer vector v, from (1, ..., 1), is iterated as v <- (N_i + c I) v.

@@ -4,12 +4,12 @@
 brute-force count #Z^q / #B^q, and the group type must match brute-force
 k-torsion counts; the order of the quotient complex C(W)/C(S) must equal
 ``relative_cohomology``'s order on every bordism.  Call counters pin the
-shared work: the order path makes no full Smith form at all, ``cohomology``
-makes two (delta^q and delta^{q-1} in its coordinates) for every
-coefficient factor together, and a bordism matrix asks for H^1 once.
+shared work: each complex is reduced by unit pivots once, the order path
+makes no full Smith form at all, ``cohomology`` makes two (of the residual
+delta^q and delta^{q-1} in its coordinates) for every coefficient factor
+together, and a bordism matrix asks for H^1 once.
 """
 
-from fractions import Fraction
 from math import gcd, prod
 
 import pytest
@@ -35,7 +35,7 @@ from finsym.complexes import (
     torus,
 )
 from finsym.groups import parse_abelian
-from finsym.pathintegral import em_partition
+from finsym.pathintegral import em_partition, em_partition_bruteforce
 
 COEFFS = [parse_abelian(a) for a in ("Z2", "Z6", "Z2xZ4", "Z2xZ4xZ8")]
 PRESETS = (
@@ -136,14 +136,22 @@ def _count_calls(monkeypatch, module, name):
     return calls
 
 
-def test_em_partition_makes_no_full_smith_form(monkeypatch):
+def test_em_partition_reduces_each_complex_once(monkeypatch):
     full = _count_calls(monkeypatch, complexes, "smith_normal_form_full")
     reduced = _count_calls(monkeypatch, complexes, "invariant_factors")
-    cx = torus(3)
-    assert em_partition(cx, parse_abelian("Z2xZ4xZ8"), 2) == Fraction(64)
-    assert full == []
-    # d_0 .. d_{top+1}, each once, for the closedness check and all degrees
-    assert len(reduced) == cx.top_dim + 2
+    made = _count_calls(monkeypatch, complexes, "_Reduction")
+    sphere_of_disks = tqft2d.glue(tqft2d.cap(), tqft2d.cup()).w
+    group = parse_abelian("Z2xZ4xZ8")
+    # (closed complex, n, how many of its d_k keep a nonzero residual)
+    for cx, n, residuals in ((torus(3), 2, 0), (sphere_of_disks, 2, 0),
+                             (product(real_projective_space(2), sphere_of_disks), 3, 2)):
+        full.clear(), reduced.clear(), made.clear()
+        assert em_partition(cx, group, n) == em_partition_bruteforce(cx, group, n)
+        assert full == []
+        # one reduction for the closedness check and all degrees, then the
+        # Smith diagonal of each nonzero residual once
+        assert len(made) == 1
+        assert len(reduced) == residuals
 
 
 def test_cohomology_reduces_the_coboundary_once(monkeypatch):

@@ -30,7 +30,7 @@ from finsym.complexes import (
 )
 from finsym import tqft2d
 from finsym.groups import FiniteAbelianGroup
-from finsym.intmatrix import IntMatrix, smith_normal_form_full
+from finsym.intmatrix import IntMatrix, invariant_factors, smith_normal_form_full
 from finsym.limits import GuardExceeded, max_enum
 from test_intmatrix import matmul
 from test_random_complexes import random_two_stage_complex
@@ -459,17 +459,15 @@ class TestGlue:
 
 
 def _cohomology_by_products(cx, coeffs, q):
-    """Per factor (orders, reps, _coords, _steps) by the dense route: two
-    default Smith forms and three IntMatrix products.  Oracle of the
-    transforms that ``cohomology`` carries through its reductions."""
+    """Per factor (orders, reps) by the dense route: two default Smith
+    forms of the whole coboundaries and three IntMatrix products.  Oracle of
+    the reduced route's orders and classes."""
     c = cx.n_cells(q)
     snf = smith_normal_form_full(cx.coboundary(q))
     r = snf.rank
     images = matmul(snf.v_inv, cx.coboundary(q - 1))
     w = smith_normal_form_full(IntMatrix(images.data[r:], rows=c - r, cols=images.cols))
-    v_inv, v = snf.v_inv.data, snf.v.data
-    head = IntMatrix(v_inv[r:], rows=c - r, cols=c)
-    to_coords = IntMatrix(v_inv[:r] + matmul(w.u, head).data, rows=c, cols=c)
+    v = snf.v.data
     tails = matmul(IntMatrix([row[r:] for row in v], rows=c, cols=c - r), w.u_inv)
     lifts = IntMatrix([row[:r] + t for row, t in zip(v, tails.data)], rows=c, cols=c)
     out = []
@@ -478,7 +476,7 @@ def _cohomology_by_products(cx, coeffs, q):
         steps = tuple(n // o if i < r else 1 for i, o in enumerate(orders))
         kept = [i for i, o in enumerate(orders) if o > 1]
         reps = tuple(tuple(steps[i] * x % n for x in lifts.column(i)) for i in kept)
-        out.append((tuple(orders[i] for i in kept), reps, to_coords, steps))
+        out.append((tuple(orders[i] for i in kept), reps))
     return out
 
 
@@ -500,9 +498,68 @@ def _oracle_complexes():
 
 @pytest.mark.parametrize("coeffs", [FiniteAbelianGroup([2, 12]), FiniteAbelianGroup([5])],
                          ids=str)
-def test_carried_transforms_match_the_dense_products(coeffs):
+def test_dense_route_gives_the_same_orders_and_classes(coeffs):
+    """The orders equal the dense route's exactly, and the coordinates of its
+    representatives form an automorphism of prod Z_orders: the matrix of
+    those coordinates beside diag(orders) has only invariant factors 1."""
     for cx in _oracle_complexes():
         for q in range(cx.top_dim + 1):
-            got = [(f.orders, f.reps, f._coords, f._steps)
-                   for f in cohomology(cx, coeffs, q).factors]
-            assert got == _cohomology_by_products(cx, coeffs, q), (cx.cells, q)
+            dense = _cohomology_by_products(cx, coeffs, q)
+            for f, (orders, reps) in zip(cohomology(cx, coeffs, q).factors, dense):
+                assert f.orders == orders, (cx.cells, q)
+                k = len(orders)
+                cols = [f.coordinates(rep) for rep in reps]
+                m = IntMatrix([[col[i] for col in cols] + [o * (i == j) for j, o in enumerate(orders)]
+                               for i in range(k)], rows=k, cols=2 * k)
+                assert invariant_factors(m) == (1,) * k, (cx.cells, q)
+
+
+PROPERTY_COEFFS = [FiniteAbelianGroup([2, 12]), FiniteAbelianGroup([5]), FiniteAbelianGroup([3, 9])]
+
+
+def _factors_with_coboundaries():
+    """(complex, degree, delta^q, delta^{q-1}, factor) over the oracle complexes."""
+    for cx in _oracle_complexes():
+        for q in range(cx.top_dim + 1):
+            delta, delta_in = cx.coboundary(q), cx.coboundary(q - 1)
+            for coeffs in PROPERTY_COEFFS:
+                for f in cohomology(cx, coeffs, q).factors:
+                    yield cx, q, delta, delta_in, f
+
+
+def _class_plus_coboundary(rng, f, delta_in):
+    """(coefficients, a combination of f's reps plus a random coboundary)."""
+    coeffs = [rng.randrange(-2 * o, 2 * o) for o in f.orders]
+    y = [rng.randrange(f.n) for _ in range(delta_in.cols)]
+    return coeffs, [sum(a * rep[t] for a, rep in zip(coeffs, f.reps)) + b
+                    for t, b in enumerate(delta_in.apply_vector(y))]
+
+
+def test_representatives_are_cocycles_with_unit_coordinates():
+    for cx, q, delta, _, f in _factors_with_coboundaries():
+        for i, rep in enumerate(f.reps):
+            assert not any(v % f.n for v in delta.apply_vector(rep)), (cx.cells, q)
+            assert f.coordinates(rep) == tuple(int(i == j) for j in range(len(f.reps)))
+
+
+def test_coordinates_read_a_class_through_any_coboundary():
+    rng = random.Random(2601)
+    for cx, q, _, delta_in, f in _factors_with_coboundaries():
+        for _ in range(4):
+            coeffs, x = _class_plus_coboundary(rng, f, delta_in)
+            assert f.coordinates(x) == tuple(a % o for a, o in zip(coeffs, f.orders)), (
+                cx.cells, q)
+
+
+def test_coordinates_reject_exactly_the_non_cocycles():
+    rng = random.Random(2602)
+    for cx, q, delta, delta_in, f in _factors_with_coboundaries():
+        for _ in range(4):
+            x = _class_plus_coboundary(rng, f, delta_in)[1]
+            if x and rng.random() < 0.75:
+                x[rng.randrange(len(x))] += rng.randrange(1, f.n)
+            if any(v % f.n for v in delta.apply_vector(x)):
+                with pytest.raises(ValueError, match="not a cocycle"):
+                    f.coordinates(x)
+            else:
+                assert len(f.coordinates(x)) == len(f.orders)

@@ -7,6 +7,7 @@ from decimal import Context, Decimal
 import numpy as np
 import pytest
 
+from finsym import fusion
 from finsym.cli import fmt_float, main
 from finsym.fusion import (
     FusionRing,
@@ -407,6 +408,35 @@ class TestCertifiedDimensions:
         dims = json.loads(capsys.readouterr().out)["dims"]
         assert dims[:-1] == ["1"] * n
         assert Decimal(dims[-1]) == Decimal(n).sqrt(Context(prec=15))
+
+    def _count_computed(self, monkeypatch):
+        computed = []
+        original = fusion._pf_iterate
+
+        def counted(ring, i):
+            computed.append(i)
+            return original(ring, i)
+
+        monkeypatch.setattr(fusion, "_pf_iterate", counted)
+        return computed
+
+    def test_default_report_computes_each_enclosure_once(self, capsys, monkeypatch):
+        computed = self._count_computed(monkeypatch)
+        assert main(["fusion", "--ty", "Z3"]) == 0
+        # dims and the fiber-functor obstruction share the rank-4 ring's four
+        assert sorted(computed) == [0, 1, 2, 3]
+        assert json.loads(capsys.readouterr().out)["dims"] == ["1", "1", "1", "1.73205080756888"]
+
+    def test_library_calls_share_the_enclosures_of_one_ring(self, monkeypatch):
+        computed = self._count_computed(monkeypatch)
+        ring = tambara_yamagami(named_group("Z4"))
+        assert pf_dimensions(ring) == [1.0] * 4 + [2.0]
+        assert fiber_functor_obstruction(ring).verdict == "possible"
+        assert sorted(computed) == list(range(5))
+        # a ring built apart is equal and computes its own
+        assert tambara_yamagami(named_group("Z4")) == ring
+        pf_dimensions(tambara_yamagami(named_group("Z4")))
+        assert len(computed) == 10
 
     def test_printed_digits_round_the_enclosure_not_the_float(self):
         # x (x) x = 1 + 2x: d = 1 + sqrt 2 = 2.41421356237309505..., while its

@@ -8,6 +8,7 @@ cross-check of the invariant factors.
 
 import random
 import tempfile
+from unittest import mock
 from dataclasses import replace
 from itertools import combinations
 from pathlib import Path
@@ -19,6 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.configuration import set_hypothesis_home_dir
 
+from finsym import complexes
 from finsym.complexes import cohomology
 from finsym.groups import FiniteAbelianGroup
 from finsym.intmatrix import IntMatrix, invariant_factors, minor_gcd, smith_normal_form_full
@@ -172,6 +174,16 @@ def test_complex_matrices_match_the_validating_constructor(seed):
     for k in range(-1, cx.top_dim + 2):
         assert_as_validated(cx.coboundary(k))
         assert_as_validated(cx.boundary(k + 1))
-    for q in range(cx.top_dim + 1):
-        for f in cohomology(cx, FiniteAbelianGroup([2, 4]), q).factors:
-            assert_as_validated(f._coords)
+    handed = []
+
+    def recording(m, **starts):
+        handed.extend((m, *starts.values()))
+        return smith_normal_form_full(m, **starts)
+
+    # the residual blocks and transform starts cohomology builds
+    with mock.patch.object(complexes, "smith_normal_form_full", recording):
+        for q in range(cx.top_dim + 1):
+            cohomology(cx, FiniteAbelianGroup([2, 4]), q)
+    assert len(handed) == 8 * (cx.top_dim + 1)
+    for m in handed:
+        assert_as_validated(m)

@@ -2,7 +2,16 @@ from fractions import Fraction
 
 import pytest
 
-from finsym.complexes import circle, cohomology, disjoint_union, interval, product, torus
+from finsym.complexes import (
+    ChainComplex,
+    SubcomplexMap,
+    circle,
+    cohomology,
+    disjoint_union,
+    interval,
+    product,
+    torus,
+)
 from finsym.groups import FiniteAbelianGroup, parse_abelian
 from finsym.limits import GuardExceeded, max_enum
 from finsym.pathintegral import surface_gauge_count
@@ -247,6 +256,22 @@ class TestValidation:
     def test_scalar_requires_closed(self):
         with pytest.raises(ValueError):
             bordism_matrix(cylinder(), Z2).scalar()
+
+    def test_boundary_map_from_an_interval_is_rejected(self):
+        w = interval()
+        whole = SubcomplexMap(interval(), w, ((0, 1), (0,)))
+        with pytest.raises(ValueError, match="standard circles"):
+            Bordism(w, (whole,), ())
+        with pytest.raises(ValueError, match="standard circles"):
+            Bordism(w, (), (whole,))
+
+    def test_an_equal_circle_built_apart_is_standard(self):
+        pants = pants_bordism()
+        own = ChainComplex((1, 1), ([()],))
+        assert own is not circle() and own == circle()
+        cuff = SubcomplexMap(own, pants.w, pants.in_circles[0].cell_maps)
+        b = Bordism(pants.w, (cuff, pants.in_circles[1]), pants.out_circles)
+        assert bordism_matrix(b, Z2) == bordism_matrix(pants, Z2)
 
     def test_glue_count_mismatch(self):
         with pytest.raises(ValueError):

@@ -45,7 +45,7 @@ def test_value_type_contract(name):
         return
     assert [f.name for f in fields(a) if f.compare] == compared
     assert a == b and hash(a) == hash(b)
-    if name == "ChainComplex":  # the invariant-factor cache is derived state
+    if name == "ChainComplex":  # the unit-pivot reduction is derived state
         a.boundary_factors(2)
-        assert a._factors and not b._factors
+        assert a._reduction is not None and b._reduction is None
         assert a == b and hash(a) == hash(b)
