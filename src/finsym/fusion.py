@@ -29,64 +29,69 @@ def _charged_rank(rank: int) -> int:
     return rank
 
 
-@dataclass(frozen=True, repr=False)
+@dataclass(frozen=True, init=False, repr=False)
 class FusionRing:
-    """Unital based ring with nonnegative structure constants.
+    """Unital based ring with nonnegative structure constants, stored as
+    its nonzero terms: ``terms[i][j] = ((k, N_ij^k), ...)``, sorted by k.
 
-    ``n_tensor[i][j][k]`` is the multiplicity of simple k inside i x j.
-    Validated on construction: unit laws, associativity, and the duality
-    pairing N_ij^1 = delta_{j, i*}.  Associativity is checked as
-    (i x j) x k = i x (j x k) with sparse products over the nonzero N_ij^k,
-    on simples i, k and on the middles j: the simples other than the unit
-    that are not one simple x x y of earlier simples (Light's test, as in
-    ``FiniteGroup``).  By bilinearity the b with (ab)c = a(bc) for all a, c
-    are closed under products, (a(xy))c = ((ax)y)c = (ax)(yc) = a(x(yc)) =
-    a((xy)c), so by induction on the index every simple has it, and then
-    the whole ring.  The rank^3 triples are charged to the enumeration guard.
-    The PF enclosure of each simple is kept once computed; it is not part
-    of equality.
+    The constructor takes the dense ``n_tensor[i][j][k]`` (a view built on
+    each read) and checks each entry once; package rings pass their terms to
+    ``_trusted``.  Both are validated: unit laws, associativity, and the
+    duality pairing N_ij^1 = delta_{j, i*}.  Associativity is checked as
+    (i x j) x k = i x (j x k) with sparse products, on simples i, k and on
+    the middles j: the simples other than the unit that are not one simple
+    x x y of earlier simples (Light's test, as in ``FiniteGroup``).  By
+    bilinearity the b with (ab)c = a(bc) for all a, c are closed under
+    products, (a(xy))c = ((ax)y)c = (ax)(yc) = a(x(yc)) = a((xy)c), so by
+    induction on the index every simple has it, and then the whole ring.
+    The rank^3 triples are charged to the enumeration guard.  The PF
+    enclosure of each simple is kept once computed, outside equality.
     """
 
     labels: tuple[str, ...]
     unit: int
-    n_tensor: tuple[tuple[tuple[int, ...], ...], ...]
+    terms: tuple[tuple[tuple[tuple[int, int], ...], ...], ...]
     dual: tuple[int, ...]
-    _enclosures: dict = field(default_factory=dict, init=False, compare=False)
+    _enclosures: dict = field(compare=False)
 
-    def __post_init__(self):
-        labels, unit = tuple(str(l) for l in self.labels), as_int(self.unit, "unit index")
+    def __init__(self, labels, unit, n_tensor, dual):
+        labels, unit = tuple(str(l) for l in labels), as_int(unit, "unit index")
         rank = len(labels)
         n = tuple(tuple(tuple(as_int(x, "fusion multiplicity") for x in row) for row in plane)
-                  for plane in self.n_tensor)
-        if len(n) != rank or any(
-            len(plane) != rank or any(len(row) != rank for row in plane)
-            for plane in n
-        ):
+                  for plane in n_tensor)
+        if len(n) != rank or any(len(plane) != rank or any(len(row) != rank for row in plane)
+                                 for plane in n):
             raise ValueError("fusion tensor must be rank^3")
         if any(x < 0 for plane in n for row in plane for x in row):
             raise ValueError("fusion multiplicities must be nonnegative")
-        dual = tuple(as_int(d, "dual index") for d in self.dual)
+        dual = tuple(as_int(d, "dual index") for d in dual)
+        terms = tuple(tuple(tuple((k, x) for k, x in enumerate(row) if x) for row in plane)
+                      for plane in n)
+        self._validate(labels, unit, terms, dual)
+
+    @classmethod
+    def _trusted(cls, labels, unit, terms, dual) -> "FusionRing":
+        """The ring of terms the package built itself from exact ints, as
+        tuples: no per-entry check, the same validator."""
+        ring = object.__new__(cls)
+        ring._validate(labels, unit, terms, dual)
+        return ring
+
+    def _validate(self, labels, unit, terms, dual):
+        """The one validator of both constructors; sets the fields once it passes."""
+        rank = len(labels)
         if sorted(dual) != list(range(rank)) or any(dual[dual[i]] != i for i in range(rank)):
             raise ValueError("dual must be an involution on labels")
         if not 0 <= unit < rank:
             raise ValueError(f"unit index {unit} is out of range for {rank} simples")
-        basis = [tuple(int(a == b) for b in range(rank)) for a in range(rank)]
         for j in range(rank):
-            if n[unit][j] != basis[j]:
+            if terms[unit][j] != ((j, 1),):
                 raise ValueError("left unit law fails")
-            if n[j][unit] != basis[j]:
+            if terms[j][unit] != ((j, 1),):
                 raise ValueError("right unit law fails")
-        object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "unit", unit)
-        object.__setattr__(self, "n_tensor", n)
-        object.__setattr__(self, "dual", dual)
         _charged_rank(rank)
-        # terms[i][j]: the nonzero (k, N_ij^k) of i x j.  Products of positive
-        # multiplicities never cancel, so sparse sums compare like dense ones.
-        terms = [
-            [tuple((k, x) for k, x in enumerate(row) if x) for row in plane]
-            for plane in n
-        ]
+        # Products of positive multiplicities never cancel, so sparse sums
+        # compare like dense ones.
         products = {xy[0][0] for x, row in enumerate(terms) for y, xy in enumerate(row)
                     if len(xy) == 1 and xy[0][1] == 1 and xy[0][0] > max(x, y)}
         middles = [j for j in range(rank) if j != unit and j not in products]
@@ -106,21 +111,29 @@ class FusionRing:
                         raise ValueError(
                             f"associativity fails at {labels[i]},{labels[j]},{labels[k]}"
                         )
-        for i in range(rank):
-            if tuple(n[i][j][unit] for j in range(rank)) != basis[dual[i]]:
+        for i, plane in enumerate(terms):
+            units = [(j, x) for j, ij in enumerate(plane) for k, x in ij if k == unit]
+            if units != [(dual[i], 1)]:
                 raise ValueError("duality pairing N_ij^1 = delta_(j,i*) fails")
+        for name, value in zip(("labels", "unit", "terms", "dual", "_enclosures"),
+                               (labels, unit, terms, dual, {})):
+            object.__setattr__(self, name, value)
 
     @property
     def rank(self) -> int:
         return len(self.labels)
 
+    @property
+    def n_tensor(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
+        return tuple(tuple(tuple(_dense(ij, self.rank)) for ij in plane) for plane in self.terms)
+
     def multiply(self, coeffs_a, coeffs_b):
         out = [0] * self.rank
-        for a, plane in zip(coeffs_a, self.n_tensor):
+        for a, plane in zip(coeffs_a, self.terms):
             if a:
-                for b, row in zip(coeffs_b, plane):
+                for b, ij in zip(coeffs_b, plane):
                     if b:
-                        for k, n in enumerate(row):
+                        for k, n in ij:
                             out[k] += a * b * n
         return tuple(out)
 
@@ -130,14 +143,9 @@ class FusionRing:
     def to_json(self) -> str:
         import json
 
-        return json.dumps(
-            {
-                "labels": list(self.labels),
-                "unit": self.unit,
-                "N": [[list(r) for r in p] for p in self.n_tensor],
-                "dual": list(self.dual),
-            }
-        )
+        return json.dumps({"labels": list(self.labels), "unit": self.unit,
+                           "N": [[list(r) for r in p] for p in self.n_tensor],
+                           "dual": list(self.dual)})
 
     @classmethod
     def from_json(cls, text: str) -> "FusionRing":
@@ -187,6 +195,14 @@ class RingElement:
         return " + ".join(terms) if terms else "0"
 
 
+def _dense(ij, rank: int) -> list[int]:
+    """N_ij^0, ..., N_ij^(rank - 1) from the terms ij of i x j."""
+    row = [0] * rank
+    for k, x in ij:
+        row[k] = x
+    return row
+
+
 def _element_label(group: FiniteGroup, i: int) -> str:
     return "1" if i == group.identity else f"g{i}"
 
@@ -195,15 +211,9 @@ def group_ring(group: FiniteGroup) -> FusionRing:
     """One simple per group element; fusion is the Cayley table, duals are
     inverses."""
     rank = _charged_rank(group.order)
-    n = [
-        [
-            [1 if group.mul(i, j) == k else 0 for k in range(rank)]
-            for j in range(rank)
-        ]
-        for i in range(rank)
-    ]
-    labels = [_element_label(group, i) for i in range(rank)]
-    return FusionRing(labels, group.identity, n, group.inverses)
+    terms = tuple(tuple(((k, 1),) for k in row) for row in group.cayley)
+    labels = tuple(_element_label(group, i) for i in range(rank))
+    return FusionRing._trusted(labels, group.identity, terms, group.inverses)
 
 
 def tambara_yamagami(group: FiniteGroup) -> FusionRing:
@@ -211,28 +221,19 @@ def tambara_yamagami(group: FiniteGroup) -> FusionRing:
     N x L_g = L_g x N = N and N x N = sum_g L_g.  Needs abelian G."""
     if not group.is_abelian():
         raise ValueError("Tambara-Yamagami requires an abelian group")
-    rank = _charged_rank(group.order + 1)
-    dual_idx = group.order
-    n = [[[0] * rank for _ in range(rank)] for _ in range(rank)]
-    for i in range(group.order):
-        for j in range(group.order):
-            n[i][j][group.mul(i, j)] = 1
-        n[i][dual_idx][dual_idx] = 1
-        n[dual_idx][i][dual_idx] = 1
-    for g in range(group.order):
-        n[dual_idx][dual_idx][g] = 1
-    labels = [_element_label(group, i) for i in range(group.order)] + ["N"]
-    dual = list(group.inverses) + [dual_idx]
-    return FusionRing(labels, group.identity, n, dual)
+    order = _charged_rank(group.order + 1) - 1
+    n = ((order, 1),)  # the duality line
+    terms = tuple(tuple(((k, 1),) for k in row) + (n,) for row in group.cayley) + (
+        (n,) * order + (tuple((g, 1) for g in range(order)),),)
+    labels = tuple(_element_label(group, i) for i in range(order)) + ("N",)
+    return FusionRing._trusted(labels, group.identity, terms, group.inverses + (order,))
 
 
 def _is_invertible(ring: FusionRing, i: int) -> bool:
     """Exact test: left multiplication by simple i permutes the simples,
     i.e. each i x j is a single simple and no two j give the same one."""
-    rows = ring.n_tensor[i]
-    if any(sum(row) != 1 for row in rows):
-        return False
-    return len({row.index(1) for row in rows}) == len(rows)
+    row = ring.terms[i]
+    return all(len(ij) == 1 and ij[0][1] == 1 for ij in row) and len(set(row)) == len(row)
 
 
 def _rounded(x: Fraction) -> tuple[Decimal, str]:
@@ -255,26 +256,24 @@ def _pf_iterate(ring: FusionRing, i: int) -> tuple[Fraction, Fraction]:
     """The enclosure of ``_pf_enclosure``, computed.
 
     Invertible simples give exactly (1, 1).  Otherwise the exact positive
-    integer vector v, from (1, ..., 1), is iterated as v <- (N_i + c I) v.
-    The integer c >= 1 is about half the current estimate of d_i: any c > 0
-    makes the iteration converge when N_i has the eigenvalues d_i and -d_i
-    (TY rings), and c = d_i / 2 damps TY's spectrum {d_i, -d_i, 0} fastest.
-    For every positive v the Collatz-Wielandt bound
-    min_k (N_i v)_k / v_k <= rho(N_i) <= max_k (N_i v)_k / v_k holds
+    integer vector v, from (1, ..., 1), is iterated as v <- (M_i + c I) v,
+    where row j of M_i is i x j: M_i[j][k] = N_ij^k.  The integer c >= 1 is
+    about half the current estimate of d_i: any c > 0 makes the iteration
+    converge when M_i has the eigenvalues d_i and -d_i (TY rings), and
+    c = d_i / 2 damps TY's spectrum {d_i, -d_i, 0} fastest.  For every
+    positive v the Collatz-Wielandt bound
+    min_j (M_i v)_j / v_j <= rho(M_i) <= max_j (M_i v)_j / v_j holds
     (Collatz, Math. Z. 48, 221 (1942); Wielandt, Math. Z. 52, 642 (1950)),
     and it closes on d_i because the dimension vector d is a common positive
-    eigenvector (N_i d = d_i d).  The iterate is shifted right once its
-    smallest entry passes 2 * _PF_BITS bits, which keeps it positive and
-    the bound valid.
+    eigenvector: (M_i d)_j = sum_k N_ij^k d_k = d_i d_j.  The iterate is
+    shifted right once its smallest entry passes 2 * _PF_BITS bits, which
+    keeps it positive and the bound valid.
     """
     if _is_invertible(ring, i):
         return Fraction(1), Fraction(1)
-    rank, plane = ring.rank, ring.n_tensor[i]
-    # row k of N_i: the nonzero (j, N_ij^k)
-    rows = [tuple((j, plane[j][k]) for j in range(rank) if plane[j][k]) for k in range(rank)]
-    v = [1] * rank
+    v = [1] * ring.rank
     for _ in range(PF_MAX_ITER):
-        w = [sum(x * v[j] for j, x in row) for row in rows]
+        w = [sum(x * v[k] for k, x in ij) for ij in ring.terms[i]]
         # int / int rounds correctly, and rounding is monotone: the exact
         # ratios round to one float exactly when these floats are all equal
         ratios = list(map(truediv, w, v))
@@ -308,31 +307,34 @@ def fiber_functor_obstruction(ring: FusionRing) -> Obstruction:
     """'impossible' when some PF dimension is non-integral (necessary
     condition only; 'possible' is inconclusive).
 
-    The enclosure lo <= d_i <= hi of ``_pf_enclosure`` is exact when
-    lo = hi (its iterate is then a positive eigenvector).  Otherwise it is
-    narrower than one float step, so d_i can only be the one integer k in
-    it: det(N_i - k I) != 0 (Bareiss) proves d_i != k, and d_i counts as
-    integral when k is an eigenvalue of N_i inside the enclosure.  When the
-    witness object squares into invertibles (as in TY rings), d^2 is the
-    exact integer sum of those multiplicities, and the detail says it is
-    not a perfect square.
+    When i x i* is a sum of invertibles with multiplicities m_g (as in TY
+    rings), d_i^2 = d_i d_i* = sum m_g exactly, so d_i is an integer exactly
+    when that sum is a perfect square, and the detail says so.  Otherwise the
+    enclosure lo <= d_i <= hi of ``_pf_enclosure`` is exact when lo = hi
+    (its iterate is then a positive eigenvector), or else narrower than one
+    float step, so d_i can only be the one integer k in it: det(M_i - k I)
+    != 0 (Bareiss, M_i as in ``_pf_iterate``) proves d_i != k, and d_i
+    counts as integral when k is an eigenvalue of M_i inside the enclosure.
     """
-    rank = ring.rank
-    for i in range(rank):
+    for i, plane in enumerate(ring.terms):
         lo, hi = _pf_enclosure(ring, i)
-        plane = ring.n_tensor[i]
-        if lo == hi:
+        square = plane[ring.dual[i]]
+        exact, d2 = all(_is_invertible(ring, k) for k, _ in square), sum(m for _, m in square)
+        if exact:
+            if _is_perfect_square(d2):
+                continue
+        elif lo == hi:
             if lo.denominator == 1:
                 continue
         elif any(
-            _det([[plane[j][k] - c * (j == k) for j in range(rank)] for k in range(rank)]) == 0
+            _det([[x - c * (j == k) for k, x in enumerate(_dense(ij, len(plane)))]
+                  for j, ij in enumerate(plane)]) == 0
             for c in range(ceil(lo), floor(hi) + 1)
         ):
             continue
         detail = f"d({ring.labels[i]}) = {_rounded(lo)[1]} is not an integer"
-        square_row = plane[ring.dual[i]]
-        if all(square_row[k] == 0 or _is_invertible(ring, k) for k in range(rank)):
-            detail += f"; exactly, d^2 = {sum(square_row)} is not a perfect square"
+        if exact:
+            detail += f"; exactly, d^2 = {d2} is not a perfect square"
         return Obstruction("impossible", witness=ring.labels[i], detail=detail)
     return Obstruction("possible", detail="all PF dimensions integral (inconclusive)")
 
@@ -346,9 +348,7 @@ def square_root_obstruction(ring: FusionRing) -> Obstruction:
     T* x T number rank(T)^2, so a non-square rank has no such factorization."""
     if _is_perfect_square(ring.rank):
         return Obstruction("inconclusive", detail=f"rank {ring.rank} is a perfect square")
-    return Obstruction(
-        "no_sqrt", detail=f"rank {ring.rank} is not a perfect square"
-    )
+    return Obstruction("no_sqrt", detail=f"rank {ring.rank} is not a perfect square")
 
 
 def quotient_defect_composition(group: FiniteGroup) -> RingElement:

@@ -533,6 +533,8 @@ class TestExitCodes:
         ("--group-ring", "Z300", 300), ("--ty", "Z300", 301),
         # Z2048's |A|^2 Cayley table fits under the ceiling; its rank^3 does not
         ("--group-ring", "Z2048", 2048), ("--ty", "Z2048", 2049),
+        # one past the largest rings the ceiling admits (256^3 = 2^24)
+        ("--group-ring", "Z257", 257), ("--ty", "Z256", 257),
     ])
     def test_large_group_ring_trips_the_guard_before_it_is_built(self, capsys, flag, group,
                                                                   rank):
@@ -542,6 +544,15 @@ class TestExitCodes:
         assert code == 3 and out == ""
         assert err == (f"guard exceeded: fusion associativity check ({rank}^3 triples) "
                        f"needs {rank**3} states, guard allows {HARD_CEILING}\n")
+
+    def test_largest_rings_the_guard_admits_are_quick(self, capsys):
+        # rank 256: 256^3 = 2^24 triples, exactly the ceiling
+        for argv, last in ((["--ty", "Z255", "--report", "dims"], "15.9687194226713"),
+                           (["--group-ring", "Z256"], "1")):
+            start = time.perf_counter()
+            code, out, _ = run(capsys, "fusion", *argv)
+            assert time.perf_counter() - start < 1.0
+            assert code == 0 and json.loads(out)["dims"][-1] == last
 
     def test_target_degree_far_above_the_manifold_is_quick(self, capsys):
         # degrees above the top cell contribute 1: B^n Z2 on T^2 is 1 for n >= 3

@@ -98,7 +98,8 @@ def test_numpy_integers_and_bools_pass_every_constructor():
         *FiniteAbelianGroup([two, np.int64(4)]).invariant_factors,
         *Character(Z4, (np.int8(3),)).exponents,
         *group.cayley[0], group.identity,
-        *ring.n_tensor[0][0], *ring.dual, ring.unit,
+        *ring.n_tensor[0][0], *(x for term in ring.terms[0][0] for x in term),
+        *ring.dual, ring.unit,
         *SubcomplexMap(circle(), circle(), ((np.int64(0),), (False,))).cell_maps[0],
         lattice.length, lattice.time_steps, tft.n, tft.p,
     ]

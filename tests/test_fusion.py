@@ -245,12 +245,44 @@ class TestLightsTestOracle:
             self.assert_verdict_matches(*relabeled(rng, ring.unit, n, ring.dual))
 
 
+class TestTrustedPath:
+    @pytest.mark.parametrize("build,name", ORACLE_RINGS + [(tambara_yamagami, "Z59")])
+    def test_package_rings_equal_their_checked_tables(self, build, name):
+        # ORACLE_RINGS holds group_ring(Z2xZ4)
+        ring = build(named_group(name))
+        checked = FusionRing(ring.labels, ring.unit, ring.n_tensor, ring.dual)
+        assert checked == ring and hash(checked) == hash(ring)
+
+    def test_package_rings_check_no_multiplicity(self, monkeypatch):
+        z59, z2z4 = named_group("Z59"), named_group("Z2xZ4")
+        checked = []
+        monkeypatch.setattr(fusion, "as_int", lambda x, what: checked.append(what) or x)
+        assert tambara_yamagami(z59).rank == 60 and group_ring(z2z4).rank == 8
+        assert checked == []
+
+    @pytest.mark.parametrize("build,name", ORACLE_RINGS)
+    def test_perturbed_terms_still_run_lights_test(self, build, name):
+        ring = build(named_group(name))
+        rng, failing = random.Random(name), 0
+        for n in perturbed_tables(rng, ring, 30):
+            terms = tuple(tuple(tuple((k, x) for k, x in enumerate(row) if x) for row in plane)
+                          for plane in n)
+            if all_triples_failures(n):
+                failing += 1
+                with pytest.raises(ValueError, match="^associativity fails at "):
+                    FusionRing._trusted(ring.labels, ring.unit, terms, ring.dual)
+            else:
+                assert FusionRing._trusted(ring.labels, ring.unit, terms, ring.dual) == (
+                    FusionRing(ring.labels, ring.unit, n, ring.dual))
+        assert failing
+
+
 def fusion_matrix(ring, i: int):
     """Left multiplication by simple i as a float numpy array: entry
     (k, j) = N_ij^k."""
-    rank = ring.rank
+    rank, plane = ring.rank, ring.n_tensor[i]
     return np.array(
-        [[ring.n_tensor[i][j][k] for j in range(rank)] for k in range(rank)],
+        [[plane[j][k] for j in range(rank)] for k in range(rank)],
         dtype=float,
     )
 
@@ -287,13 +319,29 @@ def fibonacci_ring():
 def product_ring(a, b):
     """The Deligne product: simples (i, i'), N = N_ij^k N'_i'j'^k'."""
     pairs = [(i, j) for i in range(a.rank) for j in range(b.rank)]
+    na, nb = a.n_tensor, b.n_tensor
     return FusionRing(
         [f"{a.labels[i]}.{b.labels[j]}" for i, j in pairs],
         pairs.index((a.unit, b.unit)),
-        [[[a.n_tensor[i][k][m] * b.n_tensor[j][l][n] for m, n in pairs]
+        [[[na[i][k][m] * nb[j][l][n] for m, n in pairs]
           for k, l in pairs] for i, j in pairs],
         [pairs.index((a.dual[i], b.dual[j])) for i, j in pairs],
     )
+
+
+def rep_s4_ring():
+    """Rep(S4): 1, sign s, the 2-dim p and the 3-dim a and b = a x s."""
+    products = {"ss": "1", "sp": "p", "sa": "b", "sb": "a", "pp": "1sp", "pa": "ab",
+                "pb": "ab", "aa": "1pab", "ab": "spab", "bb": "1pab"}
+
+    def simples(x, y):  # the simples in x x y, each once
+        if "1" in (x, y):
+            return (x + y).replace("1", "", 1)
+        return products.get(x + y) or products[y + x]
+
+    labels = "1spab"
+    n = [[[int(z in simples(x, y)) for z in labels] for y in labels] for x in labels]
+    return FusionRing(list(labels), 0, n, [0, 1, 2, 3, 4])
 
 
 def nearest_double_to_sqrt(n: int) -> float:
@@ -380,12 +428,12 @@ class TestDimensions:
     )
     def test_dims_multiplicative(self, ring_builder):
         ring = ring_builder()
-        dims = pf_dimensions(ring)
+        dims, n = pf_dimensions(ring), ring.n_tensor
         for i in range(ring.rank):
             for j in range(ring.rank):
                 lhs = dims[i] * dims[j]
                 rhs = sum(
-                    ring.n_tensor[i][j][k] * dims[k] for k in range(ring.rank)
+                    n[i][j][k] * dims[k] for k in range(ring.rank)
                 )
                 assert abs(lhs - rhs) <= 1e-9
 
@@ -501,6 +549,32 @@ class TestObstructions:
     def test_non_square_orders_name_the_duality_line(self, name, detail):
         ring = tambara_yamagami(named_group(name))
         assert fiber_functor_obstruction(ring) == Obstruction("impossible", "N", detail)
+
+    def test_ty_integrality_needs_no_determinant(self, monkeypatch):
+        # N x N is the sum of the |G| invertibles: d(N)^2 = |G| exactly
+        def refuse(_):
+            raise AssertionError("Bareiss determinant called")
+
+        monkeypatch.setattr(fusion, "_det", refuse)
+        for n in [*range(1, 61), 225]:
+            ring = tambara_yamagami(named_group(f"Z{n}"))
+            verdict = fiber_functor_obstruction(ring).verdict
+            assert (verdict == "possible") == (math.isqrt(n) ** 2 == n), n
+
+    def test_other_rings_still_reach_the_determinant(self, monkeypatch):
+        # a x a = 1 + p + a + b holds the non-invertible p, and the enclosures
+        # of d(a) = d(b) = 3 are not exact, so det(N_a - 3I) = 0 decides them
+        dets = []
+        original = fusion._det
+
+        def counted(m):
+            dets.append(original(m))
+            return dets[-1]
+
+        monkeypatch.setattr(fusion, "_det", counted)
+        assert fiber_functor_obstruction(rep_s4_ring()).verdict == "possible"
+        assert dets == [0, 0]
+        assert pf_dimensions(rep_s4_ring()) == [1.0, 1.0, 2.0, 3.0, 3.0]
 
     def test_fibonacci_object_obstructs_without_a_square_count(self):
         assert fiber_functor_obstruction(fibonacci_ring()) == Obstruction(

@@ -26,7 +26,7 @@ VALUES = {
                   ["group", "exponents"]),
     "FiniteGroup": (lambda: FiniteGroup(Z2), ["cayley", "identity"]),
     "FusionRing": (lambda: FusionRing(["1", "g"], 0, [[[1, 0], [0, 1]], Z2], [0, 1]),
-                   ["labels", "unit", "n_tensor", "dual"]),
+                   ["labels", "unit", "terms", "dual"]),
     "QuadraticForm": (lambda: QuadraticForm(FiniteAbelianGroup([2]), [Fraction(1, 4)]), None),
     "StateSpace": (lambda: StateSpace(FiniteAbelianGroup([2]), 2), ["group", "circles"]),
 }
