@@ -7,12 +7,13 @@ complex is reduced once, on first use, by unit-pivot elimination straight
 from those columns: every entry +-1 of a boundary map removes its two cells
 (the Gaussian-elimination lemma), and what is left, the residual, has no
 unit entry.  Cohomology with coefficients in A = Z_{n1} x ... x Z_{nk}
-reads that one reduction at every degree.  Per call it runs two full Smith
-normal forms over Z, shared by every cyclic factor, on the residual block
-only: of delta^q, carrying delta^{q-1} along, then of the block that
-leaves, carrying the first one's transforms (no products).  A cell that
-touches no residual entry is a free Z_n summand as it stands.  By the
-universal coefficient theorem each H^q(C; Z_n) is a product of
+reads that one reduction at every degree.  Where the residual block, the
+q-cells that touch a residual entry, is not empty, a call runs two full
+Smith normal forms over Z on it, shared by every cyclic factor: of
+delta^q, carrying delta^{q-1} along, then of the block that leaves,
+carrying the first one's transforms (no products); where it is empty, none.
+A cell that touches no residual entry is a free Z_n summand as it stands.
+By the universal coefficient theorem each H^q(C; Z_n) is a product of
 Z_gcd(d, n) over their invariant factors d and a free Z_n part; generator
 representatives are lifted through the recorded pivots, and exact class
 coordinates and induced restriction maps come from the same transforms.
@@ -650,13 +651,13 @@ def _check_degree(cx: ChainComplex, q: int) -> None:
 def cohomology(cx: ChainComplex, coeffs: FiniteAbelianGroup, q: int) -> CohomologyGroup:
     """H^q(cx; coeffs), exactly, from the complex's unit-pivot reduction and
     two full Smith forms of its residual block, shared by every cyclic
-    factor of the coefficients.
+    factor of the coefficients; an empty block needs neither.
 
     The block is the q-cells that touch a residual entry of delta^q or
     delta^{q-1}; every other kept q-cell is a free Z_n summand with itself
-    as representative and its value as coordinate.  On the block the first
-    Smith form is U delta^q V = D, of rank r, with V^-1 started as
-    [I | delta^{q-1}].  d o d = 0 puts V^-1 delta^{q-1} on the c - r
+    as representative and its value as coordinate.  On a non-empty block
+    the first Smith form is U delta^q V = D, of rank r, with V^-1 started
+    as [I | delta^{q-1}].  d o d = 0 puts V^-1 delta^{q-1} on the c - r
     nonpivot rows; the second is of that block W, which has delta^{q-1}'s
     invariant factors, with U_W started as V^-1's nonpivot rows and U_W^-1
     as V's nonpivot columns; the unread U, U^-1 and V_W^-1 start empty.
@@ -670,23 +671,26 @@ def cohomology(cx: ChainComplex, coeffs: FiniteAbelianGroup, q: int) -> Cohomolo
     block = sorted({i for col in up.values() for i in col}.union(down))
     inner = sorted({i for col in down.values() for i in col})
     c, e, rows = len(block), len(inner), len(up)
-    delta_in = _dense(down, block, inner)
-    snf = smith_normal_form_full(
-        _dense(up, sorted(up), block), u=IntMatrix._trusted(((),) * rows, rows, 0),
-        u_inv=IntMatrix._trusted((), 0, rows), v_inv=IntMatrix._trusted(tuple(
-            (0,) * i + (1,) + (0,) * (c - 1 - i) + row for i, row in enumerate(delta_in.data)
-        ), c, c + e))
-    r, v_inv = snf.rank, snf.v_inv.data
-    w = smith_normal_form_full(
-        IntMatrix._trusted(tuple(row[c:] for row in v_inv[r:]), c - r, e),
-        u=IntMatrix._trusted(tuple(row[:c] for row in v_inv[r:]), c - r, c),
-        u_inv=IntMatrix._trusted(tuple(row[r:] for row in snf.v.data), c, c - r),
-        v_inv=IntMatrix._trusted(((),) * e, e, 0))
     # per class coordinate, block first and then the free cells: its
     # functional and its lift, sparse
-    lines = [tuple((i, v) for i, v in zip(block, row) if v) for row in v_inv[:r] + w.u.data]
-    lifted = [{i: v for i, v in zip(block, col) if v}
-              for col in tuple(zip(*snf.v.data))[:r] + tuple(zip(*w.u_inv.data))]
+    r, out_factors, in_factors, lines, lifted = 0, (), (), [], []
+    if block:
+        delta_in = _dense(down, block, inner)
+        snf = smith_normal_form_full(
+            _dense(up, sorted(up), block), u=IntMatrix._trusted(((),) * rows, rows, 0),
+            u_inv=IntMatrix._trusted((), 0, rows), v_inv=IntMatrix._trusted(tuple(
+                (0,) * i + (1,) + (0,) * (c - 1 - i) + row for i, row in enumerate(delta_in.data)
+            ), c, c + e))
+        r, v_inv = snf.rank, snf.v_inv.data
+        w = smith_normal_form_full(
+            IntMatrix._trusted(tuple(row[c:] for row in v_inv[r:]), c - r, e),
+            u=IntMatrix._trusted(tuple(row[:c] for row in v_inv[r:]), c - r, c),
+            u_inv=IntMatrix._trusted(tuple(row[r:] for row in snf.v.data), c, c - r),
+            v_inv=IntMatrix._trusted(((),) * e, e, 0))
+        out_factors, in_factors = snf.diagonal, w.diagonal
+        lines = [tuple((i, v) for i, v in zip(block, row) if v) for row in v_inv[:r] + w.u.data]
+        lifted = [{i: v for i, v in zip(block, col) if v}
+                  for col in tuple(zip(*snf.v.data))[:r] + tuple(zip(*w.u_inv.data))]
     ncells = cx.n_cells(q)
     taken = red.gone.get(q, set()).union(block)
     for i in range(ncells):
@@ -701,7 +705,7 @@ def cohomology(cx: ChainComplex, coeffs: FiniteAbelianGroup, q: int) -> Cohomolo
     factors = []
     for n in coeffs.invariant_factors:
         orders, reps, coords = [], [], []
-        for i, o in enumerate(_cyclic_orders(c, snf.diagonal, w.diagonal, n)
+        for i, o in enumerate(_cyclic_orders(c, out_factors, in_factors, n)
                               + [n] * (len(lifted) - c)):
             if o > 1:
                 step = n // o if i < r else 1

@@ -7,7 +7,8 @@ k-torsion counts; the order of the quotient complex C(W)/C(S) must equal
 shared work: each complex is reduced by unit pivots once, the order path
 makes no full Smith form at all, ``cohomology`` makes two (of the residual
 delta^q and delta^{q-1} in its coordinates) for every coefficient factor
-together, and a bordism matrix asks for H^1 once.
+together, and none where the residual block is empty, and a bordism matrix
+asks for H^1 once.
 """
 
 from math import gcd, prod
@@ -158,22 +159,34 @@ def test_cohomology_reduces_the_coboundary_once(monkeypatch):
     full = _count_calls(monkeypatch, complexes, "smith_normal_form_full")
 
     def assert_unread_transforms_start_empty():
-        # delta^1 and the block W, whatever the factor count
+        # delta^q and the block W, whatever the factor count
         ((delta,), first), ((w,), second) = full
-        # U and U^-1 of delta^1 and V_W^-1 of W are never read: empty starts
+        # U and U^-1 of delta^q and V_W^-1 of W are never read: empty starts
         assert (first["u"].rows, first["u"].cols) == (delta.rows, 0)
         assert (first["u_inv"].rows, first["u_inv"].cols) == (0, delta.rows)
         assert (second["v_inv"].rows, second["v_inv"].cols) == (w.cols, 0)
         assert "v_inv" in first and {"u", "u_inv"} <= second.keys()
 
+    # non-empty residual blocks, each with orders for Z2 and Z2xZ4xZ8: the
+    # residual delta^1 is (2) on RP^4 and the Klein bottle (H^1(K; A) =
+    # A + A[2]), and on RP^4 at q = 2 the block W has delta^1's column
+    for cx, q, orders in [(real_projective_space(4), 1, (2, 8)),
+                          (real_projective_space(4), 2, (2, 8)),
+                          (klein_bottle(), 1, (4, 64 * 8))]:
+        for coeffs, order in zip(("Z2", "Z2xZ4xZ8"), orders):
+            full.clear()
+            assert cohomology(cx, parse_abelian(coeffs), q).order == order
+            assert_unread_transforms_start_empty()
+    # every boundary of T^3 is zero and the pants' residual at q = 1 is
+    # empty: every q-cell is free and no Smith form runs
     for coeffs, order in [("Z2", 2**3), ("Z2xZ4xZ8", 64**3)]:
         full.clear()
         assert cohomology(torus(3), parse_abelian(coeffs), 1).order == order
-        assert_unread_transforms_start_empty()
+        assert full == []
     b = tqft2d.pants_bordism()
     full.clear()
     relative_cohomology(b.w, b.in_circles[0], parse_abelian("Z2xZ4xZ8"), 1)
-    assert_unread_transforms_start_empty()
+    assert full == []
 
 
 def test_bordism_matrix_asks_for_h1_once(monkeypatch):
