@@ -1,8 +1,13 @@
 """Finite cell complexes and exact cohomology with finite abelian coefficients.
 
 A ChainComplex stores each boundary map of a finite CW complex as sparse
-integer columns, the few nonzero entries of each cell's boundary, so that
-building, gluing and checking complexes costs their nonzero entries.  Each
+integer columns, the few nonzero entries of each cell's boundary.  Outside
+input is checked and canonicalized once, entry by entry; the package's own
+builders (presets, products, quotients, gluing) emit canonical columns and
+store them as they are (``ChainComplex._trusted``), and d o d = 0 is summed
+over the nonzero entries of nonempty columns only.  So building, gluing and
+checking a complex costs a constant per cell plus its nonzero entries, and a
+complex whose boundaries are all zero is checked for free.  Each
 complex is reduced once, on first use, by unit-pivot elimination straight
 from those columns: every entry +-1 of a boundary map removes its two cells
 (the Gaussian-elimination lemma), and what is left, the residual, has no
@@ -41,17 +46,40 @@ from .limits import as_int, check_enum
 
 
 def _column(entries, rows: int) -> tuple[tuple[int, int], ...]:
-    """Canonical sparse column: (row, coeff) pairs of integers with rows in
-    range and sorted, duplicates summed and zeros dropped."""
-    if not entries:
-        return ()
-    acc = {}
+    """Canonical sparse column of outside input: integer rows in range and
+    integer coefficients, then merged (``_merged``)."""
+    checked = []
     for i, v in entries:
         i = as_int(i, "boundary row")
         if not 0 <= i < rows:
             raise ValueError(f"boundary row {i} out of range 0..{rows - 1}")
-        acc[i] = acc.get(i, 0) + as_int(v, "boundary coefficient")
-    return tuple((i, acc[i]) for i in sorted(acc) if acc[i])
+        checked.append((i, as_int(v, "boundary coefficient")))
+    return _merged(checked)
+
+
+def _merged(entries) -> tuple[tuple[int, int], ...]:
+    """(row, coeff) pairs of exact ints as a canonical column: rows sorted,
+    duplicates summed and zeros dropped."""
+    acc = {}
+    for i, v in entries:
+        acc[i] = acc.get(i, 0) + v
+    return tuple(sorted((i, v) for i, v in acc.items() if v))
+
+
+def _check_square(bnds) -> None:
+    """d_{k-1} o d_k = 0, summed over the nonzero entries of the nonempty
+    columns of d_k only: an empty column, or a zero d_{k-1}, costs nothing."""
+    for k in range(2, len(bnds) + 1):
+        lower = bnds[k - 2]
+        if not any(lower):
+            continue
+        for col in filter(None, bnds[k - 1]):
+            acc = {}
+            for i, v in col:
+                for h, w in lower[i]:
+                    acc[h] = acc.get(h, 0) + v * w
+            if any(acc.values()):
+                raise ValueError(f"d_{k-1} o d_{k} != 0")
 
 
 @dataclass(frozen=True, repr=False)
@@ -60,10 +88,14 @@ class ChainComplex:
 
     ``boundaries[k-1][j]`` is the boundary of the j-th k-cell, the canonical
     nonzero entries (row, coeff) of column j of d_k, for k = 1..top_dim.
-    Each degree may be given as such columns (in any order, with duplicates
-    or zeros) or as an IntMatrix; either is stored as canonical columns.
-    d o d = 0 is checked exactly, over the nonzero entries.  The unit-pivot
-    reduction (``_Reduction``) is kept once made; it is not part of equality.
+    Outside input (this constructor, so ``from_json`` too) may give each
+    degree as such columns (in any order, with duplicates or zeros) or as an
+    IntMatrix; every entry is checked and canonicalized once.  Complexes the
+    package builds from canonical columns (presets, ``product``,
+    ``quotient``, ``glue_complexes``) go through ``_trusted``, which skips
+    that.  Both check d o d = 0 exactly, over the nonzero entries
+    (``_check_square``).  The unit-pivot reduction (``_Reduction``) is kept
+    once made; it is not part of equality.
     """
 
     cells: tuple[int, ...]
@@ -88,13 +120,20 @@ class ChainComplex:
             if len(b) != cells[k]:
                 raise ValueError(f"boundary {k} has {len(b)} columns, expected {cells[k]}")
             bnds.append(b)
-        for k in range(2, len(cells)):
-            lower = bnds[k - 2]
-            for col in bnds[k - 1]:
-                if _column(((h, v * w) for i, v in col for h, w in lower[i]), cells[k - 2]):
-                    raise ValueError(f"d_{k-1} o d_{k} != 0")
+        _check_square(bnds)
         object.__setattr__(self, "cells", cells)
         object.__setattr__(self, "boundaries", tuple(bnds))
+
+    @classmethod
+    def _trusted(cls, cells: tuple[int, ...], boundaries: tuple) -> "ChainComplex":
+        """The complex of canonical tuple columns the package built itself,
+        stored as given: no per-entry check, the same d o d = 0 check."""
+        _check_square(boundaries)
+        cx = object.__new__(cls)
+        object.__setattr__(cx, "cells", cells)
+        object.__setattr__(cx, "boundaries", boundaries)
+        object.__setattr__(cx, "_reduction", None)
+        return cx
 
     @property
     def top_dim(self) -> int:
@@ -327,22 +366,22 @@ class SubcomplexMap:
 
 
 def empty_subcomplex(target: ChainComplex) -> SubcomplexMap:
-    return SubcomplexMap(ChainComplex((0,), ()), target, ((),))
+    return SubcomplexMap(ChainComplex._trusted((0,), ()), target, ((),))
 
 
 def quotient(w: ChainComplex, sub: SubcomplexMap) -> ChainComplex:
     """C(w)/C(sub), whose cohomology is H^*(w, sub): the cells of ``w``
     outside the image of ``sub``, in order, each boundary column restricted
-    to them and renumbered."""
+    to them and renumbered (monotonely, so each column stays canonical)."""
     if sub.target != w:
         raise ValueError("subcomplex map does not land in the given complex")
     kept = [sorted(set(range(w.n_cells(k))) - set(sub.image_cells(k)))
             for k in range(w.top_dim + 1)]
     new = [{i: p for p, i in enumerate(cells)} for cells in kept]
-    bnds = [[[(new[k - 1][i], v) for i, v in w.columns(k)[j] if i in new[k - 1]]
-             for j in kept[k]]
-            for k in range(1, w.top_dim + 1)]
-    return ChainComplex([len(cells) for cells in kept], bnds)
+    bnds = tuple(tuple(tuple((new[k - 1][i], v) for i, v in w.columns(k)[j] if i in new[k - 1])
+                       for j in kept[k])
+                 for k in range(1, w.top_dim + 1))
+    return ChainComplex._trusted(tuple(len(cells) for cells in kept), bnds)
 
 
 # ---------------------------------------------------------------------------
@@ -367,25 +406,25 @@ def circle() -> ChainComplex:
     return _CIRCLE
 
 
-_CIRCLE = ChainComplex((1, 1), ([()],))
+_CIRCLE = ChainComplex._trusted((1, 1), (((),),))
 
 
 def interval() -> ChainComplex:
-    return ChainComplex((2, 1), ([((0, -1), (1, 1))],))
+    return ChainComplex._trusted((2, 1), ((((0, -1), (1, 1)),),))
 
 
 def sphere(n: int) -> ChainComplex:
     if not 1 <= n <= 5:
         raise ValueError("sphere(n) supports 1 <= n <= 5")
-    cells = [1] + [0] * (n - 1) + [1]
-    return ChainComplex(cells, [[()] * c for c in cells[1:]])
+    cells = (1,) + (0,) * (n - 1) + (1,)
+    return ChainComplex._trusted(cells, tuple(((),) * c for c in cells[1:]))
 
 
 def torus(n: int) -> ChainComplex:
     if not 1 <= n <= 5:
         raise ValueError("torus(n) supports 1 <= n <= 5")
-    cells = [comb(n, k) for k in range(n + 1)]
-    return ChainComplex(cells, [[()] * c for c in cells[1:]])
+    cells = tuple(comb(n, k) for k in range(n + 1))
+    return ChainComplex._trusted(cells, tuple(((),) * c for c in cells[1:]))
 
 
 def surface(g: int) -> ChainComplex:
@@ -393,22 +432,23 @@ def surface(g: int) -> ChainComplex:
         raise ValueError("surface(g) supports 0 <= g <= 4")
     # One vertex, 2g loops, one 2-cell along the product of commutators,
     # which abelianizes to zero.
-    return ChainComplex((1, 2 * g, 1), ([()] * (2 * g), [()]))
+    return ChainComplex._trusted((1, 2 * g, 1), (((),) * (2 * g), ((),)))
 
 
 def real_projective_space(n: int) -> ChainComplex:
     if not 1 <= n <= 4:
         raise ValueError("rp(n) supports 1 <= n <= 4")
-    return ChainComplex([1] * (n + 1), [[((0, 1 + (-1) ** k),)] for k in range(1, n + 1)])
+    return ChainComplex._trusted((1,) * (n + 1), tuple(
+        (((0, 2),),) if k % 2 == 0 else ((),) for k in range(1, n + 1)))
 
 
 def klein_bottle() -> ChainComplex:
-    return ChainComplex((1, 2, 1), ([(), ()], [((0, 2),)]))
+    return ChainComplex._trusted((1, 2, 1), (((), ()), (((0, 2),),)))
 
 
 def disk() -> tuple[ChainComplex, SubcomplexMap]:
     """The 2-disk and the inclusion of its boundary circle."""
-    cx = ChainComplex((1, 1, 1), ([()], [((0, 1),)]))
+    cx = ChainComplex._trusted((1, 1, 1), (((),), (((0, 1),),)))
     return cx, SubcomplexMap(circle(), cx, ((0,), (0,)))
 
 
@@ -418,8 +458,8 @@ def pants() -> tuple[ChainComplex, tuple[SubcomplexMap, SubcomplexMap, Subcomple
     Returns (complex, (cuff1, cuff2, waist)).  H^1 is A x A, restricting to
     (x, y) on the cuffs and x + y on the waist.
     """
-    d1 = [(), (), (), ((0, -1), (2, 1)), ((1, -1), (2, 1))]
-    cx = ChainComplex((3, 5, 1), (d1, [((0, 1), (1, 1), (2, -1))]))
+    d1 = ((), (), (), ((0, -1), (2, 1)), ((1, -1), (2, 1)))
+    cx = ChainComplex._trusted((3, 5, 1), (d1, (((0, 1), (1, 1), (2, -1)),)))
     cuff1 = SubcomplexMap(circle(), cx, ((0,), (0,)))
     cuff2 = SubcomplexMap(circle(), cx, ((1,), (1,)))
     waist = SubcomplexMap(circle(), cx, ((2,), (2,)))
@@ -463,7 +503,9 @@ def product(a: ChainComplex, b: ChainComplex) -> ChainComplex:
 
     Degree-k cells are pairs (x, y) with deg x + deg y = k, grouped in
     blocks of increasing deg x, each block ordered by (x index, y index).
-    d(x, y) = (dx, y) + (-1)^{deg x} (x, dy), one sparse column per pair.
+    d(x, y) = (dx, y) + (-1)^{deg x} (x, dy), one sparse column per pair,
+    canonical as built: the (dx, y) rows come in order before the (x, dy)
+    rows, and a pair of empty columns gives an empty one.
     """
     top = a.top_dim + b.top_dim
     offsets = [_block_offsets(a, b, k) for k in range(top + 1)]
@@ -479,10 +521,11 @@ def product(a: ChainComplex, b: ChainComplex) -> ChainComplex:
             sign = -1 if i % 2 else 1
             for ai, a_col in enumerate(a.columns(i)):
                 for bi, b_col in enumerate(b.columns(j)):
-                    cols.append([(row_a + ar * nb + bi, v) for ar, v in a_col]
-                                + [(row_b + ai * nb_row + br, sign * v) for br, v in b_col])
-        bnds.append(cols)
-    return ChainComplex([off[-1] for off in offsets], bnds)
+                    cols.append(tuple([(row_a + ar * nb + bi, v) for ar, v in a_col]
+                                      + [(row_b + ai * nb_row + br, sign * v)
+                                         for br, v in b_col]) if a_col or b_col else ())
+        bnds.append(tuple(cols))
+    return ChainComplex._trusted(tuple(off[-1] for off in offsets), tuple(bnds))
 
 
 def disjoint_union(a: ChainComplex, b: ChainComplex) -> ChainComplex:
@@ -496,10 +539,12 @@ def glue_complexes(a: ChainComplex, b: ChainComplex, identifications):
     ``identifications[k]`` maps b-cell indices to a-cell indices in degree k.
     Identified cells must form a subcomplex of ``b`` whose boundary data
     matches that of the target a-cells.  Returns (glued complex, b_index_map)
-    where b_index_map[k][old_b_index] = index in the glued complex.
+    where b_index_map[k][old_b_index] = index in the glued complex.  The
+    identifications need not be injective, so each renumbered b-column is
+    merged (``_merged``).
     """
     top = max(a.top_dim, b.top_dim)
-    if any(not (0 <= j < b.n_cells(k) and 0 <= i < a.n_cells(k))
+    if any(not (isinstance(i, int) and 0 <= j < b.n_cells(k) and 0 <= i < a.n_cells(k))
            for k, pairs in identifications.items() for j, i in pairs.items()):
         raise ValueError("identifications must map b-cells to a-cells of the same degree")
     ident = {k: dict(identifications.get(k, {})) for k in range(top + 1)}
@@ -516,12 +561,11 @@ def glue_complexes(a: ChainComplex, b: ChainComplex, identifications):
         for j, target in ident[k].items():
             if any(i not in ident[k - 1] for i, _ in b_cols[j]):
                 raise ValueError("identified cells are not a subcomplex")
-            mapped = _column(((ident[k - 1][i], v) for i, v in b_cols[j]), cells[k - 1])
-            if mapped != a_cols[target]:
+            if _merged((ident[k - 1][i], v) for i, v in b_cols[j]) != a_cols[target]:
                 raise ValueError("identification breaks boundary matching")
-        bnds.append(list(a_cols) + [[(b_map[k - 1][i], v) for i, v in col]
-                                    for j, col in enumerate(b_cols) if j not in ident[k]])
-    return ChainComplex(cells, bnds), tuple(b_map)
+        bnds.append(a_cols + tuple(_merged((b_map[k - 1][i], v) for i, v in col)
+                                   for j, col in enumerate(b_cols) if j not in ident[k]))
+    return ChainComplex._trusted(tuple(cells), tuple(bnds)), tuple(b_map)
 
 
 # ---------------------------------------------------------------------------

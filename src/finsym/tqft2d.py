@@ -188,8 +188,8 @@ def identity_matrix(group: FiniteAbelianGroup, circles: int) -> BordismMatrix:
 def cylinder() -> Bordism:
     """circle x interval: vertices (v, 0), (v, 1); edges (v, I), (e, 0),
     (e, 1); face (e, I).  The end circles are (v, i) with (e, i)."""
-    d1 = [((0, -1), (1, 1)), (), ()]
-    cx = ChainComplex((2, 3, 1), (d1, [((1, 1), (2, -1))]))
+    d1 = (((0, -1), (1, 1)), (), ())
+    cx = ChainComplex._trusted((2, 3, 1), (d1, (((1, 1), (2, -1)),)))
     c = complexes.circle()
     return Bordism(cx, (SubcomplexMap(c, cx, ((0,), (1,))),),
                    (SubcomplexMap(c, cx, ((1,), (2,))),))
@@ -285,7 +285,7 @@ def glue(first: Bordism, second: Bordism) -> Bordism:
 
 def _circles(r: int) -> ChainComplex:
     """The disjoint union of r standard circles (the empty complex if r = 0)."""
-    return ChainComplex((r, r), ([()] * r,)) if r else ChainComplex((0,), ())
+    return ChainComplex._trusted((r, r), (((),) * r,)) if r else ChainComplex._trusted((0,), ())
 
 
 def _in_boundary_subcomplex(b: Bordism) -> SubcomplexMap:

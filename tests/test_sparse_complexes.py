@@ -2,16 +2,22 @@
 
 ``dense_product`` and ``dense_glue`` are the matrix-based builders the
 column-based ones replaced; every complex they build must have the same
-cells and the same dense boundary matrices.
+cells and the same dense boundary matrices.  The package's builders store
+their columns as given (``ChainComplex._trusted``), so each of their
+complexes must also be stored exactly as the validating constructor would
+store it.
 """
+
+from operator import index
 
 import pytest
 
-from finsym import tqft2d
+from finsym import complexes, tqft2d
 from finsym.complexes import (
     ChainComplex,
     SubcomplexMap,
     circle,
+    disjoint_union,
     disk,
     glue_complexes,
     interval,
@@ -19,12 +25,14 @@ from finsym.complexes import (
     pants,
     preset,
     product,
+    quotient,
     real_projective_space,
     sphere,
     surface,
     torus,
 )
 from finsym.intmatrix import IntMatrix
+from test_complexes import QUOTIENT_BORDISMS, _oracle_complexes
 
 PRESETS = [
     circle(), interval(), sphere(2), sphere(3), torus(2), surface(2),
@@ -102,12 +110,20 @@ def dense_glue(a: ChainComplex, b: ChainComplex, identifications):
     return ChainComplex(cells, bnds), tuple(b_map)
 
 
+def assert_stored_canonical(cx: ChainComplex):
+    """cx holds the cells and columns the validating constructor makes of them."""
+    again = ChainComplex(cx.cells, cx.boundaries)
+    assert again == cx and hash(again) == hash(cx), cx
+    assert type(cx.cells) is tuple and again.boundaries == cx.boundaries, cx
+
+
 def assert_same_dense(x: ChainComplex, y: ChainComplex):
     assert x.cells == y.cells
     for k in range(x.top_dim + 2):
         assert x.boundary(k) == y.boundary(k)
     assert x.to_json() == y.to_json()
     assert x == y
+    assert_stored_canonical(x)
 
 
 @pytest.mark.parametrize("a", PRESETS, ids=repr)
@@ -138,13 +154,72 @@ def test_bordism_glue_matches_dense_glue(first, second):
     assert b_map == oracle_map
 
 
-def test_glue_sums_entries_of_cells_identified_with_one_cell():
+@pytest.mark.parametrize("b,ident,b_map,expected", [
     # both ends of the interval go to the circle's vertex: d(u) = v - v = 0
-    glued, b_map = glue_complexes(circle(), interval(), {0: {0: 0, 1: 0}})
-    oracle, oracle_map = dense_glue(circle(), interval(), {0: {0: 0, 1: 0}})
+    (interval(), {0: {0: 0, 1: 0}}, ((0, 0), (1,)), ChainComplex((1, 2), ([(), ()],))),
+    # both ends of the cylinder go to the circle: d(v, I) = v - v and
+    # d(e, I) = e - e, so the glue is the torus
+    (tqft2d.cylinder().w, {0: {0: 0, 1: 0}, 1: {1: 0, 2: 0}}, ((0, 0), (1, 0, 0), (0,)),
+     torus(2)),
+], ids=["interval", "cylinder"])
+def test_glue_sums_entries_of_cells_identified_with_one_cell(b, ident, b_map, expected):
+    glued, glued_map = glue_complexes(circle(), b, ident)
+    oracle, oracle_map = dense_glue(circle(), b, ident)
     assert_same_dense(glued, oracle)
-    assert b_map == oracle_map == ((0, 0), (1,))
-    assert glued.boundary(1) == IntMatrix([[0, 0]])
+    assert glued_map == oracle_map == b_map
+    assert glued == expected
+
+
+PRESET_ARGS = [(name, ()) for name in ("circle", "interval", "klein", "disk", "pants")] + [
+    (name, (p,)) for name, params in (("sphere", range(1, 6)), ("torus", range(1, 6)),
+                                      ("surface", range(5)), ("rp", range(1, 5)))
+    for p in params
+]
+
+
+def _package_builds(oracle):
+    """Every complex the package's builders make here: the presets, the
+    products of all pairs of ``oracle``, the quotients of bordisms by their
+    boundary circles, glued and united bordisms, non-injective glues,
+    disjoint unions and the circles of the 2d TFT."""
+    for name, params in PRESET_ARGS:
+        yield preset(name, *params)
+    yield from (product(a, b) for a in oracle for b in oracle)
+    for b in QUOTIENT_BORDISMS:
+        for sub in (tqft2d._in_boundary_subcomplex(b), *b.in_circles, *b.out_circles):
+            yield quotient(b.w, sub)
+    presets = {shape: tqft2d.bordism_preset(shape) for shape in SHAPES}
+    for first, second in GLUE_PAIRS:
+        yield tqft2d.glue(presets[first], presets[second]).w
+    for first in SHAPES:
+        for second in SHAPES:
+            yield tqft2d.bordism_union(presets[first], presets[second]).w
+    yield glue_complexes(circle(), interval(), {0: {0: 0, 1: 0}})[0]
+    yield glue_complexes(circle(), tqft2d.cylinder().w, {0: {0: 0, 1: 0}, 1: {1: 0, 2: 0}})[0]
+    yield disjoint_union(torus(2), surface(3))
+    yield from (tqft2d._circles(r) for r in range(4))
+    yield tqft2d.cylinder().w
+
+
+def test_package_builds_are_stored_canonical_without_the_integer_check(monkeypatch):
+    """No builder converts an entry with ``as_int``; what each stores is what
+    the validating constructor stores.  ``SubcomplexMap`` still checks its
+    cell maps (``cell index``)."""
+    oracle = list(_oracle_complexes())
+    calls = []
+
+    def recording(x, what):
+        calls.append(what)
+        return index(x)
+
+    monkeypatch.setattr(complexes, "as_int", recording)
+    count = 0
+    for cx in _package_builds(oracle):
+        assert [what for what in calls if what != "cell index"] == [], cx
+        assert_stored_canonical(cx)
+        calls.clear()
+        count += 1
+    assert count > len(oracle) ** 2
 
 
 @pytest.mark.parametrize("identifications", [
@@ -152,6 +227,7 @@ def test_glue_sums_entries_of_cells_identified_with_one_cell():
     {0: {0: 3}},      # no a-cell 3
     {0: {-1: 0}},
     {4: {0: 0}},      # no cells in degree 4
+    {0: {0: 0.0}},    # not a cell index
 ])
 def test_glue_rejects_identifications_outside_the_cells(identifications):
     with pytest.raises(ValueError):
@@ -190,9 +266,16 @@ class TestColumns:
         with pytest.raises(ValueError):
             ChainComplex(cells, boundaries)
 
-    def test_sparse_d_squared_nonzero_rejected(self):
+    @pytest.mark.parametrize("build", [ChainComplex, ChainComplex._trusted],
+                             ids=["validating", "trusted"])
+    def test_sparse_d_squared_nonzero_rejected(self, build):
         with pytest.raises(ValueError, match="d_1 o d_2"):
-            ChainComplex((2, 1, 1), ([[(0, -1), (1, 1)]], [[(0, 1)]]))
+            build((2, 1, 1), ((((0, -1), (1, 1)),), (((0, 1),),)))
+        # the failing column of d_3 comes after empty ones
+        with pytest.raises(ValueError, match="d_2 o d_3 != 0"):
+            build((1, 1, 1, 3), (((),), (((0, 2),),), ((), (), ((0, 1),))))
+        # two edges v0 -> v1 and a face along e0 - e1: the products cancel
+        build((2, 2, 1), ((((0, -1), (1, 1)),) * 2, (((0, 1), (1, -1)),)))
         # the same boundary whose entries cancel is fine
         ChainComplex((2, 1, 1), ([[(0, -1), (1, 1)]], [[(0, 1), (0, -1)]]))
 
