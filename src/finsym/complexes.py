@@ -7,7 +7,11 @@ builders (presets, products, quotients, gluing) emit canonical columns and
 store them as they are (``ChainComplex._trusted``), and d o d = 0 is summed
 over the nonzero entries of nonempty columns only.  So building, gluing and
 checking a complex costs a constant per cell plus its nonzero entries, and a
-complex whose boundaries are all zero is checked for free.  Each
+complex whose boundaries are all zero is checked for free; a product emits a
+block of cell pairs whose factor columns are all empty as one run of empty
+columns.  Inclusions the package builds (boundary circles, the empty
+subcomplex) are stored as built too (``SubcomplexMap._trusted``), and the
+check that an inclusion commutes with the boundaries runs on every one.  Each
 complex is reduced once, on first use, by unit-pivot elimination straight
 from those columns: every entry +-1 of a boundary map removes its two cells
 (the Gaussian-elimination lemma), and what is left, the residual, has no
@@ -321,6 +325,17 @@ def _dense(lines: dict, rows, cols) -> IntMatrix:
     return IntMatrix._trusted(tuple(data), len(data), len(cols))
 
 
+def _check_commutes(source: ChainComplex, target: ChainComplex, maps) -> None:
+    """The inclusion ``maps`` (injective per degree) commutes with the
+    boundaries: each source column, renumbered, is its image's column."""
+    for k in range(1, source.top_dim + 1):
+        tgt = target.columns(k)
+        for j, col in enumerate(source.columns(k)):
+            # injective maps keep a canonical column's rows distinct
+            if tuple(sorted((maps[k - 1][i], v) for i, v in col)) != tgt[maps[k][j]]:
+                raise ValueError("inclusion does not commute with boundaries")
+
+
 @dataclass(frozen=True, eq=False)
 class SubcomplexMap:
     """Inclusion of a subcomplex, as per-degree injective cell-index maps.
@@ -328,6 +343,12 @@ class SubcomplexMap:
     ``cell_maps[k][i]`` is the target index of the i-th source k-cell.  The
     inclusion must literally commute with the boundaries, which in
     particular forces the image to be closed under taking boundaries.
+    Outside input (this constructor) has every index checked: an integer,
+    in range, one per source cell, injective per degree.  Inclusions the
+    package builds from cells it already holds (``disk``, ``pants``, the 2d
+    TFT's boundary circles, ``empty_subcomplex``) go through ``_trusted``,
+    which stores the maps as given.  Both check commutation with the
+    boundaries (``_check_commutes``).
     """
 
     source: ChainComplex
@@ -347,13 +368,21 @@ class SubcomplexMap:
             if any(not 0 <= i < target.n_cells(k) for i in m):
                 raise ValueError(f"degree {k} map goes out of range")
             maps.append(m)
-        for k in range(1, source.top_dim + 1):
-            tgt = target.columns(k)
-            for j, col in enumerate(source.columns(k)):
-                # injective maps keep a canonical column's rows distinct
-                if tuple(sorted((maps[k - 1][i], v) for i, v in col)) != tgt[maps[k][j]]:
-                    raise ValueError("inclusion does not commute with boundaries")
+        _check_commutes(source, target, maps)
         object.__setattr__(self, "cell_maps", tuple(maps))
+
+    @classmethod
+    def _trusted(cls, source: ChainComplex, target: ChainComplex,
+                 cell_maps: tuple[tuple[int, ...], ...]) -> "SubcomplexMap":
+        """The inclusion the package built itself, one tuple of in-range,
+        injective int indices per source degree, stored as given: no
+        per-index check, the same commutation check."""
+        _check_commutes(source, target, cell_maps)
+        m = object.__new__(cls)
+        object.__setattr__(m, "source", source)
+        object.__setattr__(m, "target", target)
+        object.__setattr__(m, "cell_maps", cell_maps)
+        return m
 
     def image_cells(self, k: int) -> tuple[int, ...]:
         if 0 <= k < len(self.cell_maps):
@@ -366,7 +395,7 @@ class SubcomplexMap:
 
 
 def empty_subcomplex(target: ChainComplex) -> SubcomplexMap:
-    return SubcomplexMap(ChainComplex._trusted((0,), ()), target, ((),))
+    return SubcomplexMap._trusted(ChainComplex._trusted((0,), ()), target, ((),))
 
 
 def quotient(w: ChainComplex, sub: SubcomplexMap) -> ChainComplex:
@@ -449,7 +478,7 @@ def klein_bottle() -> ChainComplex:
 def disk() -> tuple[ChainComplex, SubcomplexMap]:
     """The 2-disk and the inclusion of its boundary circle."""
     cx = ChainComplex._trusted((1, 1, 1), (((),), (((0, 1),),)))
-    return cx, SubcomplexMap(circle(), cx, ((0,), (0,)))
+    return cx, SubcomplexMap._trusted(circle(), cx, ((0,), (0,)))
 
 
 def pants() -> tuple[ChainComplex, tuple[SubcomplexMap, SubcomplexMap, SubcomplexMap]]:
@@ -460,9 +489,9 @@ def pants() -> tuple[ChainComplex, tuple[SubcomplexMap, SubcomplexMap, Subcomple
     """
     d1 = ((), (), (), ((0, -1), (2, 1)), ((1, -1), (2, 1)))
     cx = ChainComplex._trusted((3, 5, 1), (d1, (((0, 1), (1, 1), (2, -1)),)))
-    cuff1 = SubcomplexMap(circle(), cx, ((0,), (0,)))
-    cuff2 = SubcomplexMap(circle(), cx, ((1,), (1,)))
-    waist = SubcomplexMap(circle(), cx, ((2,), (2,)))
+    cuff1 = SubcomplexMap._trusted(circle(), cx, ((0,), (0,)))
+    cuff2 = SubcomplexMap._trusted(circle(), cx, ((1,), (1,)))
+    waist = SubcomplexMap._trusted(circle(), cx, ((2,), (2,)))
     return cx, (cuff1, cuff2, waist)
 
 
@@ -489,15 +518,6 @@ def preset(name: str, *params: int) -> ChainComplex:
     return builder(*params)
 
 
-def _block_offsets(a: ChainComplex, b: ChainComplex, k: int) -> list[int]:
-    """Start of each deg-x block among the degree-k cells of a x b; the last
-    entry is the number of degree-k cells."""
-    out = [0]
-    for i in range(k + 1):
-        out.append(out[-1] + a.n_cells(i) * b.n_cells(k - i))
-    return out
-
-
 def product(a: ChainComplex, b: ChainComplex) -> ChainComplex:
     """Tensor-product complex with Koszul signs.
 
@@ -505,27 +525,39 @@ def product(a: ChainComplex, b: ChainComplex) -> ChainComplex:
     blocks of increasing deg x, each block ordered by (x index, y index).
     d(x, y) = (dx, y) + (-1)^{deg x} (x, dy), one sparse column per pair,
     canonical as built: the (dx, y) rows come in order before the (x, dy)
-    rows, and a pair of empty columns gives an empty one.
+    rows, and a pair of empty columns gives an empty one.  A block whose
+    two factor degrees have only empty columns is one run of empty columns.
     """
-    top = a.top_dim + b.top_dim
-    offsets = [_block_offsets(a, b, k) for k in range(top + 1)]
+    na, nb, ta, tb = a.cells, b.cells, a.top_dim, b.top_dim
+    a_cols, b_cols = (((),) * na[0],) + a.boundaries, (((),) * nb[0],) + b.boundaries
+    a_zero, b_zero = [not any(c) for c in a_cols], [not any(c) for c in b_cols]
+    # start[i][j]: where the block of pairs of degrees (i, j) starts among
+    # the degree-(i + j) cells
+    cells, start = [0] * (ta + tb + 1), [[0] * (tb + 1) for _ in range(ta + 1)]
+    for i, x in enumerate(na):
+        for j, y in enumerate(nb):
+            start[i][j] = cells[i + j]
+            cells[i + j] += x * y
     bnds = []
-    for k in range(1, top + 1):
+    for k in range(1, ta + tb + 1):
         cols = []
-        for i in range(max(0, k - b.top_dim), min(k, a.top_dim) + 1):
+        for i in range(max(0, k - tb), min(k, ta) + 1):
             j = k - i
-            nb, nb_row = b.n_cells(j), b.n_cells(j - 1)
-            # (dx, y) rows sit in block i - 1, (x, dy) rows in block i; a
-            # degree-0 x has an empty boundary, so block -1 is never read
-            row_a, row_b = offsets[k - 1][i - 1], offsets[k - 1][i]
+            if a_zero[i] and b_zero[j]:
+                cols += ((),) * (na[i] * nb[j])
+                continue
+            # (dx, y) rows sit in block (i - 1, j), (x, dy) rows in block
+            # (i, j - 1); a degree-0 x or y has an empty boundary, so what
+            # index -1 reads goes unused
+            row_a, row_b, width, width_row = start[i - 1][j], start[i][j - 1], nb[j], nb[j - 1]
             sign = -1 if i % 2 else 1
-            for ai, a_col in enumerate(a.columns(i)):
-                for bi, b_col in enumerate(b.columns(j)):
-                    cols.append(tuple([(row_a + ar * nb + bi, v) for ar, v in a_col]
-                                      + [(row_b + ai * nb_row + br, sign * v)
+            for ai, a_col in enumerate(a_cols[i]):
+                for bi, b_col in enumerate(b_cols[j]):
+                    cols.append(tuple([(row_a + ar * width + bi, v) for ar, v in a_col]
+                                      + [(row_b + ai * width_row + br, sign * v)
                                          for br, v in b_col]) if a_col or b_col else ())
         bnds.append(tuple(cols))
-    return ChainComplex._trusted(tuple(off[-1] for off in offsets), tuple(bnds))
+    return ChainComplex._trusted(tuple(cells), tuple(bnds))
 
 
 def disjoint_union(a: ChainComplex, b: ChainComplex) -> ChainComplex:

@@ -48,7 +48,8 @@ class FiniteAbelianGroup:
         Each order n is merged into the chain c_1 | ... | c_k from the top by
         Z_c x Z_n = Z_lcm(c, n) x Z_gcd(c, n): c becomes the lcm and the gcd
         moves down until it is 1 or the factor below it divides it, where it
-        is inserted.  No order is factored.
+        is inserted.  No order is factored, and the chain is stored as
+        merged, without a second check: ints >= 2, each dividing the next.
         """
         chain: list[int] = []
         for n in orders:
@@ -61,7 +62,9 @@ class FiniteAbelianGroup:
                 chain[i], n = lcm(chain[i], n), gcd(chain[i], n)
             if n > 1:
                 chain.insert(i, n)
-        return cls(chain)
+        group = object.__new__(cls)
+        object.__setattr__(group, "invariant_factors", tuple(chain))
+        return group
 
     @property
     def order(self) -> int:

@@ -191,8 +191,8 @@ def cylinder() -> Bordism:
     d1 = (((0, -1), (1, 1)), (), ())
     cx = ChainComplex._trusted((2, 3, 1), (d1, (((1, 1), (2, -1)),)))
     c = complexes.circle()
-    return Bordism(cx, (SubcomplexMap(c, cx, ((0,), (1,))),),
-                   (SubcomplexMap(c, cx, ((1,), (2,))),))
+    return Bordism(cx, (SubcomplexMap._trusted(c, cx, ((0,), (1,))),),
+                   (SubcomplexMap._trusted(c, cx, ((1,), (2,))),))
 
 
 def pants_bordism() -> Bordism:
@@ -246,11 +246,12 @@ def bordism_preset(shape: str) -> Bordism:
 
 def _circle_at(cx: ChainComplex, m: SubcomplexMap, cell_map=None) -> SubcomplexMap:
     """Boundary circle ``m`` carried into ``cx`` by ``cell_map`` (None keeps
-    its cell indices)."""
+    its cell indices): one checked vertex and one checked edge, so the
+    inclusion is stored as built."""
     v, e = m.cell_maps[0][0], m.cell_maps[1][0]
     if cell_map is not None:
         v, e = cell_map[0][v], cell_map[1][e]
-    return SubcomplexMap(complexes.circle(), cx, ((v,), (e,)))
+    return SubcomplexMap._trusted(complexes.circle(), cx, ((v,), (e,)))
 
 
 def bordism_union(a: Bordism, b: Bordism) -> Bordism:
@@ -289,7 +290,8 @@ def _circles(r: int) -> ChainComplex:
 
 
 def _in_boundary_subcomplex(b: Bordism) -> SubcomplexMap:
-    """All in-circles merged into one SubcomplexMap."""
+    """All in-circles merged into one SubcomplexMap, checked in full: the
+    circles may come from outside, and overlapping ones are not injective."""
     deg0 = tuple(m.cell_maps[0][0] for m in b.in_circles)
     deg1 = tuple(m.cell_maps[1][0] for m in b.in_circles)
     return SubcomplexMap(_circles(len(b.in_circles)), b.w, (deg0, deg1))

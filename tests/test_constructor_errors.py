@@ -40,6 +40,8 @@ CASES = [
     (lambda: SubcomplexMap(circle(), circle(), ((0.7,), (0,))), "cell index 0.7 is not an integer"),
     (lambda: SubcomplexMap(circle(), circle(), ((1,), (0,))), "degree 0 map goes out of range"),
     (lambda: SubcomplexMap(interval(), interval(), ((1, 0), (0,))), "does not commute"),
+    (lambda: SubcomplexMap._trusted(interval(), interval(), ((1, 0), (0,))),
+     "inclusion does not commute with boundaries"),
     (lambda: FusionRing(("1", "a"), 0, (IDENTITY_RANK2,), (0, 1)), "rank^3"),
     (lambda: FusionRing(("1",), 0, (((-1,),),), (0,)), "nonnegative"),
     (lambda: FusionRing.from_json('{"labels": ["1", "a"], "unit": 0, "dual": [0, 1], '

@@ -1,10 +1,12 @@
 import random
+import re
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 from math import gcd, lcm, prod
 
+import numpy as np
 import pytest
 
 from finsym.groups import (
@@ -40,6 +42,31 @@ class TestFiniteAbelianGroup:
         assert FiniteAbelianGroup.from_cyclic_orders([6, 4]) == FiniteAbelianGroup([2, 12])
         assert FiniteAbelianGroup.from_cyclic_orders([2, 2]) == FiniteAbelianGroup([2, 2])
         assert FiniteAbelianGroup.from_cyclic_orders([1, 1]) == FiniteAbelianGroup()
+
+    def test_from_cyclic_orders_stores_what_the_constructor_accepts(self):
+        """The merged chain is stored without a second check: the validating
+        constructor accepts it as it is, and its factors are exact ints."""
+        rng = random.Random(3030)
+        wraps = (int, np.int64, np.uint16, lambda n: True if n == 1 else n)
+        for _ in range(400):
+            orders = [rng.choice(wraps)(rng.choice((1, 1, 2, 3, 4, 6, 8, 9, 12, 25, 27, 360)))
+                      for _ in range(rng.randrange(16))]
+            group = FiniteAbelianGroup.from_cyclic_orders(orders)
+            again = FiniteAbelianGroup(group.invariant_factors)
+            assert group == again and hash(group) == hash(again), orders
+            assert type(group.invariant_factors) is tuple, orders
+            assert all(type(n) is int for n in group.invariant_factors), orders
+            assert group.order == prod(int(n) for n in orders), orders
+
+    @pytest.mark.parametrize("orders,message", [
+        ([2, 0], "cyclic order must be >= 1"),
+        ([4, -3], "cyclic order must be >= 1"),
+        ([False], "cyclic order must be >= 1"),
+        ([2, 1.5], "cyclic order 1.5 is not an integer"),
+    ])
+    def test_from_cyclic_orders_checks_each_order(self, orders, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            FiniteAbelianGroup.from_cyclic_orders(orders)
 
     def test_arithmetic(self):
         g = FiniteAbelianGroup([2, 4])

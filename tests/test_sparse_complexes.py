@@ -8,6 +8,7 @@ complexes must also be stored exactly as the validating constructor would
 store it.
 """
 
+from dataclasses import fields
 from operator import index
 
 import pytest
@@ -132,6 +133,18 @@ def test_product_matches_dense_oracle(a, b):
     assert_same_dense(product(a, b), dense_product(a, b))
 
 
+@pytest.mark.parametrize("a,b", [
+    (product(torus(2), surface(2)), sphere(2)),
+    (product(sphere(2), sphere(2)), surface(2)),
+    (product(klein_bottle(), interval()), real_projective_space(3)),
+], ids=["(T2xS2)xSph2", "(Sph2xSph2)xS2", "(KxI)xRP3"])
+def test_nested_product_matches_dense_oracle(a, b):
+    """Products of products, as the bench builds them: blocks whose factor
+    degrees have only empty columns (one run of empty columns) and, in the
+    last, blocks with a nonzero column on one side only."""
+    assert_same_dense(product(a, b), dense_product(a, b))
+
+
 @pytest.mark.parametrize("first", SHAPES)
 @pytest.mark.parametrize("second", SHAPES)
 def test_bordism_union_matches_dense_glue(first, second):
@@ -203,23 +216,71 @@ def _package_builds(oracle):
 
 def test_package_builds_are_stored_canonical_without_the_integer_check(monkeypatch):
     """No builder converts an entry with ``as_int``; what each stores is what
-    the validating constructor stores.  ``SubcomplexMap`` still checks its
-    cell maps (``cell index``)."""
+    the validating constructor stores.  The only conversions left are the
+    two cell indices per circle of ``tqft2d._in_boundary_subcomplex``, which
+    merges circles that may come from outside."""
     oracle = list(_oracle_complexes())
-    calls = []
+    calls, expected = [], []
+    in_boundary = tqft2d._in_boundary_subcomplex
 
     def recording(x, what):
         calls.append(what)
         return index(x)
 
+    def merging(b):
+        expected.extend(["cell index"] * 2 * len(b.in_circles))
+        return in_boundary(b)
+
     monkeypatch.setattr(complexes, "as_int", recording)
-    count = 0
+    monkeypatch.setattr(tqft2d, "_in_boundary_subcomplex", merging)
+    count = merged = 0
     for cx in _package_builds(oracle):
-        assert [what for what in calls if what != "cell index"] == [], cx
+        assert calls == expected, cx
         assert_stored_canonical(cx)
+        merged += len(calls)
         calls.clear()
+        expected.clear()
         count += 1
     assert count > len(oracle) ** 2
+    assert merged > 0
+
+
+def _package_inclusions():
+    """Every inclusion the package builds: the circles of ``disk`` and
+    ``pants``, the ends of ``cylinder()``, the circles of ``glue`` and
+    ``bordism_union`` over the shape pairs, and ``empty_subcomplex``."""
+    yield disk()[1]
+    yield from pants()[1]
+    cyl = tqft2d.cylinder()
+    yield from cyl.in_circles + cyl.out_circles
+    presets = {shape: tqft2d.bordism_preset(shape) for shape in SHAPES}
+    for first, second in GLUE_PAIRS:
+        glued = tqft2d.glue(presets[first], presets[second])
+        yield from glued.in_circles + glued.out_circles
+    for first in SHAPES:
+        for second in SHAPES:
+            union = tqft2d.bordism_union(presets[first], presets[second])
+            yield from union.in_circles + union.out_circles
+    yield from (complexes.empty_subcomplex(cx) for cx in PRESETS)
+
+
+def test_package_inclusions_are_stored_as_the_validating_constructor_stores_them(monkeypatch):
+    """No package-built inclusion passes the validating constructor, and
+    each equals, field for field, what that constructor makes of it."""
+
+    def refuse(self):
+        raise AssertionError("a package-built inclusion was validated again")
+
+    monkeypatch.setattr(SubcomplexMap, "__post_init__", refuse)
+    built = list(_package_inclusions())
+    monkeypatch.undo()
+    assert len(built) > len(SHAPES) ** 2
+    for m in built:
+        again = SubcomplexMap(m.source, m.target, m.cell_maps)
+        for f in fields(SubcomplexMap):
+            assert getattr(again, f.name) == getattr(m, f.name), (f.name, m)
+        assert type(m.cell_maps) is tuple, m
+        assert all(type(c) is tuple and all(type(i) is int for i in c) for c in m.cell_maps), m
 
 
 @pytest.mark.parametrize("identifications", [
