@@ -336,7 +336,7 @@ def _check_commutes(source: ChainComplex, target: ChainComplex, maps) -> None:
                 raise ValueError("inclusion does not commute with boundaries")
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class SubcomplexMap:
     """Inclusion of a subcomplex, as per-degree injective cell-index maps.
 

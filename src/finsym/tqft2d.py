@@ -5,8 +5,8 @@ with matrix entries
 
     c(W) * #{ a in H^1(W; A) : a restricts to the given classes }
 
-with the normalization c(W) = 1 / |H^0(W, in-boundary; A)|, the order of
-H^0 of the quotient complex C(W)/C(in-boundary).  Restriction to
+with the normalization c(W) = 1 / |H^0(W, in-boundary; A)|, read from W's
+own d_1 with the in-circle vertices dropped.  Restriction to
 the boundary circles, r: H^1(W; A) -> A^{out} x A^{in}, is a homomorphism,
 so that count is |ker r| * [label in im r], read off im r.  The naive
 alternating-product constant applied to closed W breaks the trace identity
@@ -30,8 +30,9 @@ the surface bundle counts.
 from __future__ import annotations
 
 from collections import Counter, defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import product as iproduct
 
 from . import complexes
@@ -42,7 +43,6 @@ from .complexes import (
     cohomology_order,
     disjoint_union,
     glue_complexes,
-    quotient,
 )
 from .groups import FiniteAbelianGroup
 from .limits import check_enum
@@ -72,30 +72,27 @@ class Bordism:
 @dataclass(frozen=True, repr=False)
 class StateSpace:
     """C-span of H^1 of a disjoint union of circles: basis = A^r, ordered
-    lexicographically by the tuple of A-values."""
+    lexicographically by the tuple of A-values and listed on first use."""
 
     group: FiniteAbelianGroup
     circles: int
-    basis: tuple = field(init=False, compare=False)
-    _index: dict = field(init=False, compare=False)
 
     def __post_init__(self):
         if self.circles < 0:
             raise ValueError("circle count must be >= 0")
-        check_enum(self.group.order**self.circles, what="state space basis")
-        basis = [()]
-        for _ in range(self.circles):
-            basis = [b + (a,) for b in basis for a in self.group.elements()]
-        object.__setattr__(self, "basis", tuple(basis))
-        object.__setattr__(self, "_index", {b: i for i, b in enumerate(basis)})
+        check_enum(self.dim, what="state space basis")
 
     @property
     def dim(self) -> int:
-        return len(self.basis)
+        return self.group.order**self.circles
 
-    def boundary_complex(self) -> ChainComplex:
-        """The disjoint union of standard circles this space lives on."""
-        return _circles(self.circles)
+    @cached_property
+    def basis(self) -> tuple:
+        return tuple(iproduct(self.group.elements(), repeat=self.circles))
+
+    @cached_property
+    def _index(self) -> dict:
+        return {b: i for i, b in enumerate(self.basis)}
 
     def index(self, label) -> int:
         return self._index[tuple(tuple(a) for a in label)]
@@ -284,22 +281,20 @@ def glue(first: Bordism, second: Bordism) -> Bordism:
 # ---------------------------------------------------------------------------
 
 
-def _circles(r: int) -> ChainComplex:
-    """The disjoint union of r standard circles (the empty complex if r = 0)."""
-    return ChainComplex._trusted((r, r), (((),) * r,)) if r else ChainComplex._trusted((0,), ())
-
-
-def _in_boundary_subcomplex(b: Bordism) -> SubcomplexMap:
-    """All in-circles merged into one SubcomplexMap, checked in full: the
-    circles may come from outside, and overlapping ones are not injective."""
-    deg0 = tuple(m.cell_maps[0][0] for m in b.in_circles)
-    deg1 = tuple(m.cell_maps[1][0] for m in b.in_circles)
-    return SubcomplexMap(_circles(len(b.in_circles)), b.w, (deg0, deg1))
-
-
 def normalization_constant(b: Bordism, group: FiniteAbelianGroup) -> Fraction:
-    """c(W) = 1 / |H^0(W, in-boundary; A)|."""
-    return Fraction(1, cohomology_order(quotient(b.w, _in_boundary_subcomplex(b)), group, 0))
+    """c(W) = 1 / |H^0(W, in-boundary; A)|, read from degrees 0 and 1 of W:
+    the vertices off the in-circles, every edge (an in-circle edge is a loop,
+    an empty column) and d_1 restricted to those vertices.  Each in-circle
+    is a checked inclusion; only overlap between them is left to reject."""
+    vertices = {m.cell_maps[0][0] for m in b.in_circles}
+    if len(vertices) != len(b.in_circles):
+        raise ValueError("degree 0 map is not injective")
+    if len({m.cell_maps[1][0] for m in b.in_circles}) != len(b.in_circles):
+        raise ValueError("degree 1 map is not injective")
+    new = {i: p for p, i in enumerate(sorted(set(range(b.w.n_cells(0))) - vertices))}
+    d1 = tuple(tuple((new[i], v) for i, v in col if i in new) for col in b.w.columns(1))
+    h0 = cohomology_order(ChainComplex._trusted((len(new), len(d1)), (d1,)), group, 0)
+    return Fraction(1, h0)
 
 
 def bordism_matrix(b: Bordism, group: FiniteAbelianGroup) -> BordismMatrix:

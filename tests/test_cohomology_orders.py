@@ -37,6 +37,7 @@ from finsym.complexes import (
 )
 from finsym.groups import parse_abelian
 from finsym.pathintegral import em_partition, em_partition_bruteforce
+from test_tqft2d import merged_in_boundary
 
 COEFFS = [parse_abelian(a) for a in ("Z2", "Z6", "Z2xZ4", "Z2xZ4xZ8")]
 PRESETS = (
@@ -116,7 +117,7 @@ BORDISMS = [tqft2d.bordism_preset(shape) for shape in SHAPES] + [
 @pytest.mark.parametrize("coeffs", COEFFS, ids=str)
 @pytest.mark.parametrize("b", BORDISMS, ids=lambda b: repr(b.w))
 def test_relative_order_matches_relative_cohomology(b, coeffs):
-    subs = [empty_subcomplex(b.w), tqft2d._in_boundary_subcomplex(b)]
+    subs = [empty_subcomplex(b.w), merged_in_boundary(b)]
     subs += list(b.in_circles + b.out_circles)
     for sub in subs:
         for q in range(b.w.top_dim + 1):

@@ -34,6 +34,7 @@ from finsym.intmatrix import IntMatrix, invariant_factors, smith_normal_form_ful
 from finsym.limits import GuardExceeded, max_enum
 from test_intmatrix import matmul
 from test_random_complexes import random_two_stage_complex
+from test_tqft2d import merged_in_boundary
 
 Z2 = FiniteAbelianGroup([2])
 Z3 = FiniteAbelianGroup([3])
@@ -320,6 +321,9 @@ QUOTIENT_BORDISMS = [
     tqft2d.glue(tqft2d.bordism_preset(a), tqft2d.bordism_preset(b))
     for a, b in (("cylinder", "cylinder"), ("cap", "copants"), ("pants", "cup"))
 ]
+# Each of those bordisms with its merged in-boundary and each boundary circle.
+QUOTIENT_SUBS = [(b.w, sub) for b in QUOTIENT_BORDISMS
+                 for sub in (merged_in_boundary(b), *b.in_circles, *b.out_circles)]
 
 
 class TestQuotient:
@@ -347,7 +351,7 @@ class TestQuotient:
     @pytest.mark.parametrize("coeffs", [Z2, Z3, Z4, Z2Z2], ids=str)
     @pytest.mark.parametrize("b", QUOTIENT_BORDISMS, ids=lambda b: repr(b.w))
     def test_relative_cohomology_matches_bruteforce(self, b, coeffs):
-        subs = [tqft2d._in_boundary_subcomplex(b), *b.in_circles, *b.out_circles]
+        subs = [merged_in_boundary(b), *b.in_circles, *b.out_circles]
         for sub in subs:
             rel = quotient(b.w, sub)
             for q in range(b.w.top_dim + 1):
@@ -530,9 +534,7 @@ def _oracle_complexes():
     for _ in range(4):
         iterated = product(iterated, circle())
         yield iterated
-    for b in QUOTIENT_BORDISMS:
-        for sub in (tqft2d._in_boundary_subcomplex(b), *b.in_circles, *b.out_circles):
-            yield quotient(b.w, sub)
+    yield from (quotient(w, sub) for w, sub in QUOTIENT_SUBS)
     for base, count in ((31_000, 25), (77_000, 10), (55_000, 10)):
         yield from (random_two_stage_complex(random.Random(base + s)) for s in range(count))
 

@@ -7,9 +7,12 @@ from finsym.complexes import (
     SubcomplexMap,
     circle,
     cohomology,
+    cohomology_order,
     disjoint_union,
+    disk,
     interval,
     product,
+    quotient,
     torus,
 )
 from finsym.groups import FiniteAbelianGroup, parse_abelian
@@ -48,6 +51,22 @@ Z2Z2 = FiniteAbelianGroup([2, 2])
 GROUPS = [Z2, Z3, Z4, Z2Z2]
 
 
+def circles(r: int) -> ChainComplex:
+    """The disjoint union of r standard circles (the empty complex if r = 0)."""
+    cx = ChainComplex((0,), ())
+    for _ in range(r):
+        cx = disjoint_union(cx, circle())
+    return cx
+
+
+def merged_in_boundary(b: Bordism) -> SubcomplexMap:
+    """Oracle: every in-circle of ``b`` merged into one inclusion through the
+    validating constructor; C(W) modulo it gives H^*(W, in-boundary)."""
+    deg0 = tuple(m.cell_maps[0][0] for m in b.in_circles)
+    deg1 = tuple(m.cell_maps[1][0] for m in b.in_circles)
+    return SubcomplexMap(circles(len(b.in_circles)), b.w, (deg0, deg1))
+
+
 class TestStateSpace:
     def test_dims(self):
         assert StateSpace(Z2, 1).dim == 2
@@ -61,14 +80,20 @@ class TestStateSpace:
         )
         assert space.index(((1,), (0,))) == 2
 
-    def test_boundary_complex_and_dim_invariant(self):
-        from finsym.complexes import cohomology
-
-        for circles in (0, 1, 3):
-            space = StateSpace(Z3, circles)
-            cx = space.boundary_complex()
+    def test_dim_is_h1_of_the_circles(self):
+        for r in (0, 1, 3):
+            space = StateSpace(Z3, r)
+            cx = circles(r)
             h1 = cohomology(cx, Z3, 1).order if cx.top_dim >= 1 else 1
-            assert space.dim == h1 == Z3.order**circles
+            assert space.dim == h1 == Z3.order**r
+
+    @pytest.mark.parametrize("group", [Z3, parse_abelian("Z2xZ4")], ids=str)
+    def test_basis_is_listed_on_first_use_in_nested_loop_order(self, group):
+        space = StateSpace(group, 2)
+        assert "basis" not in vars(space) and "_index" not in vars(space)
+        nested = tuple((a, b) for a in group.elements() for b in group.elements())
+        assert space.basis == nested and len(nested) == space.dim
+        assert [space.index(x) for x in nested] == list(range(space.dim))
 
 
 class TestNormalization:
@@ -88,6 +113,65 @@ class TestNormalization:
         assert normalization_constant(closed_torus(), Z2) == Fraction(1, 2)
         assert normalization_constant(cap(), Z3) == Fraction(1, 3)
         assert normalization_constant(cup(), Z3) == 1
+
+    def test_inclusions_and_bordisms_compare_by_value(self):
+        assert cylinder() == cylinder()
+        assert disk()[1] == disk()[1]
+
+
+def _outside_bordisms():
+    """Bordisms built through the validating constructors: one whose edge
+    from the in-circle meets vertex 1 with coefficient 2, and the cylinder
+    with an isolated extra vertex."""
+    two = ChainComplex((2, 2), ([(), [(0, -1), (1, 2)]],))
+    yield Bordism(two, (SubcomplexMap(circle(), two, ((0,), (0,))),), ())
+    cyl = ChainComplex((3, 3, 1), ([[(0, -1), (1, 1)], (), ()], [[(1, 1), (2, -1)]]))
+    yield Bordism(cyl, (SubcomplexMap(circle(), cyl, ((0,), (1,))),),
+                  (SubcomplexMap(circle(), cyl, ((1,), (2,))),))
+
+
+def _normalized_bordisms():
+    """The presets, every glue and bordism_union pair of them, and the
+    outside-built bordisms."""
+    shapes = [bordism_preset(shape) for shape in _SHAPES]
+    yield from shapes
+    for a in shapes:
+        for b in shapes:
+            if len(a.out_circles) == len(b.in_circles):
+                yield glue(a, b)
+            yield bordism_union(a, b)
+    yield from _outside_bordisms()
+
+
+@pytest.mark.parametrize("group", [parse_abelian(a) for a in ("Z2", "Z3", "Z2xZ4", "Z2xZ2xZ2")],
+                         ids=str)
+def test_normalization_matches_the_quotient_route(group):
+    """c(W) read from d_1 equals 1/|H^0| of C(W) modulo the merged in-circles."""
+    count = 0
+    for b in _normalized_bordisms():
+        h0 = cohomology_order(quotient(b.w, merged_in_boundary(b)), group, 0)
+        assert normalization_constant(b, group) == Fraction(1, h0), b.w
+        count += 1
+    assert count == 77
+
+
+def _overlapping_in_circles(kind):
+    if kind == "same cuff twice":
+        pants = pants_bordism()
+        return Bordism(pants.w, (pants.in_circles[0],) * 2, pants.out_circles)
+    loop = ChainComplex((2, 1), ([()],))
+    ends = tuple(SubcomplexMap(circle(), loop, ((v,), (0,))) for v in (0, 1))
+    return Bordism(loop, ends, ())
+
+
+@pytest.mark.parametrize("kind,degree", [("same cuff twice", 0), ("one loop, two vertices", 1)])
+def test_overlapping_in_circles_are_rejected(kind, degree):
+    b = _overlapping_in_circles(kind)
+    message = f"degree {degree} map is not injective"
+    with pytest.raises(ValueError, match=message):
+        normalization_constant(b, Z2)
+    with pytest.raises(ValueError, match=message):
+        bordism_matrix(b, Z2)
 
 
 class TestBordismMatrices:

@@ -1,6 +1,6 @@
 """The value-type contract of the frozen dataclasses: fields cannot be
-assigned, equal values hash equal, inclusions and quadratic forms compare
-by identity, and derived state stays out of equality."""
+assigned, equal values hash equal, quadratic forms compare by identity,
+and derived state stays out of equality."""
 
 from dataclasses import fields
 from fractions import Fraction
@@ -20,7 +20,8 @@ Z2 = [[0, 1], [1, 0]]
 VALUES = {
     "IntMatrix": (lambda: IntMatrix([[1, 2], [3, 4]]), ["data", "rows", "cols"]),
     "ChainComplex": (lambda: preset("rp", 3), ["cells", "boundaries"]),
-    "SubcomplexMap": (lambda: SubcomplexMap(circle(), circle(), ((0,), (0,))), None),
+    "SubcomplexMap": (lambda: SubcomplexMap(circle(), circle(), ((0,), (0,))),
+                      ["source", "target", "cell_maps"]),
     "FiniteAbelianGroup": (lambda: FiniteAbelianGroup([2, 4]), ["invariant_factors"]),
     "Character": (lambda: Character(FiniteAbelianGroup([2, 4]), (3, 7)),
                   ["group", "exponents"]),
@@ -48,4 +49,7 @@ def test_value_type_contract(name):
     if name == "ChainComplex":  # the unit-pivot reduction is derived state
         a.boundary_factors(2)
         assert a._reduction is not None and b._reduction is None
+        assert a == b and hash(a) == hash(b)
+    if name == "StateSpace":  # the basis and its index are listed on first use
+        assert a.index(a.basis[3]) == 3 and "basis" not in vars(b)
         assert a == b and hash(a) == hash(b)
