@@ -30,8 +30,9 @@ Where only the group type or |H^q| is needed, the same formula runs on
 invariant factors alone (``cohomology_cyclic_orders``,
 ``cohomology_order``): the unit pivots and those of the residual.
 Relative cohomology is that of the quotient complex C(W)/C(S)
-(``quotient``).  The dense ``coboundary`` serves the brute-force cochain
-enumerator, the independent oracle for all of this.
+(``quotient``).  ``coboundary`` is the one dense view of a complex; it
+serves the brute-force cochain enumerator, the independent oracle for all of
+this.
 
 Cell structures for the preset manifolds are the minimal standard ones
 (one-vertex surfaces, standard RP^n); their boundary columns are spelled
@@ -152,12 +153,6 @@ class ChainComplex:
             return self.boundaries[k - 1]
         return ((),) * self.n_cells(k)
 
-    def boundary(self, k: int) -> IntMatrix:
-        """d_k: C_k -> C_{k-1} (zero-shaped outside 1..top_dim)."""
-        rows, cols = self.n_cells(k - 1), self.n_cells(k)
-        data = tuple(zip(*self.coboundary(k - 1).data)) if cols else ((),) * rows
-        return IntMatrix._trusted(data, rows, cols)
-
     def coboundary(self, q: int) -> IntMatrix:
         """delta^q: C^q -> C^{q+1}, the transpose of d_{q+1}; the one place a
         complex becomes an IntMatrix."""
@@ -187,16 +182,16 @@ class ChainComplex:
             red.factors[k] = (1,) * red.units.get(k, 0) + factors
         return red.factors[k]
 
-    def euler_characteristic(self) -> int:
-        return sum((-1) ** k * c for k, c in enumerate(self.cells))
-
     def __repr__(self):
         return f"ChainComplex(cells={self.cells})"
 
     def to_json(self) -> str:
         import json
 
-        bnds = [[list(r) for r in self.boundary(k).data] for k in range(1, len(self.cells))]
+        bnds = []
+        for k, b in enumerate(self.boundaries, start=1):
+            cols = [dict(col) for col in b]
+            bnds.append([[col.get(i, 0) for col in cols] for i in range(self.cells[k - 1])])
         return json.dumps({"cells": list(self.cells), "boundaries": bnds})
 
     @classmethod
@@ -344,11 +339,11 @@ class SubcomplexMap:
     inclusion must literally commute with the boundaries, which in
     particular forces the image to be closed under taking boundaries.
     Outside input (this constructor) has every index checked: an integer,
-    in range, one per source cell, injective per degree.  Inclusions the
-    package builds from cells it already holds (``disk``, ``pants``, the 2d
-    TFT's boundary circles, ``empty_subcomplex``) go through ``_trusted``,
-    which stores the maps as given.  Both check commutation with the
-    boundaries (``_check_commutes``).
+    in range, one per source cell (none above the source's top degree),
+    injective per degree.  Inclusions the package builds from cells it
+    already holds (``disk``, ``pants``, the 2d TFT's boundary circles,
+    ``empty_subcomplex``) go through ``_trusted``, which stores the maps as
+    given.  Both check commutation with the boundaries (``_check_commutes``).
     """
 
     source: ChainComplex
@@ -358,7 +353,7 @@ class SubcomplexMap:
     def __post_init__(self):
         source, target, cell_maps = self.source, self.target, self.cell_maps
         maps = []
-        for k in range(source.top_dim + 1):
+        for k in range(max(source.top_dim + 1, len(cell_maps))):
             given = cell_maps[k] if k < len(cell_maps) else ()
             m = tuple(as_int(i, "cell index") for i in given)
             if len(m) != source.n_cells(k):
@@ -369,7 +364,7 @@ class SubcomplexMap:
                 raise ValueError(f"degree {k} map goes out of range")
             maps.append(m)
         _check_commutes(source, target, maps)
-        object.__setattr__(self, "cell_maps", tuple(maps))
+        object.__setattr__(self, "cell_maps", tuple(maps[:source.top_dim + 1]))
 
     @classmethod
     def _trusted(cls, source: ChainComplex, target: ChainComplex,
@@ -576,7 +571,8 @@ def glue_complexes(a: ChainComplex, b: ChainComplex, identifications):
     merged (``_merged``).
     """
     top = max(a.top_dim, b.top_dim)
-    if any(not (isinstance(i, int) and 0 <= j < b.n_cells(k) and 0 <= i < a.n_cells(k))
+    if any(not (isinstance(k, int) and isinstance(j, int) and isinstance(i, int)
+                and 0 <= j < b.n_cells(k) and 0 <= i < a.n_cells(k))
            for k, pairs in identifications.items() for j, i in pairs.items()):
         raise ValueError("identifications must map b-cells to a-cells of the same degree")
     ident = {k: dict(identifications.get(k, {})) for k in range(top + 1)}
@@ -679,9 +675,6 @@ class CohomologyGroup:
     def classes(self):
         return iproduct(*(f.all_coords() for f in self.factors))
 
-    def zero_class(self):
-        return tuple((0,) * len(f.orders) for f in self.factors)
-
     def representative(self, label):
         per_factor = [f.representative(coords) for f, coords in zip(self.factors, label)]
         return tuple(
@@ -695,18 +688,6 @@ class CohomologyGroup:
             f.coordinates([cell[k] for cell in cochain])
             for k, f in enumerate(self.factors)
         )
-
-    def generator_cochains(self):
-        """(order, representative cochain) for each cyclic generator."""
-        out = []
-        for k, f in enumerate(self.factors):
-            for order, rep in zip(f.orders, f.reps):
-                cochain = tuple(
-                    tuple(rep[i] if kk == k else 0 for kk in range(len(self.factors)))
-                    for i in range(self.ncells)
-                )
-                out.append((order, cochain))
-        return out
 
 
 def _cyclic_orders(c: int, out_factors, in_factors, n: int) -> list[int]:
@@ -850,12 +831,6 @@ class CohomologyMap:
             out.append(tuple(v % o for v, o in zip(img, f_tgt.orders)))
         return tuple(out)
 
-    def is_isomorphism(self) -> bool:
-        if self.source.order != self.target.order:
-            return False
-        seen = {self.apply(lbl) for lbl in self.source.classes()}
-        return len(seen) == self.source.order
-
 
 def restriction_map(
     w: ChainComplex, sub: SubcomplexMap, coeffs: FiniteAbelianGroup, q: int
@@ -896,7 +871,7 @@ def _cyclic_coboundary_group(cx: ChainComplex, n: int, q: int):
     """The subgroup of coboundaries in degree q mod n, by additive closure
     of the columns of delta^{q-1} (no enumeration of C^{q-1} needed)."""
     delta_in = cx.coboundary(q - 1)
-    gens = [tuple(v % n for v in delta_in.column(j)) for j in range(delta_in.cols)]
+    gens = [tuple(v % n for v in col) for col in zip(*delta_in.data)]
     return FiniteAbelianGroup([n] * cx.n_cells(q)).subgroup(gens)
 
 

@@ -1,9 +1,9 @@
 """Finite abelian groups, characters, and finite groups as Cayley tables.
 
 Abelian groups are kept in invariant-factor form, reached from any list of
-cyclic orders by gcd and lcm alone, with no factoring; element and subgroup
-orders are integer arithmetic too, not enumerations.  Elements are tuples
-of residues, one per factor.  Characters evaluate into Q/Z: the value is the
+cyclic orders by gcd and lcm alone, with no factoring; subgroup orders are
+integer arithmetic too, not enumerations.  Elements are tuples of residues,
+one per factor.  Characters evaluate into Q/Z: the value is the
 exact fraction t of a full turn, i.e. the root of unity exp(2*pi*i*t).
 General finite groups are multiplication tables validated on construction
 (rows are permutations, two-sided identity, associativity by Light's test
@@ -95,14 +95,8 @@ class FiniteAbelianGroup:
     def add(self, x, y):
         return tuple((a + b) % n for a, b, n in zip(x, y, self.invariant_factors))
 
-    def neg(self, x):
-        return tuple((-a) % n for a, n in zip(x, self.invariant_factors))
-
     def scalar_mul(self, k: int, x):
         return tuple((k * a) % n for a, n in zip(x, self.invariant_factors))
-
-    def element_order(self, x) -> int:
-        return lcm(*(n // gcd(a, n) for a, n in zip(x, self.invariant_factors)))
 
     def _check_members(self, generators) -> None:
         for g in generators:
@@ -195,9 +189,6 @@ class Character:
             self.group,
             tuple(a + b for a, b in zip(self.exponents, other.exponents)),
         )
-
-    def is_trivial(self) -> bool:
-        return not any(self.exponents)
 
     def __repr__(self):
         return f"Character({self.group!r}, {self.exponents!r})"

@@ -84,17 +84,11 @@ class IntMatrix:
         i, j = key
         return self.data[i][j]
 
-    def column(self, j: int):
-        return tuple(self.data[i][j] for i in range(self.rows))
-
     def apply_vector(self, vec):
         """Matrix times column vector, as a tuple."""
         if len(vec) != self.cols:
             raise ValueError("vector length mismatch")
         return tuple(sum(map(mul, row, vec)) for row in self.data)
-
-    def is_zero(self) -> bool:
-        return all(x == 0 for row in self.data for x in row)
 
     def __repr__(self):
         return f"IntMatrix({[list(r) for r in self.data]!r})"

@@ -25,7 +25,7 @@ from fractions import Fraction
 from . import complexes
 from .complexes import ChainComplex, cohomology_order, count_cocycles, is_closed
 from .groups import FiniteAbelianGroup, FiniteGroup
-from .limits import check_enum
+from .limits import as_int, check_enum
 
 
 @dataclass(frozen=True)
@@ -36,6 +36,7 @@ class PiFiniteTarget:
     degree: int
 
     def __post_init__(self):
+        object.__setattr__(self, "degree", as_int(self.degree, "target degree"))
         if self.degree < 1:
             raise ValueError("target degree must be >= 1")
         if isinstance(self.group, FiniteGroup) and self.degree != 1:

@@ -50,18 +50,6 @@ class QuadraticForm:
         object.__setattr__(self, "domain", domain)
         object.__setattr__(self, "table", table)
 
-    @classmethod
-    def from_values(cls, domain: FiniteAbelianGroup, values) -> "QuadraticForm":
-        """Build q from a full value table (validated)."""
-        obj = object.__new__(cls)
-        table = {tuple(k): mod1(v) for k, v in values.items()}
-        if set(table) != set(domain.elements()):
-            raise ValueError("value table must cover the whole group")
-        _validate(domain, domain.unit_generators(), table)
-        object.__setattr__(obj, "domain", domain)
-        object.__setattr__(obj, "table", table)
-        return obj
-
     def __call__(self, elem) -> Fraction:
         return self.table[tuple(elem)]
 

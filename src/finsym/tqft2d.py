@@ -45,7 +45,7 @@ from .complexes import (
     glue_complexes,
 )
 from .groups import FiniteAbelianGroup
-from .limits import check_enum
+from .limits import as_int, check_enum
 
 
 @dataclass(frozen=True)
@@ -78,6 +78,7 @@ class StateSpace:
     circles: int
 
     def __post_init__(self):
+        object.__setattr__(self, "circles", as_int(self.circles, "circle count"))
         if self.circles < 0:
             raise ValueError("circle count must be >= 0")
         check_enum(self.dim, what="state space basis")

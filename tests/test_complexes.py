@@ -59,23 +59,38 @@ SMALL_PRESETS = [
     pants()[0],
     disk()[0],
 ]
+ALL_PRESETS = [preset(name) for name in ("circle", "interval", "klein", "disk", "pants")] + [
+    preset(name, p) for name, params in (("sphere", range(1, 6)), ("torus", range(1, 6)),
+                                         ("surface", range(5)), ("rp", range(1, 5)))
+    for p in params]
+
+
+def dense_boundary(cx, k):
+    """d_k: C_k -> C_{k-1} as an IntMatrix from the sparse columns of cx
+    (zero-shaped outside 1..top_dim)."""
+    rows, cols = cx.n_cells(k - 1), cx.n_cells(k)
+    data = [[0] * cols for _ in range(rows)]
+    for j, col in enumerate(cx.columns(k)):
+        for i, v in col:
+            data[i][j] = v
+    return IntMatrix(data, rows=rows, cols=cols)
 
 
 class TestPresets:
     def test_circle_cells(self):
         c = circle()
         assert c.cells == (1, 1)
-        assert c.boundary(1).is_zero()
+        assert dense_boundary(c, 1) == IntMatrix.zeros(1, 1)
 
     def test_surface_two(self):
         s = surface(2)
         assert s.cells == (1, 4, 1)
-        assert s.boundary(2).is_zero()
+        assert dense_boundary(s, 2) == IntMatrix.zeros(4, 1)
 
     def test_rp2_boundaries(self):
         rp2 = real_projective_space(2)
-        assert rp2.boundary(2) == IntMatrix([[2]])
-        assert rp2.boundary(1) == IntMatrix([[0]])
+        assert dense_boundary(rp2, 2) == IntMatrix([[2]])
+        assert dense_boundary(rp2, 1) == IntMatrix([[0]])
 
     def test_preset_dispatch(self):
         assert preset("torus", 3).cells == (1, 3, 3, 1)
@@ -93,7 +108,8 @@ class TestPresets:
     @pytest.mark.parametrize("cx", SMALL_PRESETS + [torus(4), torus(5)])
     def test_boundary_squares_to_zero(self, cx):
         for k in range(2, cx.top_dim + 1):
-            assert matmul(cx.boundary(k - 1), cx.boundary(k)).is_zero()
+            square = matmul(dense_boundary(cx, k - 1), dense_boundary(cx, k))
+            assert not any(map(any, square.data))
 
     def test_broken_complex_rejected(self):
         with pytest.raises(ValueError):
@@ -169,7 +185,7 @@ class TestCohomology:
                 assert p**dim == order
                 ranks.append(dim)
             alt = sum((-1) ** q * r for q, r in enumerate(ranks))
-            assert alt == cx.euler_characteristic()
+            assert alt == sum((-1) ** k * c for k, c in enumerate(cx.cells))
 
     def test_kunneth_dimension_sum(self):
         pairs = [(circle(), circle()), (sphere(2), sphere(2))]
@@ -221,12 +237,10 @@ class TestCohomology:
             rep = h.representative(label)
             assert h.coordinates(rep) == label
 
-    def test_generator_cochains_have_stated_order(self):
+    def test_klein_first_cohomology_with_z4(self):
         h = cohomology(klein_bottle(), Z4, 1)
         # H^1(K; Z_4) = Z_4 x Z_2
         assert h.group == FiniteAbelianGroup([2, 4])
-        for order, cochain in h.generator_cochains():
-            assert order > 1
 
 
 class TestEnumeration:
@@ -360,6 +374,12 @@ class TestQuotient:
                 )
 
 
+def assert_isomorphism(rmap):
+    """The induced map is a bijection: equal orders and injective on classes."""
+    assert rmap.source.order == rmap.target.order
+    assert len({rmap.apply(label) for label in rmap.source.classes()}) == rmap.source.order
+
+
 class TestRestriction:
     def test_pants_to_in_boundary_iso(self):
         cx, (cuff1, cuff2, waist) = pants()
@@ -371,7 +391,7 @@ class TestRestriction:
         )
         rmap = restriction_map(cx, both, Z2, 1)
         assert rmap.source.order == 4 and rmap.target.order == 4
-        assert rmap.is_isomorphism()
+        assert_isomorphism(rmap)
 
     def test_pants_to_out_is_sum(self):
         cx, (cuff1, cuff2, waist) = pants()
@@ -393,7 +413,7 @@ class TestRestriction:
             m1 = restriction_map(cyl, end1, coeffs, 1)
             for label in m0.source.classes():
                 assert m0.apply(label) == m1.apply(label)
-            assert m0.is_isomorphism()
+            assert_isomorphism(m0)
 
     def test_restriction_is_additive(self):
         cx, (_, _, waist) = pants()
@@ -414,6 +434,11 @@ class TestRestriction:
                     for a, b, f in zip(rmap.apply(la), rmap.apply(lb), rmap.target.factors)
                 )
                 assert lhs == rhs
+
+    def test_empty_maps_above_the_source_top_degree_are_dropped(self):
+        # a nonempty one is refused (tests/test_constructor_errors.py)
+        cx, rim = disk()
+        assert SubcomplexMap(circle(), cx, ((0,), (0,), ())) == rim
 
     def test_non_chain_map_rejected(self):
         # the disk's edge alone, without its bounding face data matching
@@ -449,7 +474,7 @@ class TestGlue:
         # same homotopy type as a cylinder
         assert cohomology(glued, Z2, 1).order == 2
         assert not is_closed(glued)
-        assert glued.euler_characteristic() == 0
+        assert sum((-1) ** k * c for k, c in enumerate(glued.cells)) == 0
 
     def test_bad_identification_rejected(self):
         cx, _ = disk()
@@ -457,9 +482,20 @@ class TestGlue:
             # identify the disk's face without identifying its boundary edge
             glue_complexes(cx, cx, {2: {0: 0}})
 
-    @pytest.mark.parametrize("cx", [torus(2), product(klein_bottle(), interval())])
+    @pytest.mark.parametrize("cx", ALL_PRESETS + [
+        product(klein_bottle(), interval()), product(real_projective_space(2), klein_bottle())],
+        ids=repr)
     def test_json_round_trip(self, cx):
         assert ChainComplex.from_json(cx.to_json()) == cx
+
+    @pytest.mark.parametrize("cx,text", [
+        (ChainComplex((2, 0), ((),)), '{"cells": [2, 0], "boundaries": [[[], []]]}'),
+        (sphere(3), '{"cells": [1, 0, 0, 1], "boundaries": [[[]], [], []]}'),
+        (real_projective_space(2), '{"cells": [1, 1, 1], "boundaries": [[[0]], [[2]]]}'),
+    ], ids=repr)
+    def test_json_prints_the_dense_rows_of_each_boundary(self, cx, text):
+        assert cx.to_json() == text
+        assert ChainComplex.from_json(text) == cx
 
 
 def _cohomology_by_products(cx, coeffs, q):
@@ -479,7 +515,8 @@ def _cohomology_by_products(cx, coeffs, q):
         orders = _cyclic_orders(c, snf.diagonal, w.diagonal, n)
         steps = tuple(n // o if i < r else 1 for i, o in enumerate(orders))
         kept = [i for i, o in enumerate(orders) if o > 1]
-        reps = tuple(tuple(steps[i] * x % n for x in lifts.column(i)) for i in kept)
+        cols = list(zip(*lifts.data))
+        reps = tuple(tuple(steps[i] * x % n for x in cols[i]) for i in kept)
         out.append((tuple(orders[i] for i in kept), reps))
     return out
 
@@ -524,12 +561,9 @@ def test_empty_residual_blocks_need_no_smith_form(monkeypatch):
 
 
 def _oracle_complexes():
-    yield from (preset(name) for name in ("circle", "interval", "klein", "disk", "pants"))
-    # T^5 and surface(4) come below
+    # ALL_PRESETS holds T^5 and surface(4)
+    yield from ALL_PRESETS
     yield from (cx for cx, _ in ZERO_BOUNDARY[2:])
-    for name, params in (("sphere", range(1, 6)), ("torus", range(1, 6)),
-                         ("surface", range(5)), ("rp", range(1, 5))):
-        yield from (preset(name, p) for p in params)
     iterated = circle()
     for _ in range(4):
         iterated = product(iterated, circle())

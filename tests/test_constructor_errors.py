@@ -37,6 +37,8 @@ CASES = [
     (lambda: ChainComplex((), ()), "nonempty and nonnegative"),
     (lambda: ChainComplex((1, 1), ()), "one boundary matrix per dimension"),
     (lambda: SubcomplexMap(circle(), circle(), ((0,),)), "degree 1 map has wrong length"),
+    (lambda: SubcomplexMap(circle(), disk()[0], ((0,), (0,), (0,))),
+     "degree 2 map has wrong length"),
     (lambda: SubcomplexMap(circle(), circle(), ((0.7,), (0,))), "cell index 0.7 is not an integer"),
     (lambda: SubcomplexMap(circle(), circle(), ((1,), (0,))), "degree 0 map goes out of range"),
     (lambda: SubcomplexMap(interval(), interval(), ((1, 0), (0,))), "does not commute"),
@@ -60,7 +62,9 @@ CASES = [
     (lambda: Bordism(disk()[0], (SubcomplexMap(POINT, disk()[0], ((0,),)),), ()),
      "standard circles"),
     (lambda: StateSpace(Z2, -1), "circle count must be >= 0"),
+    (lambda: StateSpace(Z2, 1.5), "circle count 1.5 is not an integer"),
     (lambda: PiFiniteTarget(Z2, 0), "target degree must be >= 1"),
+    (lambda: PiFiniteTarget(Z2, 1.5), "target degree 1.5 is not an integer"),
     (lambda: em_partition(circle(), Z2, 0), "n must be >= 1"),
     (lambda: surface_gauge_count(cyclic_group(2), -1), "genus must be >= 0"),
     (lambda: ising.transfer_matrix(2, 0.0), "beta must be positive"),

@@ -71,10 +71,9 @@ class TestFiniteAbelianGroup:
     def test_arithmetic(self):
         g = FiniteAbelianGroup([2, 4])
         assert g.add((1, 3), (1, 2)) == (0, 1)
-        assert g.neg((1, 3)) == (1, 1)
         assert g.scalar_mul(3, (1, 2)) == (1, 2)
-        assert g.element_order((0, 2)) == 2
-        assert g.element_order((1, 1)) == 4
+        assert g.subgroup_order([(0, 2)]) == 2
+        assert g.subgroup_order([(1, 1)]) == 4
 
     def test_subgroup_closure(self):
         g = FiniteAbelianGroup([2, 4])
@@ -147,7 +146,7 @@ class TestInvariantsByArithmetic:
     def test_mixed_primes_in_any_order(self, name, canonical):
         assert str(parse_abelian(name)) == canonical
 
-    def test_element_order_matches_repeated_addition(self):
+    def test_cyclic_subgroup_order_matches_repeated_addition(self):
         groups = [FiniteAbelianGroup(chain) for chain in _chains(64)]
         assert len(groups) == 117  # sum over n <= 64 of the partitions of n's exponents
         for g in groups:
@@ -155,7 +154,7 @@ class TestInvariantsByArithmetic:
                 k, y = 1, x
                 while any(y):
                     y, k = g.add(y, x), k + 1
-                assert g.element_order(x) == k, (g, x)
+                assert g.subgroup_order([x]) == k, (g, x)
 
     def test_subgroup_order_matches_the_enumeration(self):
         rng = random.Random(13)
@@ -202,7 +201,6 @@ class TestDualAndCharacters:
         g = FiniteAbelianGroup([2, 4])
         chi = Character(g, (1, 1)) * Character(g, (1, 3))
         assert chi.exponents == (0, 0)
-        assert chi.is_trivial()
 
 
 class TestFiniteGroup:

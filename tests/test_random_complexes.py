@@ -36,7 +36,7 @@ def random_two_stage_complex(rng: random.Random) -> ChainComplex:
     )
     # integer kernel basis of boundary1: columns of V past the rank
     snf = smith_normal_form_full(boundary1)
-    kernel = [snf.v.column(j) for j in range(snf.rank, d1)]
+    kernel = list(zip(*snf.v.data))[snf.rank:]
     cols = []
     for _ in range(d2):
         col = [0] * d1
@@ -121,7 +121,7 @@ def test_coordinates_kill_coboundaries(seed):
         for trial in range(5):
             prior = tuple(rng.randrange(n) for _ in range(cx.n_cells(q - 1)))
             image = tuple((v % n,) for v in delta.apply_vector(prior))
-            assert h.coordinates(image) == h.zero_class()
+            assert h.coordinates(image) == tuple((0,) * len(f.orders) for f in h.factors)
 
 
 def test_orders_multiply_to_known_totals():
