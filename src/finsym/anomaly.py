@@ -146,12 +146,13 @@ class AnyonTable:
     charges: tuple[int, ...]
 
     def braiding(self, j: int, k: int) -> Fraction:
-        return Fraction(self.p * j * k, self.n) % 1
+        return Fraction(self.p * j * k % self.n, self.n)
 
 
 def minimal_tft_data(t: MinimalTFT) -> AnyonTable:
     check_enum(t.n, what="anyon enumeration")
-    spins = tuple(Fraction(t.p * k * k, 2 * t.n) % 1 for k in range(t.n))
+    two_n = 2 * t.n
+    spins = tuple(Fraction(t.p * k * k % two_n, two_n) for k in range(t.n))
     charges = tuple((t.p * k) % t.n for k in range(t.n))
     return AnyonTable(n=t.n, p=t.p, spins=spins, charges=charges)
 

@@ -41,6 +41,7 @@ out below so golden tests are deterministic.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from itertools import product as iproduct
 from math import comb, gcd, prod
@@ -338,12 +339,13 @@ class SubcomplexMap:
     ``cell_maps[k][i]`` is the target index of the i-th source k-cell.  The
     inclusion must literally commute with the boundaries, which in
     particular forces the image to be closed under taking boundaries.
-    Outside input (this constructor) has every index checked: an integer,
-    in range, one per source cell (none above the source's top degree),
-    injective per degree.  Inclusions the package builds from cells it
-    already holds (``disk``, ``pants``, the 2d TFT's boundary circles,
-    ``empty_subcomplex``) go through ``_trusted``, which stores the maps as
-    given.  Both check commutation with the boundaries (``_check_commutes``).
+    Outside input (this constructor) has every index checked: one sequence
+    per degree, each index an integer, in range, one per source cell (none
+    above the source's top degree), injective per degree.  Inclusions the
+    package builds from cells it already holds (``disk``, ``pants``, the 2d
+    TFT's boundary circles, ``empty_subcomplex``) go through ``_trusted``,
+    which stores the maps as given.  Both check commutation with the
+    boundaries (``_check_commutes``).
     """
 
     source: ChainComplex
@@ -352,6 +354,8 @@ class SubcomplexMap:
 
     def __post_init__(self):
         source, target, cell_maps = self.source, self.target, self.cell_maps
+        if not _is_sequence(cell_maps) or not all(map(_is_sequence, cell_maps)):
+            raise ValueError("cell_maps must be one sequence of cell indices per degree")
         maps = []
         for k in range(max(source.top_dim + 1, len(cell_maps))):
             given = cell_maps[k] if k < len(cell_maps) else ()
@@ -387,6 +391,12 @@ class SubcomplexMap:
     def pull_back(self, cochain, q: int):
         """Restrict a degree-q cochain on the target along the inclusion."""
         return tuple(cochain[i] for i in self.image_cells(q))
+
+
+def _is_sequence(x) -> bool:
+    """Indexable with a length (a tuple, list, range or array), not a str or a mapping."""
+    return (hasattr(x, "__getitem__") and hasattr(x, "__len__")
+            and not isinstance(x, (str, Mapping)))
 
 
 def empty_subcomplex(target: ChainComplex) -> SubcomplexMap:
@@ -563,7 +573,8 @@ def disjoint_union(a: ChainComplex, b: ChainComplex) -> ChainComplex:
 def glue_complexes(a: ChainComplex, b: ChainComplex, identifications):
     """Pushout identifying cells of ``b`` with cells of ``a``.
 
-    ``identifications[k]`` maps b-cell indices to a-cell indices in degree k.
+    ``identifications[k]`` maps b-cell indices to a-cell indices in degree k,
+    an int in 0..top; any other key, value or index raises ValueError.
     Identified cells must form a subcomplex of ``b`` whose boundary data
     matches that of the target a-cells.  Returns (glued complex, b_index_map)
     where b_index_map[k][old_b_index] = index in the glued complex.  The
@@ -571,9 +582,12 @@ def glue_complexes(a: ChainComplex, b: ChainComplex, identifications):
     merged (``_merged``).
     """
     top = max(a.top_dim, b.top_dim)
-    if any(not (isinstance(k, int) and isinstance(j, int) and isinstance(i, int)
-                and 0 <= j < b.n_cells(k) and 0 <= i < a.n_cells(k))
-           for k, pairs in identifications.items() for j, i in pairs.items()):
+    if not isinstance(identifications, Mapping) or any(
+            not (isinstance(k, int) and 0 <= k <= top and isinstance(pairs, Mapping))
+            or any(not (isinstance(j, int) and isinstance(i, int)
+                        and 0 <= j < b.n_cells(k) and 0 <= i < a.n_cells(k))
+                   for j, i in pairs.items())
+            for k, pairs in identifications.items()):
         raise ValueError("identifications must map b-cells to a-cells of the same degree")
     ident = {k: dict(identifications.get(k, {})) for k in range(top + 1)}
     b_map = []

@@ -104,18 +104,24 @@ class FiniteAbelianGroup:
                 raise ValueError(f"{g} is not an element of {self}")
 
     def subgroup(self, generators) -> tuple:
-        """All elements generated by ``generators``, sorted lexicographically."""
+        """All elements generated by ``generators``, sorted lexicographically.
+
+        A coset walk, one add per element: <g_1..g_j> is the disjoint union
+        of the cosets H + i g_j, 0 <= i < m, of H = <g_1..g_{j-1}>, where m
+        is the least i > 0 with i g_j in H.
+        """
         self._check_members(generators)
-        seen = {self.zero()}
-        frontier = [self.zero()]
-        while frontier:
-            x = frontier.pop()
-            for g in generators:
-                y = self.add(x, tuple(g))
-                if y not in seen:
-                    seen.add(y)
-                    frontier.append(y)
-        return tuple(sorted(seen))
+        factors = self.invariant_factors
+        elems = [self.zero()]
+        seen = set(elems)
+        for g in map(tuple, generators):
+            h, shift = elems[:], g
+            while shift not in seen:
+                coset = [tuple((a + b) % n for a, b, n in zip(x, shift, factors)) for x in h]
+                elems += coset
+                seen.update(coset)
+                shift = self.add(shift, g)
+        return tuple(sorted(elems))
 
     def subgroup_order(self, generators) -> int:
         """|<generators>| without enumerating it, one coordinate at a time:

@@ -91,14 +91,19 @@ class QuadraticForm:
 
 
 def bihomomorphism(q: QuadraticForm):
-    """The polarization b(x, y) as a dict over all pairs.
+    """The polarization b(x, y) as a dict over all pairs, each value one
+    Fraction of an integer numerator over the lcm d of the table's
+    denominators.
 
     Nothing is re-checked here: every QuadraticForm was checked when it was
     built, by the one walk over its group (see the module docstring).
     """
     check_enum(q.domain.order**2, what="polarization table (|A|^2 pairs)")
-    elems = list(q.domain.elements())
-    return {(x, y): q.polarization(x, y) for x in elems for y in elems}
+    d = lcm(*(v.denominator for v in q.table.values()))
+    nums = {x: v.numerator * (d // v.denominator) for x, v in q.table.items()}
+    add, elems = q.domain.add, list(q.domain.elements())
+    return {(x, y): Fraction((nums[add(x, y)] - nums[x] - nums[y]) % d, d)
+            for x in elems for y in elems}
 
 
 def subgroup_quadratic_table(group: FiniteAbelianGroup, generators, gen_values, cross_terms=None):

@@ -15,9 +15,11 @@ A = Z_2); the relative-H^0 normalization is the one validated by the
 cylinder-identity and trace oracles below.
 
 A bordism matrix is therefore value * 1_R with R = im r, a subgroup of
-A^{out} x A^{in}, and it is stored as that pair.  The form is closed under
-composition (relation composite; the middle-label count is constant on
-the support), disjoint union (R x R') and trace, so those are subgroup
+A^{out} x A^{in}, and it is stored as that pair.  R is listed as the
+product of its images in (Z_n)^{edges}, one coset walk per cyclic factor
+Z_n of A, zipped into one A-value per boundary edge.  The form is closed
+under composition (relation composite; the middle-label count is constant
+on the support), disjoint union (R x R') and trace, so those are subgroup
 arithmetic, never a dense loop.
 
 Bordisms are (complex, in-circles, out-circles) triples.  Composites exist
@@ -120,8 +122,9 @@ class BordismMatrix:
     def entries(self) -> tuple[tuple[Fraction, ...], ...]:
         """Dense rows: out labels, columns: in labels."""
         rows = [[Fraction(0)] * self.source.dim for _ in range(self.target.dim)]
+        row_of, col_of = self.target._index, self.source._index
         for out, inn in self.support:
-            rows[self.target.index(out)][self.source.index(inn)] = self.value
+            rows[row_of[out]][col_of[inn]] = self.value
         return tuple(map(tuple, rows))
 
     def __getitem__(self, key):
@@ -320,15 +323,14 @@ def bordism_matrix(b: Bordism, group: FiniteAbelianGroup) -> BordismMatrix:
         images.append(image)
         kernel *= factor.order // len(image)
 
-    # R = im r: one image element per cyclic factor of A, re-zipped into
-    # one A-value per edge
-    n_out = len(b.out_circles)
-    support = set()
-    for per_factor in iproduct(*images):
-        label = tuple(tuple(v[e] for v in per_factor) for e in range(len(edges)))
-        support.add((label[:n_out], label[n_out:]))
+    # R = im r: one image element per cyclic factor of A, zipped into one
+    # A-value per edge; a trivial A has no factors, and its one label is
+    # an empty tuple per edge
+    n_out, blank = len(b.out_circles), ((),) * len(edges)
+    labels = (tuple(zip(*per_factor)) or blank for per_factor in iproduct(*images))
+    support = frozenset((label[:n_out], label[n_out:]) for label in labels)
     value = normalization_constant(b, group) * kernel
-    return BordismMatrix(source, target, value, frozenset(support))
+    return BordismMatrix(source, target, value, support)
 
 
 @dataclass(frozen=True)

@@ -5,6 +5,7 @@ from math import gcd, sqrt
 import pytest
 
 from finsym.anomaly import (
+    AnyonTable,
     ChiralAngle,
     LineLattice,
     MinimalTFT,
@@ -281,6 +282,38 @@ class TestMinimalTFT:
             assert transparent == [0]
             rows = {tuple(table.braiding(j, k) for j in range(n)) for k in range(n)}
             assert len(rows) == n
+
+    # every N up to 50, then primes, prime powers and composites up to 300:
+    # the full table for every N <= 300 and every level would take seconds
+    SPIN_NS = [*range(1, 51), 64, 97, 120, 210, 256, 299, 300]
+
+    @staticmethod
+    def levels(n):
+        """Every p in [0, N) coprime to N, and two levels outside it."""
+        return [p for p in range(n) if gcd(p, n) == 1] + [-1, 2 * n + 1]
+
+    def test_spins_and_charges_match_the_fraction_reference(self):
+        for n in self.SPIN_NS:
+            for p in self.levels(n):
+                table = minimal_tft_data(MinimalTFT(n, p))
+                assert table.spins == tuple(Fraction(p * k * k, 2 * n) % 1 for k in range(n))
+                assert table.charges == tuple(p * k % n for k in range(n)), (n, p)
+
+    def test_braiding_matches_the_fraction_reference(self):
+        """Every N <= 300 and level p, at sampled labels (negative and >= N
+        among them); every label pair in [-N, 2N) for N <= 12."""
+        rng = random.Random(33)
+        for n in range(1, 301):
+            for p in self.levels(n):
+                table = AnyonTable(n, p, (), ())
+                span = range(-n, 2 * n)
+                if n <= 12:
+                    pairs = [(j, k) for j in span for k in span]
+                else:
+                    pairs = [(-1, n - 1)]
+                    pairs += [(rng.choice(span), rng.choice(span)) for _ in range(4)]
+                for j, k in pairs:
+                    assert table.braiding(j, k) == Fraction(p * j * k, n) % 1, (n, p, j, k)
 
     def test_spin_charge_relation(self):
         # B(1, k) = theta(k+1) - theta(k) - theta(1) consistency

@@ -7,7 +7,9 @@ import pytest
 
 from finsym import ising
 from finsym.anomaly import MinimalTFT
-from finsym.complexes import ChainComplex, SubcomplexMap, circle, disk, interval, sphere
+from finsym.complexes import (
+    ChainComplex, SubcomplexMap, circle, disk, glue_complexes, interval, sphere,
+)
 from finsym.fusion import FusionRing
 from finsym.groups import Character, FiniteAbelianGroup, FiniteGroup, cyclic_group
 from finsym.intmatrix import IntMatrix
@@ -42,6 +44,15 @@ CASES = [
     (lambda: SubcomplexMap(circle(), circle(), ((0.7,), (0,))), "cell index 0.7 is not an integer"),
     (lambda: SubcomplexMap(circle(), circle(), ((1,), (0,))), "degree 0 map goes out of range"),
     (lambda: SubcomplexMap(interval(), interval(), ((1, 0), (0,))), "does not commute"),
+    (lambda: SubcomplexMap(circle(), circle(), 5), "one sequence of cell indices per degree"),
+    (lambda: SubcomplexMap(circle(), circle(), ((0,), 0)), "cell_maps must be one sequence"),
+    (lambda: SubcomplexMap(circle(), circle(), ({0}, (0,))), "sequence of cell indices"),
+    (lambda: glue_complexes(interval(), interval(), {0: [(0, 0)]}),
+     "identifications must map b-cells to a-cells"),
+    (lambda: glue_complexes(interval(), interval(), {0.5: {}}),
+     "map b-cells to a-cells of the same degree"),
+    (lambda: glue_complexes(interval(), interval(), {5: {}}),
+     "identifications must map b-cells to a-cells of the same degree"),
     (lambda: SubcomplexMap._trusted(interval(), interval(), ((1, 0), (0,))),
      "inclusion does not commute with boundaries"),
     (lambda: FusionRing(("1", "a"), 0, (IDENTITY_RANK2,), (0, 1)), "rank^3"),

@@ -171,6 +171,63 @@ class TestInvariantsByArithmetic:
             FiniteAbelianGroup([2, 4]).subgroup_order([[2, 0]])
 
 
+def _closure_subgroup(group, generators):
+    """The closure of {0} under adding generators, one probe per element and
+    generator: the reference for the coset walk of ``subgroup``."""
+    seen = {group.zero()}
+    frontier = [group.zero()]
+    while frontier:
+        x = frontier.pop()
+        for g in generators:
+            y = group.add(x, tuple(g))
+            if y not in seen:
+                seen.add(y)
+                frontier.append(y)
+    return tuple(sorted(seen))
+
+
+Z2Z4Z8 = FiniteAbelianGroup([2, 4, 8])
+
+
+class TestSubgroupCosetWalk:
+    def test_matches_the_closure_on_random_generators(self):
+        rng = random.Random(33)
+        chains = [(), (2,), (7,), (2, 4, 8), (3, 12), (2, 2, 6), (6, 36), (4, 4), (30,),
+                  (2, 6, 12), (2, 2, 2, 2)]
+        for _ in range(600):
+            g = FiniteAbelianGroup(rng.choice(chains))
+            gens = [tuple(rng.randrange(n) for n in g.invariant_factors)
+                    for _ in range(rng.randrange(5))]
+            if gens and rng.random() < 0.3:  # a zero and a repeated generator
+                gens.insert(rng.randrange(len(gens) + 1), g.zero())
+                gens.append(rng.choice(gens))
+            assert g.subgroup(gens) == _closure_subgroup(g, gens), (g, gens)
+
+    def test_every_pair_of_generators_of_z2_z4_z8(self):
+        elems = list(Z2Z4Z8.elements())
+        for x in elems:
+            for y in elems:
+                assert Z2Z4Z8.subgroup([x, y]) == _closure_subgroup(Z2Z4Z8, [x, y]), (x, y)
+
+    def test_rank_zero_empty_zero_and_repeated_generators(self):
+        trivial = FiniteAbelianGroup([])
+        assert trivial.subgroup([]) == trivial.subgroup([()]) == ((),)
+        assert trivial.subgroup([[], ()]) == ((),)
+        assert Z2Z4Z8.subgroup([]) == Z2Z4Z8.subgroup([(0, 0, 0)] * 3) == ((0, 0, 0),)
+        once = Z2Z4Z8.subgroup([(1, 1, 1)])
+        assert len(once) == 8 and once == _closure_subgroup(Z2Z4Z8, [(1, 1, 1)])
+        assert Z2Z4Z8.subgroup([(1, 1, 1), [1, 1, 1], (0, 0, 0), (1, 1, 1)]) == once
+        assert Z2Z4Z8.subgroup([(1, 1, 1), (0, 2, 6)]) == once  # 6 (1, 1, 1)
+
+    def test_unit_generators_list_the_group_in_order(self):
+        assert Z2Z4Z8.subgroup(Z2Z4Z8.unit_generators()) == tuple(Z2Z4Z8.elements())
+        assert Z2Z4Z8.subgroup(Z2Z4Z8.unit_generators()[::-1]) == tuple(Z2Z4Z8.elements())
+
+    def test_rejects_outsiders(self):
+        with pytest.raises(ValueError, match=r"\(0, 4, 0\) is not an element of Z2xZ4xZ8"):
+            Z2Z4Z8.subgroup([(1, 0, 0), (0, 4, 0)])
+
+
 class TestDualAndCharacters:
     def test_dual_preserves_invariant_factors(self):
         for factors in ((4,), (), (2, 6)):

@@ -79,6 +79,45 @@ def test_polarization_biadditive_on_larger_group():
     assert b[((1, 0), (0, 1))] == Fraction(1, 4)
 
 
+# the forms this file builds, plus Z1 and one in twelfths; denominators mix in one table
+FORMS = [
+    (FiniteAbelianGroup([]), [], None),
+    (Z2, [0], None),
+    (Z2, [Fraction(1, 4)], None),
+    (Z4, [Fraction(1, 8)], None),
+    (FiniteAbelianGroup([2, 4]), [Fraction(1, 4), Fraction(1, 8)], {(0, 1): Fraction(1, 2)}),
+    (FiniteAbelianGroup([4, 8]), [Fraction(1, 8), Fraction(3, 16)], {(0, 1): Fraction(1, 4)}),
+    (FiniteAbelianGroup([4, 4]), [0, 0], None),
+    (FiniteAbelianGroup([3, 6]), [Fraction(1, 3), Fraction(1, 12)], {(0, 1): Fraction(2, 3)}),
+]
+
+
+def _check_bihomomorphism(q):
+    b = bihomomorphism(q)
+    elems = list(q.domain.elements())
+    assert list(b) == [(x, y) for x in elems for y in elems]
+    for (x, y), v in b.items():
+        assert type(v) is Fraction and v == q.polarization(x, y), (q, x, y)
+
+
+@pytest.mark.parametrize("group, values, cross", FORMS, ids=[str(f[0]) for f in FORMS])
+def test_bihomomorphism_is_the_table_polarization(group, values, cross):
+    _check_bihomomorphism(QuadraticForm(group, values, cross))
+
+
+def test_bihomomorphism_over_the_sixteenths_grid_on_z2_z4():
+    g, grid = FiniteAbelianGroup([2, 4]), [Fraction(k, 16) for k in range(16)]
+    denominators = set()
+    for v0, v1, c in product(grid, repeat=3):
+        try:
+            q = QuadraticForm(g, [v0, v1], {(0, 1): c})
+        except ValueError:
+            continue
+        _check_bihomomorphism(q)
+        denominators.add(tuple(sorted({v.denominator for v in q.table.values()})))
+    assert (1, 2, 4, 8) in denominators and len(denominators) > 4
+
+
 def test_json_round_trip():
     g = FiniteAbelianGroup([2, 4])
     q = QuadraticForm(g, [Fraction(1, 4), Fraction(1, 8)],

@@ -155,6 +155,23 @@ def test_normalization_matches_the_quotient_route(group):
     assert count == 77
 
 
+def test_trivial_group_gives_value_one_on_the_one_empty_label():
+    """Over Z1 each state space has one label, an empty tuple per circle, and
+    each bordism has value 1 on it: the closed form that the per-factor
+    labels, zipped over no factors, must keep."""
+    z1 = FiniteAbelianGroup([])
+    count = 0
+    for b in _normalized_bordisms():
+        m = bordism_matrix(b, z1)
+        ins, outs = ((),) * len(b.in_circles), ((),) * len(b.out_circles)
+        assert (m.value, m.support) == (1, frozenset({(outs, ins)})), b.w
+        assert (m.source.basis, m.target.basis) == ((ins,), (outs,))
+        assert m.entries == ((1,),)
+        count += 1
+    assert count == 77
+    assert all(trace_check(circles, z1).passed for circles in (0, 1, 2))
+
+
 def _overlapping_in_circles(kind):
     if kind == "same cuff twice":
         pants = pants_bordism()
