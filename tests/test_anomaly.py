@@ -1,4 +1,6 @@
+import cmath
 import random
+from collections import Counter
 from fractions import Fraction
 from math import gcd, sqrt
 
@@ -21,6 +23,7 @@ from finsym.anomaly import (
     ym_theta_pi_anomaly,
 )
 from finsym.groups import FiniteAbelianGroup, characters
+from finsym.limits import GuardExceeded
 from finsym.quadratic import QuadraticForm, polarization, subgroup_quadratic_table
 
 Z2 = FiniteAbelianGroup([2])
@@ -423,7 +426,57 @@ class TestFractionalInstanton:
             fractional_instanton(2, 1, spin=True)
 
 
+def gauss_sum_reference(n, p):
+    """All N^2 terms of the Gauss sum, added one by one."""
+    p_inv = pow(p, -1, n)
+    roots = [cmath.exp(2j * cmath.pi * m / n) for m in range(n)]
+    total = 0j
+    for b in range(n):
+        for c in range(n):
+            total += roots[(p_inv * b * c) % n]
+    return total
+
+
+def coprime_levels(n):
+    return [p for p in (1, 3, 7, -1, 2 * n + 1) if gcd(p, n) == 1]
+
+
 class TestGaussSums:
+    @pytest.mark.parametrize("n", range(1, 61))
+    def test_row_classes_match_the_term_by_term_sum(self, n):
+        for p in coprime_levels(n):
+            assert abs(gauss_sum_direct(n, p) - gauss_sum_reference(n, p)) <= 1e-9, (n, p)
+
+    @pytest.mark.parametrize("n", range(1, 41))
+    def test_each_row_class_holds_its_terms(self, n):
+        # row b covers the multiples of g = gcd(p^-1 b, N), each g times
+        for p in coprime_levels(n):
+            p_inv = pow(p, -1, n)
+            terms = Counter(p_inv * b * c % n for b in range(n) for c in range(n))
+            rows = Counter(gcd(p_inv * b, n) for b in range(n))
+            grouped = {m: sum(count * g for g, count in rows.items() if m % g == 0)
+                       for m in range(n)}
+            assert dict(terms) == grouped, (n, p)
+
+    @pytest.mark.parametrize("n", [128, 256, 343, 400])
+    def test_large_n(self, n):
+        for p in coprime_levels(n):
+            assert abs(gauss_sum_direct(n, p) - n) <= 1e-9, (n, p)
+
+    @pytest.mark.parametrize("n, p, real, imag", [
+        (5, 2, "0x1.3ffffffffffffp+2", "0x1.0000000000000p-51"),
+        (97, 1, "0x1.83fffffffffe3p+6", "0x1.e000000000000p-43"),
+        (400, 3, "0x1.8ffffffffffc1p+8", "-0x1.c9cb19140c0c1p-40"),
+    ])
+    def test_bits_are_pinned(self, n, p, real, imag):
+        # sequential adds: the same bits on every supported Python
+        direct = gauss_sum_direct(n, p)
+        assert (direct.real.hex(), direct.imag.hex()) == (real, imag)
+
+    def test_guard_charges_every_term(self):
+        with pytest.raises(GuardExceeded, match="Gauss-sum term enumeration"):
+            gauss_sum_direct(100000, 1)
+
     @pytest.mark.parametrize("n", range(1, 21))
     def test_exact_and_direct(self, n):
         for p in range(n if n > 1 else 2):

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from finsym import ising
-from finsym.anomaly import MinimalTFT
+from finsym import anomaly
+from finsym.anomaly import ChiralAngle, MinimalTFT
 from finsym.complexes import (
     ChainComplex, SubcomplexMap, circle, disk, glue_complexes, interval, sphere,
 )
@@ -92,8 +93,31 @@ CASES = [
     (lambda: cyclic_group(0), "cyclic order must be >= 1"),
 ]
 
+# the same message can come from several anomaly entry points, so these rows
+# are named by the call
+TABLE = anomaly.minimal_tft_data(MinimalTFT(4, 1))
+ANOMALY_CASES = {
+    "braiding(0.5, 1)": (lambda: TABLE.braiding(0.5, 1), "anyon label 0.5 is not an integer"),
+    "braiding('1', 1)": (lambda: TABLE.braiding("1", 1), "anyon label '1' is not an integer"),
+    "ym_theta_pi_anomaly(2.5)": (lambda: anomaly.ym_theta_pi_anomaly(2.5),
+                                 "N 2.5 is not an integer"),
+    "flux_projector_action(2.5, 5)": (lambda: anomaly.flux_projector_action(2.5, 5),
+                                      "N 2.5 is not an integer"),
+    "flux_projector_action(5, 2.5)": (lambda: anomaly.flux_projector_action(5, 2.5),
+                                      "flux 2.5 is not an integer"),
+    "defect_quantum_dim(2.5)": (lambda: anomaly.defect_quantum_dim(2.5),
+                                "N 2.5 is not an integer"),
+    "fractional_instanton(4, 1.5)": (lambda: anomaly.fractional_instanton(4, 1.5),
+                                     "Pontryagin square 1.5 is not an integer"),
+    "fractional_instanton(4.0, 1)": (lambda: anomaly.fractional_instanton(4.0, 1),
+                                     "N 4.0 is not an integer"),
+    "ChiralAngle.of(1, 0)": (lambda: ChiralAngle.of(1, 0), "N must be >= 1"),
+    "ChiralAngle.of(0.5, 3)": (lambda: ChiralAngle.of(0.5, 3), "p 0.5 is not an integer"),
+}
 
-@pytest.mark.parametrize("build, fragment", CASES, ids=[f for _, f in CASES])
+
+@pytest.mark.parametrize("build, fragment", CASES + list(ANOMALY_CASES.values()),
+                         ids=[f for _, f in CASES] + list(ANOMALY_CASES))
 def test_malformed_input_is_rejected(build, fragment):
     with pytest.raises(ValueError, match=re.escape(fragment)):
         build()
