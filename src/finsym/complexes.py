@@ -30,9 +30,10 @@ Where only the group type or |H^q| is needed, the same formula runs on
 invariant factors alone (``cohomology_cyclic_orders``,
 ``cohomology_order``): the unit pivots and those of the residual.
 Relative cohomology is that of the quotient complex C(W)/C(S)
-(``quotient``).  ``coboundary`` is the one dense view of a complex; it
-serves the brute-force cochain enumerator, the independent oracle for all of
-this.
+(``quotient``); its order in degree 0, which sees only the vertices of S,
+is also read from W's own reduction (``relative_h0_order``).
+``coboundary`` is the one dense view of a complex; it serves the
+brute-force cochain enumerator, the independent oracle for all of this.
 
 Cell structures for the preset manifolds are the minimal standard ones
 (one-vertex surfaces, standard RP^n); their boundary columns are spelled
@@ -795,6 +796,38 @@ def cohomology(cx: ChainComplex, coeffs: FiniteAbelianGroup, q: int) -> Cohomolo
         factors=tuple(factors),
         ncells=ncells,
     )
+
+
+def relative_h0_order(cx: ChainComplex, vertices, coeffs: FiniteAbelianGroup) -> int:
+    """|H^0(cx, S; coeffs)| for a subcomplex S with the given vertices: the
+    0-cocycles that vanish on them, read from the complex's own reduction.
+
+    A 0-cocycle is its values on the kept vertices, lifted through the
+    degree-0 fills as in ``cohomology``.  Running those fills in reverse,
+    from the unit functional at s (each fill (i, p, col) trades x_i for
+    -p sum v x_c), gives the value at s as a functional on the kept
+    vertices.  The relative cocycles are the kept-vertex vectors killed by
+    the residual delta^0 and by those functionals, so per Z_n they number
+    prod gcd(d, n) * n^(kept - rank) over the invariant factors d of the
+    two stacked: exact for any integer d_1.
+    """
+    red = cx._reduced()
+    lines = list(red.columns[1].values())
+    fills = red.fills.get(0, ())
+    for s in vertices:
+        line = {s: 1}
+        for i, p, col in fills:
+            t = line.pop(i, 0)
+            if t:
+                for c, v in col:
+                    line[c] = line.get(c, 0) - p * v * t
+        lines.append(line)
+    rows = sorted({i for line in lines for i in line})
+    factors = (invariant_factors(_dense(dict(enumerate(lines)), range(len(lines)), rows))
+               if rows else ())
+    kept = cx.n_cells(0) - len(red.gone.get(0, ()))
+    return prod(o for n in coeffs.invariant_factors
+                for o in _cyclic_orders(kept, factors, (), n))
 
 
 def cohomology_cyclic_orders(cx: ChainComplex, coeffs: FiniteAbelianGroup,

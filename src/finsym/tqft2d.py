@@ -5,8 +5,9 @@ with matrix entries
 
     c(W) * #{ a in H^1(W; A) : a restricts to the given classes }
 
-with the normalization c(W) = 1 / |H^0(W, in-boundary; A)|, read from W's
-own d_1 with the in-circle vertices dropped.  Restriction to
+with the normalization c(W) = 1 / |H^0(W, in-boundary; A)|, read from the
+one reduction of W that H^1 is read from: the in-circle vertices lifted
+onto the vertices that reduction keeps.  Restriction to
 the boundary circles, r: H^1(W; A) -> A^{out} x A^{in}, is a homomorphism,
 so that count is |ker r| * [label in im r], read off im r.  The naive
 alternating-product constant applied to closed W breaks the trace identity
@@ -42,9 +43,9 @@ from .complexes import (
     ChainComplex,
     SubcomplexMap,
     cohomology,
-    cohomology_order,
     disjoint_union,
     glue_complexes,
+    relative_h0_order,
 )
 from .groups import FiniteAbelianGroup
 from .limits import as_int, check_enum
@@ -121,7 +122,8 @@ class BordismMatrix:
     @property
     def entries(self) -> tuple[tuple[Fraction, ...], ...]:
         """Dense rows: out labels, columns: in labels."""
-        rows = [[Fraction(0)] * self.source.dim for _ in range(self.target.dim)]
+        zero = Fraction(0)
+        rows = [[zero] * self.source.dim for _ in range(self.target.dim)]
         row_of, col_of = self.target._index, self.source._index
         for out, inn in self.support:
             rows[row_of[out]][col_of[inn]] = self.value
@@ -286,19 +288,17 @@ def glue(first: Bordism, second: Bordism) -> Bordism:
 
 
 def normalization_constant(b: Bordism, group: FiniteAbelianGroup) -> Fraction:
-    """c(W) = 1 / |H^0(W, in-boundary; A)|, read from degrees 0 and 1 of W:
-    the vertices off the in-circles, every edge (an in-circle edge is a loop,
-    an empty column) and d_1 restricted to those vertices.  Each in-circle
-    is a checked inclusion; only overlap between them is left to reject."""
+    """c(W) = 1 / |H^0(W, in-boundary; A)|, read from W's own reduction, the
+    one ``bordism_matrix`` reads H^1 from: each in-circle vertex is lifted
+    onto the vertices it keeps and stacked beside the residual d_1
+    (``relative_h0_order``).  Each in-circle is a checked inclusion; only
+    overlap between them is left to reject."""
     vertices = {m.cell_maps[0][0] for m in b.in_circles}
     if len(vertices) != len(b.in_circles):
         raise ValueError("degree 0 map is not injective")
     if len({m.cell_maps[1][0] for m in b.in_circles}) != len(b.in_circles):
         raise ValueError("degree 1 map is not injective")
-    new = {i: p for p, i in enumerate(sorted(set(range(b.w.n_cells(0))) - vertices))}
-    d1 = tuple(tuple((new[i], v) for i, v in col if i in new) for col in b.w.columns(1))
-    h0 = cohomology_order(ChainComplex._trusted((len(new), len(d1)), (d1,)), group, 0)
-    return Fraction(1, h0)
+    return Fraction(1, relative_h0_order(b.w, vertices, group))
 
 
 def bordism_matrix(b: Bordism, group: FiniteAbelianGroup) -> BordismMatrix:
@@ -343,25 +343,30 @@ class TraceReport:
 
 def trace_check(circles: int, group: FiniteAbelianGroup) -> TraceReport:
     """Tr of the cylinder bordism over ``circles`` circles must equal the
-    value of the corresponding closed mapping torus (disjoint tori)."""
-    mat = identity_matrix(group, 0)
-    cyl = bordism_matrix(cylinder(), group)
-    for _ in range(circles):
+    value of the corresponding closed mapping torus (disjoint tori).  The
+    circle count is checked as a state space's, before any evaluation."""
+    space = StateSpace(group, circles)
+    return _trace_check(space, bordism_matrix(cylinder(), group))
+
+
+def _trace_check(space: StateSpace, cyl: BordismMatrix) -> TraceReport:
+    """``trace_check`` on ``space`` with the cylinder already evaluated."""
+    mat = identity_matrix(space.group, 0)
+    for _ in range(space.circles):
         mat = tensor(mat, cyl)
     tr = mat.trace()
-    torus_cx = complexes.torus(2)
-    cx = torus_cx
-    for _ in range(circles - 1):
-        cx = disjoint_union(cx, torus_cx)
-    closed = bordism_matrix(Bordism(cx, (), ()), group).scalar() if circles else (
-        Fraction(1)
-    )
-    dim = StateSpace(group, circles).dim
+    closed = Fraction(1)
+    if space.circles:
+        torus_cx = complexes.torus(2)
+        cx = torus_cx
+        for _ in range(space.circles - 1):
+            cx = disjoint_union(cx, torus_cx)
+        closed = bordism_matrix(Bordism(cx, (), ()), space.group).scalar()
     return TraceReport(
-        passed=(tr == closed == dim),
+        passed=(tr == closed == space.dim),
         cylinder_trace=tr,
         closed_torus_value=closed,
-        state_space_dim=dim,
+        state_space_dim=space.dim,
     )
 
 
@@ -369,18 +374,21 @@ def solve_problem_one(group: FiniteAbelianGroup | None = None) -> dict:
     """The d=2, p=0 pair-of-pants exercise for Z_2 (or any preset group).
 
     Returns the circle state-space dimension, the pants and co-pants
-    matrices, and the oracle checks that pin the normalization.
+    matrices, and the oracle checks that pin the normalization.  The
+    co-pants is the pants read backwards, so the two share one reduction,
+    and the trace check reuses the cylinder evaluated here.
     """
     if group is None:
         group = FiniteAbelianGroup([2])
-    pants_m = bordism_matrix(pants_bordism(), group)
-    copants_m = bordism_matrix(copants_bordism(), group)
+    pants = pants_bordism()
+    pants_m = bordism_matrix(pants, group)
+    copants_m = bordism_matrix(Bordism(pants.w, pants.out_circles, pants.in_circles), group)
     cyl = bordism_matrix(cylinder(), group)
-    report = trace_check(1, group)
+    one = StateSpace(group, 1)
     return {
         "group": str(group),
-        "state_space_dim": StateSpace(group, 1).dim,
-        "state_space_basis": StateSpace(group, 1).basis,
+        "state_space_dim": one.dim,
+        "state_space_basis": one.basis,
         "pants": pants_m,
         "pants_provenance": "entry ((c), (a,b)) = #{a in H^1(pants): cuffs (a,b), "
         "waist c} = [c = a+b]; relative-H^0 constant 1",
@@ -388,5 +396,5 @@ def solve_problem_one(group: FiniteAbelianGroup | None = None) -> dict:
         "copants_provenance": "entry ((a,b), (c)) = [a+b = c]; relative-H^0 "
         "constant 1; validated by the trace identity",
         "cylinder_is_identity": cyl.is_identity(),
-        "trace_check": report,
+        "trace_check": _trace_check(one, cyl),
     }

@@ -15,7 +15,7 @@ from finsym.fusion import FusionRing
 from finsym.groups import Character, FiniteAbelianGroup, FiniteGroup, cyclic_group
 from finsym.intmatrix import IntMatrix
 from finsym.pathintegral import PiFiniteTarget, em_partition, surface_gauge_count
-from finsym.tqft2d import Bordism, StateSpace
+from finsym.tqft2d import Bordism, StateSpace, trace_check
 
 Z2 = FiniteAbelianGroup([2])
 Z3 = FiniteAbelianGroup([3])
@@ -93,10 +93,12 @@ CASES = [
     (lambda: cyclic_group(0), "cyclic order must be >= 1"),
 ]
 
-# the same message can come from several anomaly entry points, so these rows
-# are named by the call
+# the same message can come from several entry points, so these rows are
+# named by the call
 TABLE = anomaly.minimal_tft_data(MinimalTFT(4, 1))
-ANOMALY_CASES = {
+NAMED_CASES = {
+    "trace_check(1.5, Z2)": (lambda: trace_check(1.5, Z2), "circle count 1.5 is not an integer"),
+    "trace_check('2', Z2)": (lambda: trace_check("2", Z2), "circle count '2' is not an integer"),
     "braiding(0.5, 1)": (lambda: TABLE.braiding(0.5, 1), "anyon label 0.5 is not an integer"),
     "braiding('1', 1)": (lambda: TABLE.braiding("1", 1), "anyon label '1' is not an integer"),
     "ym_theta_pi_anomaly(2.5)": (lambda: anomaly.ym_theta_pi_anomaly(2.5),
@@ -116,8 +118,8 @@ ANOMALY_CASES = {
 }
 
 
-@pytest.mark.parametrize("build, fragment", CASES + list(ANOMALY_CASES.values()),
-                         ids=[f for _, f in CASES] + list(ANOMALY_CASES))
+@pytest.mark.parametrize("build, fragment", CASES + list(NAMED_CASES.values()),
+                         ids=[f for _, f in CASES] + list(NAMED_CASES))
 def test_malformed_input_is_rejected(build, fragment):
     with pytest.raises(ValueError, match=re.escape(fragment)):
         build()

@@ -14,11 +14,14 @@ import pytest
 
 from finsym.complexes import (
     ChainComplex,
+    SubcomplexMap,
     cohomology,
     cohomology_order,
     count_coboundaries,
     count_cocycles,
     enumerate_cocycles,
+    quotient,
+    relative_h0_order,
 )
 from finsym.groups import FiniteAbelianGroup
 from finsym.intmatrix import IntMatrix, smith_normal_form_full
@@ -96,6 +99,40 @@ def test_invariant_factor_orders_on_random_complexes(seed):
             if sum(n ** cx.n_cells(q) for n in coeffs.invariant_factors) <= 5000:
                 z = count_cocycles(cx, coeffs, q)
                 assert order * count_coboundaries(cx, coeffs, q) == z
+
+
+def random_d1_complex(rng: random.Random) -> ChainComplex:
+    """cells (v, e) with a random integer d_1: entries other than +-1 leave a
+    residual, and pivots in a column of several units chain their fills."""
+    v, e = rng.randint(1, 8), rng.randint(0, 10)
+    return ChainComplex((v, e), ([[(i, rng.choice((-3, -2, -1, 1, 2, 4)))
+                                   for i in rng.sample(range(v), rng.randint(0, min(3, v)))]
+                                  for _ in range(e)],))
+
+
+@pytest.mark.parametrize("seed", range(25))
+def test_relative_h0_order_matches_the_quotient(seed):
+    """|H^0(cx, S; A)| read from cx's own reduction equals |H^0| of the
+    quotient C(cx)/C(S), for S any set of vertices."""
+    rng = random.Random(61_000 + seed)
+    for cx in [random_two_stage_complex(rng)] + [random_d1_complex(rng) for _ in range(8)]:
+        vertices = rng.sample(range(cx.n_cells(0)), rng.randint(0, cx.n_cells(0)))
+        sub = SubcomplexMap(ChainComplex((len(vertices),), ()), cx, (tuple(vertices),))
+        for coeffs in COEFFS:
+            assert (relative_h0_order(cx, vertices, coeffs)
+                    == cohomology_order(quotient(cx, sub), coeffs, 0)), (cx.boundaries, vertices)
+
+
+def test_relative_h0_order_lifts_through_a_chain_of_fills():
+    """x_0 = x_1 + x_2 and x_1 = x_3 are the two fills, 2 x_2 + 2 x_3 = 0 the
+    residual: vanishing at vertex 0 leaves x_2 = -x_3, n classes mod n.  The
+    lifted functional x_2 + x_3 mixes fill depths 1 and 2, so a sign slip in
+    the lift gives x_3 - x_2 and one class mod 3."""
+    cx = ChainComplex((4, 3), ([[(0, -1), (1, 1), (2, 1)], [(1, -1), (3, 1)], [(2, 2), (3, 2)]],))
+    sub = SubcomplexMap(ChainComplex((1,), ()), cx, ((0,),))
+    for coeffs in COEFFS:
+        assert relative_h0_order(cx, [0], coeffs) == coeffs.order
+        assert cohomology_order(quotient(cx, sub), coeffs, 0) == coeffs.order
 
 
 @pytest.mark.parametrize("seed", range(10))

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from finsym import complexes
 from finsym.complexes import (
     ChainComplex,
     SubcomplexMap,
@@ -131,8 +132,9 @@ def _outside_bordisms():
 
 
 def _normalized_bordisms():
-    """The presets, every glue and bordism_union pair of them, and the
-    outside-built bordisms."""
+    """The presets, every glue and bordism_union pair of them, every
+    three-fold glue (whose in-circle vertices lift through chains of
+    fills), and the outside-built bordisms."""
     shapes = [bordism_preset(shape) for shape in _SHAPES]
     yield from shapes
     for a in shapes:
@@ -140,19 +142,26 @@ def _normalized_bordisms():
             if len(a.out_circles) == len(b.in_circles):
                 yield glue(a, b)
             yield bordism_union(a, b)
+    for a in shapes:
+        for b in shapes:
+            for c in shapes:
+                if (len(a.out_circles), len(b.out_circles)) == (len(b.in_circles),
+                                                                len(c.in_circles)):
+                    yield glue(glue(a, b), c)
     yield from _outside_bordisms()
 
 
 @pytest.mark.parametrize("group", [parse_abelian(a) for a in ("Z2", "Z3", "Z2xZ4", "Z2xZ2xZ2")],
                          ids=str)
 def test_normalization_matches_the_quotient_route(group):
-    """c(W) read from d_1 equals 1/|H^0| of C(W) modulo the merged in-circles."""
+    """c(W) read from W's reduction equals 1/|H^0| of C(W) modulo the merged
+    in-circles."""
     count = 0
     for b in _normalized_bordisms():
         h0 = cohomology_order(quotient(b.w, merged_in_boundary(b)), group, 0)
         assert normalization_constant(b, group) == Fraction(1, h0), b.w
         count += 1
-    assert count == 77
+    assert count == 128
 
 
 def test_trivial_group_gives_value_one_on_the_one_empty_label():
@@ -168,7 +177,7 @@ def test_trivial_group_gives_value_one_on_the_one_empty_label():
         assert (m.source.basis, m.target.basis) == ((ins,), (outs,))
         assert m.entries == ((1,),)
         count += 1
-    assert count == 77
+    assert count == 128
     assert all(trace_check(circles, z1).passed for circles in (0, 1, 2))
 
 
@@ -189,6 +198,37 @@ def test_overlapping_in_circles_are_rejected(kind, degree):
         normalization_constant(b, Z2)
     with pytest.raises(ValueError, match=message):
         bordism_matrix(b, Z2)
+
+
+@pytest.fixture
+def reductions(monkeypatch):
+    """Every complex that ``complexes._Reduction`` reduces from here on."""
+    reduced = []
+
+    class Counted(complexes._Reduction):
+        def __init__(self, cx):
+            reduced.append(cx)
+            super().__init__(cx)
+
+    monkeypatch.setattr(complexes, "_Reduction", Counted)
+    return reduced
+
+
+class TestOneReductionPerBordism:
+    @pytest.mark.parametrize("shape", list(_SHAPES))
+    def test_a_fresh_bordism_is_reduced_once(self, reductions, shape):
+        b = bordism_preset(shape)
+        bordism_matrix(b, Z2Z2)
+        assert reductions == [b.w]
+
+    def test_problem_one_reduces_pants_cylinder_and_torus(self, reductions):
+        solve_problem_one(Z2)
+        assert [cx.cells for cx in reductions] == [(3, 5, 1), (2, 3, 1), (1, 2, 1)]
+
+    def test_a_negative_circle_count_is_refused_before_any_evaluation(self, reductions):
+        with pytest.raises(ValueError, match="circle count must be >= 0"):
+            trace_check(-1, Z2)
+        assert reductions == []
 
 
 class TestBordismMatrices:
